@@ -181,11 +181,7 @@ def main(argv=None) -> int:
 
 
 def _load(args) -> Scenario:
-    if args.config is None:
-        scenario = load_scenario(None, tuple(args.overrides))
-    else:
-        scenario = load_scenario(args.config, tuple(args.overrides))
-    return scenario
+    return load_scenario(args.config, tuple(args.overrides))
 
 
 def _provenance(scenario: Scenario) -> str:
@@ -233,8 +229,6 @@ def _parse_floats(text: str, flag: str) -> list[float]:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise UsageError(f"{flag} expects comma-separated numbers, got {text!r}") from None
-    if not values:
-        return []
     return values
 
 
@@ -366,7 +360,9 @@ def _sweep_rows(
             row["rate_hz"] = rate
             row["pairs_per_flyby"] = pairs_per_flyby(rate, agg.flyby_duration_s)
             # No memories and no swapping: delivered pairs keep the
-            # pass-averaged downlink fidelity.
+            # pass-averaged downlink fidelity. Unlike repeater rows, whose
+            # fidelity_final is the Werner parameter, this is the Bell-state
+            # fidelity F_pair_avg.
             row["fidelity_final"] = agg.f_pair_avg
             rows.append(row)
 

@@ -17,10 +17,10 @@ doublings agree to a relative tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .channel import (
     ChannelParams,
@@ -121,8 +121,34 @@ def build_profile(
     )
 
 
-def _simpson_mean(values: np.ndarray, times: np.ndarray, duration: float) -> float:
-    return float(simpson(values, x=times)) / duration
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson integral of samples ``y`` on an odd-length grid ``x``.
+
+    Uses the irregular-grid weights from each pair of spacings (h0, h1) and
+    one ``np.sum``, in the operation order of the reference implementation
+    the tests compare it with bit for bit.
+    """
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    h0divh1 = h0 / h1
+    terms = hsum / 6.0 * (
+        y[:-2:2] * (2.0 - 1.0 / h0divh1)
+        + y[1::2] * (hsum * (hsum / (h0 * h1)))
+        + y[2::2] * (2.0 - h0divh1)
+    )
+    return float(np.sum(terms))
+
+
+def _pass_means(profile: FlybyProfile, stride: int = 1) -> tuple[float, float]:
+    """(P0, F_pair_avg) of a profile, on every ``stride``-th sample (stride 2
+    is the embedded half-resolution grid).  F_pair_avg is NaN when P0 is 0."""
+    times = profile.times_s[::stride]
+    duration = profile.flyby_duration_s
+    p0 = _simpson(profile.eta2_tr[::stride], times) / duration
+    weighted = _simpson((profile.f_pair * profile.eta2_tr)[::stride], times)
+    fbar = weighted / (p0 * duration) if p0 else math.nan
+    return p0, fbar
 
 
 def _coarse_check(fine: float, coarse: float, what: str, profile: FlybyProfile) -> None:
@@ -150,11 +176,9 @@ def average_two_photon(profile: FlybyProfile) -> float:
     :class:`QuadratureError` (resample more finely, e.g. via
     :func:`converged_aggregates`).
     """
-    p0 = _simpson_mean(profile.eta2_tr, profile.times_s, profile.flyby_duration_s)
+    p0, _ = _pass_means(profile)
     if _has_embedded_grid(profile):
-        coarse = _simpson_mean(
-            profile.eta2_tr[::2], profile.times_s[::2], profile.flyby_duration_s
-        )
+        coarse, _ = _pass_means(profile, stride=2)
         _coarse_check(p0, coarse, "average two-photon transmission", profile)
     return p0
 
@@ -166,19 +190,12 @@ def average_pair_fidelity(profile: FlybyProfile) -> float:
     actually arrive; with zero average transmission the weight vanishes and the
     quantity is undefined.
     """
-    weight_integral = float(simpson(profile.eta2_tr, x=profile.times_s))
-    if weight_integral <= 0.0:
+    p0, fbar = _pass_means(profile)
+    if p0 <= 0.0:
         raise ValueError("average pair fidelity undefined: zero average transmission")
-    weighted = float(simpson(profile.f_pair * profile.eta2_tr, x=profile.times_s))
-    fbar = weighted / weight_integral
     if _has_embedded_grid(profile):
-        coarse_w = float(simpson(profile.eta2_tr[::2], x=profile.times_s[::2]))
-        coarse_f = float(
-            simpson(
-                (profile.f_pair * profile.eta2_tr)[::2], x=profile.times_s[::2]
-            )
-        )
-        _coarse_check(fbar, coarse_f / coarse_w, "average pair fidelity", profile)
+        _, coarse = _pass_means(profile, stride=2)
+        _coarse_check(fbar, coarse, "average pair fidelity", profile)
     return fbar
 
 
@@ -194,21 +211,12 @@ def converged_aggregates(
     both move by less than ``rtol`` between successive resolutions.
     """
     n = start_samples
-    profile = build_profile(geom, params, source_fidelity, n)
-    p0_prev = _simpson_mean(profile.eta2_tr, profile.times_s, profile.flyby_duration_s)
-    fbar_prev = float(
-        simpson(profile.f_pair * profile.eta2_tr, x=profile.times_s)
-    ) / (p0_prev * profile.flyby_duration_s)
+    p0_prev, fbar_prev = _pass_means(build_profile(geom, params, source_fidelity, n))
     history = [(n, p0_prev, fbar_prev)]
     for _ in range(max_doublings):
         n = 2 * (n - 1) + 1
         profile = build_profile(geom, params, source_fidelity, n)
-        p0 = _simpson_mean(
-            profile.eta2_tr, profile.times_s, profile.flyby_duration_s
-        )
-        fbar = float(
-            simpson(profile.f_pair * profile.eta2_tr, x=profile.times_s)
-        ) / (p0 * profile.flyby_duration_s)
+        p0, fbar = _pass_means(profile)
         history.append((n, p0, fbar))
         rel_p0 = abs(p0 - p0_prev) / max(abs(p0), np.finfo(float).tiny)
         rel_fb = abs(fbar - fbar_prev) / max(abs(fbar), np.finfo(float).tiny)

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .flyby import FlybyAggregates, FlybyProfile, build_profile
 from .node import elementary_link_fidelity
@@ -326,7 +325,9 @@ def _time_resolved_trial(
     completion times of the first cascade (None if it never completed)."""
     q = np.clip(p_scale * profile.eta2_tr, 0.0, 1.0 - 1e-15)
     rate = -np.log1p(-q) / slot_s
-    hazard = cumulative_trapezoid(rate, profile.times_s, initial=0.0)
+    hazard = np.concatenate(
+        ([0.0], np.cumsum(np.diff(profile.times_s) * (rate[1:] + rate[:-1]) / 2.0))
+    )
     t_fb = profile.flyby_duration_s
     n_leaves = rep_cfg.n_links
     events = [

@@ -263,39 +263,20 @@ def distance_sweep(
         link = l_total / cfg_template.n_links
         geom = dataclasses.replace(cfg_template.geometry, link_length_m=link)
         cfg = dataclasses.replace(cfg_template, geometry=geom)
+        visible, result = True, None
         try:
             result = evaluate(cfg)
         except NoVisibilityError:
-            points.append(
-                SweepPoint(
-                    l_total_m=l_total,
-                    n_levels=cfg.n_levels,
-                    altitude_m=geom.altitude_m,
-                    link_length_m=link,
-                    visible=False,
-                    result=None,
-                )
-            )
-            continue
+            visible = False
         except ValueError:
-            points.append(
-                SweepPoint(
-                    l_total_m=l_total,
-                    n_levels=cfg.n_levels,
-                    altitude_m=geom.altitude_m,
-                    link_length_m=link,
-                    visible=True,
-                    result=None,
-                )
-            )
-            continue
+            pass  # visible, but no physical result at this distance
         points.append(
             SweepPoint(
                 l_total_m=l_total,
                 n_levels=cfg.n_levels,
                 altitude_m=geom.altitude_m,
                 link_length_m=link,
-                visible=True,
+                visible=visible,
                 result=result,
             )
         )

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -265,3 +267,17 @@ class TestCapsCurve:
         assert main(["caps-curve", "--points", "1"]) == 1
         assert main(["caps-curve", "--cin-min", "5", "--cin-max", "5"]) == 1
         assert main(["caps-curve", "--cin-min", "-1"]) == 1
+
+
+def test_rates_runs_on_numpy_alone():
+    # The runtime depends on numpy only: a fresh interpreter that runs a sweep
+    # must never import scipy (the tests use it as a reference only).
+    code = (
+        "import sys\n"
+        "from satrep.cli import main\n"
+        "assert main(['rates']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from satrep.channel import ChannelParams, two_photon_transmission
 from satrep.flyby import (
     FlybyProfile,
     NoVisibilityError,
     QuadratureError,
+    _simpson,
     average_pair_fidelity,
     average_two_photon,
     build_profile,
@@ -101,6 +103,27 @@ def test_sine_average_is_two_over_pi():
     t = np.linspace(0.0, 10.0, 2001)
     profile = synthetic_profile(np.sin(math.pi * t / 10.0))
     assert average_two_photon(profile) == pytest.approx(2.0 / math.pi, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "n,integrand,stride",
+    [(n, w, s) for n in (2001, 4001) for w in ("eta2", "f_eta2") for s in (1, 2)]
+    + [(n, "half_sine", 1) for n in (5, 401, 2001)],
+)
+def test_simpson_is_bit_identical_to_reference(n, integrand, stride, baseline_cfg):
+    # The numpy rule must reproduce scipy's irregular-grid Simpson exactly, on
+    # the baseline pass integrands, their embedded stride-2 grids and a sine.
+    if integrand == "half_sine":
+        x = np.linspace(0.0, 10.0, n)
+        y = np.sin(math.pi * x / 10.0)
+    else:
+        cfg = baseline_cfg
+        profile = build_profile(
+            cfg.geometry, cfg.channel, cfg.source.pair_fidelity, n_samples=n
+        )
+        y = profile.eta2_tr if integrand == "eta2" else profile.f_pair * profile.eta2_tr
+        x, y = profile.times_s[::stride], y[::stride]
+    assert _simpson(y, x) == float(simpson(y, x=x))
 
 
 def test_unit_fidelity_average_is_one():
