@@ -22,6 +22,7 @@ from .constants import PLANCK_J_S, SPEED_OF_LIGHT_M_PER_S
 
 __all__ = [
     "ChannelParams",
+    "NoResultError",
     "atmospheric_eff",
     "beam_waist",
     "diffraction_eff",
@@ -34,6 +35,15 @@ __all__ = [
 ]
 
 _APERTURE_MODES = ("literal", "radius")
+
+
+class NoResultError(ValueError):
+    """A well-formed scenario point the model has no result for; ``status``
+    names the cause, such as ``zero_transmission``."""
+
+    def __init__(self, status: str, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 @dataclass(frozen=True)
@@ -114,9 +124,10 @@ class ChannelParams:
 
 
 def _clamp_unit(x):
-    # Floating-point hygiene only: anything beyond 1 by more than noise is a
-    # model bug and should blow up, not be clamped away.
-    assert np.all(np.asarray(x) <= 1.0 + 1e-12), "efficiency exceeded 1 beyond noise"
+    # Floating-point hygiene only: anything beyond 1 by more than noise, or
+    # NaN, is a model error and must not be clamped away.
+    if not np.all(np.asarray(x) <= 1.0 + 1e-12):
+        raise ValueError("efficiency exceeded 1 beyond noise or is NaN")
     return np.clip(x, 0.0, 1.0)
 
 
@@ -229,6 +240,8 @@ def pair_fidelity(f_s: float, n_bar: float, eta_tr):
         raise ValueError("mean background photon number must be >= 0")
     eta = np.asarray(eta_tr, dtype=float)
     if np.any(eta <= 0.0):
-        raise ValueError("pair fidelity undefined at zero transmission")
+        raise NoResultError(
+            "zero_transmission", "pair fidelity undefined at zero transmission"
+        )
     out = 0.25 * (1.0 + (4.0 * f_s - 1.0) / (1.0 + n_bar / eta) ** 2)
     return float(out) if np.isscalar(eta_tr) else out

@@ -15,14 +15,14 @@ Files are written atomically (temp file in the target directory, then rename).
 
 Exit codes: 0 success; 1 usage or configuration error; 2 a well-formed
 scenario that the model rejects (no visibility, unphysical parameters,
-quadrature failure); 3 Monte Carlo comparison ran but did not pass.
+quadrature failure); 3 Monte Carlo comparison ran but did not pass.  A sweep
+point the model has no result for is a row whose ``status`` names the cause.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -39,6 +39,8 @@ from .mc_oracle import compare_report, simulate_chain
 from .node import caps_success
 from .repeater import (
     RepeaterConfig,
+    SweepPoint,
+    distance_sweep,
     evaluate_with_aggregates,
     pairs_per_flyby,
     rate_direct,
@@ -61,6 +63,7 @@ _SWEEP_COLUMNS = [
     "pairs_per_flyby",
     "fidelity_final",
     "visible",
+    "status",
 ]
 
 
@@ -285,91 +288,54 @@ def _sweep_rows(
     levels: list[int],
     with_direct: bool,
     cache: dict,
-) -> tuple[list[dict], int]:
-    """Evaluate the chain over (distance, depth) pairs; one output dict per
-    point.  Aggregates are cached on (geometry, channel, source fidelity) so
-    sweeps that vary only node-side parameters do not redo the quadrature."""
+) -> list[dict]:
+    """One output dict per :func:`distance_sweep` point: the chain at each
+    depth in ``levels``, then, with ``with_direct``, the direct-transmission
+    reference as depth 0."""
     base = scenario.repeater_config()
-    max_levels = max(levels) if levels else 0
-    rows: list[dict] = []
-
-    def aggregates_for(cfg: RepeaterConfig):
-        key = (cfg.geometry, cfg.channel, cfg.source.pair_fidelity)
-        if key not in cache:
-            cache[key] = converged_aggregates(
-                cfg.geometry, cfg.channel, cfg.source.pair_fidelity
-            )
-        return cache[key]
-
-    for n in levels:
-        for l_total in distances_m:
-            link = l_total / 2**n
-            geom = dataclasses.replace(base.geometry, link_length_m=link)
-            cfg = dataclasses.replace(base, geometry=geom, n_levels=n)
-            row = {
-                "L_total_km": l_total / 1e3,
-                "n_levels": n,
-                "h_km": geom.altitude_m / 1e3,
-                "L0_km": link / 1e3,
-                "visible": True,
-            }
-            try:
-                agg = aggregates_for(cfg)
-            except ValueError:
-                row["visible"] = False
-                row["T_FB_s"] = 0.0
-                rows.append(row)
-                continue
-            row["T_FB_s"] = agg.flyby_duration_s
-            row["P0"] = agg.p0
-            row["F_pair_avg"] = agg.f_pair_avg
-            try:
-                result = evaluate_with_aggregates(cfg, agg)
-            except ValueError:
-                rows.append(row)
-                continue
-            row["rate_hz"] = result.rate_hz
-            row["pairs_per_flyby"] = result.pairs_per_flyby
-            row["fidelity_final"] = result.fidelity_final
-            for k, f in enumerate(result.fidelity_per_level):
-                row[f"F{k}"] = f
-            rows.append(row)
-
-    if with_direct:
-        for l_total in distances_m:
-            geom = dataclasses.replace(base.geometry, link_length_m=l_total)
-            cfg = dataclasses.replace(base, geometry=geom, n_levels=0)
-            row = {
-                "L_total_km": l_total / 1e3,
-                "n_levels": 0,
-                "h_km": geom.altitude_m / 1e3,
-                "L0_km": l_total / 1e3,
-                "visible": True,
-            }
-            try:
-                agg = aggregates_for(cfg)
-            except ValueError:
-                row["visible"] = False
-                row["T_FB_s"] = 0.0
-                rows.append(row)
-                continue
-            rate = rate_direct(cfg, agg)
-            row["T_FB_s"] = agg.flyby_duration_s
-            row["P0"] = agg.p0
-            row["F_pair_avg"] = agg.f_pair_avg
-            row["rate_hz"] = rate
-            row["pairs_per_flyby"] = pairs_per_flyby(rate, agg.flyby_duration_s)
-            # No memories and no swapping: delivered pairs keep the
-            # pass-averaged downlink fidelity. Unlike repeater rows, whose
-            # fidelity_final is the Werner parameter, this is the Bell-state
-            # fidelity F_pair_avg.
-            row["fidelity_final"] = agg.f_pair_avg
-            rows.append(row)
-
-    return rows, max_levels
+    depths = levels + [0] if with_direct else levels
+    points = distance_sweep(base, distances_m, cache, depths)
+    return [_point_row(base, pt) for pt in points]
 
 
-def _render_sweep(rows: list[dict], max_levels: int, extra: list[str]) -> tuple[list[str], list[list]]:
+def _point_row(base: RepeaterConfig, pt: SweepPoint) -> dict:
+    row = {
+        "L_total_km": pt.l_total_m / 1e3,
+        "n_levels": pt.n_levels,
+        "h_km": pt.altitude_m / 1e3,
+        "L0_km": pt.link_length_m / 1e3,
+        "visible": pt.visible,
+        "status": pt.status,
+    }
+    agg = pt.aggregates
+    if agg is None:
+        if not pt.visible:
+            row["T_FB_s"] = 0.0
+        return row
+    row["T_FB_s"] = agg.flyby_duration_s
+    row["P0"] = agg.p0
+    row["F_pair_avg"] = agg.f_pair_avg
+    if pt.n_levels == 0:
+        # Direct rows use only the pass aggregates: no memories, no swapping,
+        # so the chain's herald and recursion outcomes do not apply. Unlike
+        # repeater rows, whose fidelity_final is the Werner parameter, this
+        # is the Bell-state fidelity F_pair_avg.
+        rate = rate_direct(base, agg)
+        row["status"] = "ok"
+        row["rate_hz"] = rate
+        row["pairs_per_flyby"] = pairs_per_flyby(rate, agg.flyby_duration_s)
+        row["fidelity_final"] = agg.f_pair_avg
+    elif pt.result is not None:
+        row["rate_hz"] = pt.result.rate_hz
+        row["pairs_per_flyby"] = pt.result.pairs_per_flyby
+        row["fidelity_final"] = pt.result.fidelity_final
+        for k, f in enumerate(pt.result.fidelity_per_level):
+            row[f"F{k}"] = f
+    return row
+
+
+def _render_sweep(rows: list[dict], levels: list[int], extra: list[str]) -> tuple[list[str], list[list]]:
+    max_levels = max(levels, default=0)
     header = extra + _SWEEP_COLUMNS + [f"F{k}" for k in range(max_levels + 1)]
     rendered = []
     for row in rows:
@@ -391,8 +357,8 @@ def _cmd_rates(args) -> int:
     scenario = _load(args)
     distances = [d * 1e3 for d in _parse_floats(args.distances_km, "--distances-km")]
     levels = _parse_links(args.links)
-    rows, max_levels = _sweep_rows(scenario, distances, levels, args.with_direct, {})
-    header, rendered = _render_sweep(rows, max_levels, [])
+    rows = _sweep_rows(scenario, distances, levels, args.with_direct, {})
+    header, rendered = _render_sweep(rows, levels, [])
     _emit(args, _csv_text(scenario, header, rendered))
     return 0
 
@@ -406,29 +372,22 @@ def _cmd_sensitivity(args) -> int:
     tokens = [tok.strip() for tok in args.values.split(",") if tok.strip()]
     if not tokens:
         raise UsageError("--values must list at least one value")
-    for tok in tokens:
-        try:
-            float(tok)
-        except ValueError:
-            raise UsageError(f"--values entries must be numbers, got {tok!r}") from None
     distances = [d * 1e3 for d in _parse_floats(args.distances_km, "--distances-km")]
     levels = _parse_links(args.links)
 
     all_rows: list[dict] = []
-    max_levels = 0
     cache: dict = {}
     base = _load(args)
     for tok in tokens:
         scenario = load_scenario(
             args.config, tuple(args.overrides) + (f"{args.param}={tok}",)
         )
-        rows, ml = _sweep_rows(scenario, distances, levels, args.with_direct, cache)
+        rows = _sweep_rows(scenario, distances, levels, args.with_direct, cache)
         for row in rows:
             row["param"] = args.param
             row["value"] = float(tok)
         all_rows.extend(rows)
-        max_levels = max(max_levels, ml)
-    header, rendered = _render_sweep(all_rows, max_levels, ["param", "value"])
+    header, rendered = _render_sweep(all_rows, levels, ["param", "value"])
     _emit(args, _csv_text(base, header, rendered))
     return 0
 

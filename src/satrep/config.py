@@ -174,12 +174,15 @@ def _convert(section: str, key: str, raw: str):
     if conv is str:
         return raw
     try:
-        return conv(raw)
+        value = conv(raw)
     except ValueError:
         kind = "an integer" if conv is int else "a number"
         raise ConfigError(
             f"value {raw!r} for {section}.{key} is not {kind}"
         ) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"value {raw!r} for {section}.{key} is not finite")
+    return value
 
 
 def parse_override(expr: str) -> tuple[str, str, str]:
@@ -199,7 +202,7 @@ def load_scenario(
     """Build a scenario from defaults, an optional INI file, and overrides.
 
     Raises :class:`ConfigError` for unreadable files, malformed syntax,
-    unknown sections/keys, or untypeable values; physical-range violations
+    unknown sections/keys, or untypeable or non-finite values; physical-range violations
     surface later as ``ValueError`` from the parameter classes themselves.
     """
     values: dict[tuple[str, str], object] = {}

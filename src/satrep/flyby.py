@@ -24,6 +24,7 @@ import numpy as np
 
 from .channel import (
     ChannelParams,
+    NoResultError,
     mean_background_photons,
     pair_fidelity,
     single_photon_transmission,
@@ -45,8 +46,11 @@ DEFAULT_SAMPLES = 2001
 CONVERGENCE_RTOL = 1e-6
 
 
-class NoVisibilityError(ValueError):
+class NoVisibilityError(NoResultError):
     """The satellite is never simultaneously visible from both stations."""
+
+    def __init__(self, message: str) -> None:
+        super().__init__("no_visibility", message)
 
 
 class QuadratureError(RuntimeError):

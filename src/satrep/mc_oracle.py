@@ -5,18 +5,19 @@ the event level, then compares distributional estimates against the closed-form
 rate and fidelity recursions.  Two time models:
 
 ``constant-p``
-    Every attempt slot succeeds with the flyby-averaged probability, matching
-    the rate*probability structure of the analytic formulas term for term.
-    This is the model the equivalence tests use: estimator means are designed
-    to coincide with the analytic values exactly, so z-scores are meaningful.
+    Every attempt slot succeeds with the flyby-averaged herald probability
+    :func:`~satrep.repeater.herald_probability`, the same product the
+    analytic T0 divides the slot duration by.  This is the model the
+    equivalence tests use: estimator means are designed to coincide with the
+    analytic values exactly, so z-scores are meaningful.
 
 ``time-resolved``
-    Attempt success follows the instantaneous two-photon transmission sampled
-    from a :class:`~satrep.flyby.FlybyProfile`, links restart after every swap
-    cascade, and chains that fail to complete before the pass ends are
-    truncated.  The analytic model has none of these effects, so this mode is
-    expected to sit below it; the comparison report surfaces the difference
-    rather than hiding it.
+    Attempt success is the herald probability at the instantaneous two-photon
+    transmission sampled from a :class:`~satrep.flyby.FlybyProfile`, links
+    restart after every swap cascade, and chains that fail to complete before
+    the pass ends are truncated.  The analytic model has none of these
+    effects, so this mode is expected to sit below it; the comparison report
+    surfaces the difference rather than hiding it.
 
 Reproducibility: every trial draws from its own counter-based stream,
 ``Philox(key=[trial_index, seed])``, so serial and parallel execution (and any
@@ -34,7 +35,7 @@ import numpy as np
 
 from .flyby import FlybyAggregates, FlybyProfile, build_profile
 from .node import elementary_link_fidelity
-from .repeater import RepeaterConfig, RepeaterResult, swap_probability
+from .repeater import RepeaterConfig, RepeaterResult, herald_probability, swap_probability
 
 __all__ = [
     "ChainEstimates",
@@ -136,19 +137,6 @@ def simulate_link(p_success, slot_s: float, rng: np.random.Generator, size=None)
     return draws * slot_s
 
 
-def _attempt_probability(cfg: RepeaterConfig, p0: float) -> float:
-    """Per-slot heralding probability of one elementary link in constant-p
-    mode.  Dividing the slot duration by this reproduces the analytic T0
-    denominator exactly."""
-    return (
-        cfg.source.demux_efficiency**2
-        * cfg.source.emission_efficiency
-        * p0
-        * cfg.node.caps_success_probability
-        * cfg.node.detection_efficiency**cfg.detector_exponent
-    )
-
-
 def _merge_tree(
     times: np.ndarray, f0: float, gate_factor: float, gamma_s: float
 ) -> tuple[float, list[np.ndarray]]:
@@ -216,11 +204,9 @@ def simulate_chain(
     if rep_cfg.n_levels < 1:
         raise ValueError("chain simulation requires at least one swap level")
     n_leaves = rep_cfg.n_links
-    slot_s = 1.0 / (
-        rep_cfg.source.multiplexing_channels * rep_cfg.source.repetition_rate_hz
-    )
+    slot_s = rep_cfg.slot_s
     t_fb = agg.flyby_duration_s
-    p_attempt = _attempt_probability(rep_cfg, agg.p0)
+    p_attempt = herald_probability(rep_cfg, agg.p0)
     if not 0.0 < p_attempt <= 1.0:
         raise ValueError(f"per-attempt probability {p_attempt} outside (0, 1]")
     p_swap = swap_probability(rep_cfg.n_levels, rep_cfg.gate_efficiency)

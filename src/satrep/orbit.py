@@ -113,6 +113,10 @@ def half_flyby_time(geom: OrbitGeometry) -> float:
     closest approach back to the visibility edge.
     """
     r_e = geom.earth_radius_m
+    if geom.link_length_m >= math.pi * r_e:
+        # Stations half a great circle apart or more: never jointly visible.
+        # The cosine below turns positive again past 3 pi R_E.
+        return 0.0
     h = geom.altitude_m
     cos_tm = math.cos(geom.max_zenith_rad)
     numer = r_e * (1.0 - cos_tm**2) + cos_tm * math.sqrt(
@@ -120,8 +124,7 @@ def half_flyby_time(geom: OrbitGeometry) -> float:
     )
     denom = geom.orbit_radius_m * math.cos(geom.link_length_m / (2.0 * r_e))
     if denom <= 0.0:
-        # Stations more than a quarter great-circle apart: never jointly visible.
-        return 0.0
+        return 0.0  # L0 within rounding of pi R_E
     arg = numer / denom
     if arg > 1.0:
         return 0.0

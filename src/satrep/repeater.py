@@ -14,8 +14,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .channel import ChannelParams
-from .flyby import FlybyAggregates, NoVisibilityError, converged_aggregates
+from .channel import ChannelParams, NoResultError
+from .flyby import FlybyAggregates, converged_aggregates
 from .node import (
     NodeParams,
     SourceParams,
@@ -32,6 +32,7 @@ __all__ = [
     "elementary_time",
     "evaluate",
     "final_fidelity",
+    "herald_probability",
     "pairs_per_flyby",
     "rate",
     "rate_direct",
@@ -74,6 +75,11 @@ class RepeaterConfig:
     @property
     def total_distance_m(self) -> float:
         return self.n_links * self.geometry.link_length_m
+
+    @property
+    def slot_s(self) -> float:
+        """Duration of one multiplexed attempt slot, 1/(N_mux R_s)."""
+        return 1.0 / (self.source.multiplexing_channels * self.source.repetition_rate_hz)
 
 
 def swap_probability(n_levels: int, gate_efficiency: float = 1.0) -> float:
@@ -127,21 +133,29 @@ def pairs_per_flyby(rate_hz: float, t_fb_s: float) -> float:
     return rate_hz * t_fb_s
 
 
-def elementary_time(cfg: RepeaterConfig, agg: FlybyAggregates) -> float:
-    """Mean time for one multiplexed elementary link to herald: the inverse of
-    the per-link multiplexed attempt rate."""
-    per_link = (
-        cfg.source.multiplexing_channels
-        * cfg.source.demux_efficiency**2
-        * cfg.source.repetition_rate_hz
+def herald_probability(cfg: RepeaterConfig, p0: float) -> float:
+    """Per-slot probability that one elementary link heralds,
+    demux^2 * eta_s * P0 * eta_caps * eta_d^e: T0 is the slot duration divided
+    by it, and the Monte Carlo draws from it (time-resolved: at the
+    instantaneous transmission in place of P0)."""
+    return (
+        cfg.source.demux_efficiency**2
         * cfg.source.emission_efficiency
-        * agg.p0
+        * p0
         * cfg.node.caps_success_probability
         * _detection_factor(cfg)
     )
-    if per_link <= 0:
-        raise ValueError("elementary link rate is zero; no heralding possible")
-    return 1.0 / per_link
+
+
+def elementary_time(cfg: RepeaterConfig, agg: FlybyAggregates) -> float:
+    """Mean time for one multiplexed elementary link to herald, T0: the slot
+    duration divided by the per-slot herald probability."""
+    p = herald_probability(cfg, agg.p0)
+    if p <= 0:
+        raise NoResultError(
+            "zero_herald_rate", "elementary link rate is zero; no heralding possible"
+        )
+    return cfg.slot_s / p
 
 
 def waiting_time(level: int, t0_s: float) -> float:
@@ -170,7 +184,8 @@ def final_fidelity(cfg: RepeaterConfig, agg: FlybyAggregates) -> list[float]:
 
         F_k = F_gate * F_readout^2 * (1/4 + (F_{k-1} - 1/4) e^{-gamma_s T_k}) * F_{k-1}
 
-    Raises ValueError if any level falls below the physical floor of -1/3.
+    Raises :class:`NoResultError` (``unphysical_fidelity``) if any level
+    falls below the physical floor of -1/3.
     """
     f0 = elementary_link_fidelity(agg.f_pair_avg, cfg.node.caps_fidelity)
     t0 = elementary_time(cfg, agg)
@@ -182,8 +197,9 @@ def final_fidelity(cfg: RepeaterConfig, agg: FlybyAggregates) -> list[float]:
         decayed = werner_fidelity_decay(f, gamma_s, waiting_time(level, t0))
         f = gate_factor * decayed * f
         if f < -1.0 / 3.0:
-            raise ValueError(
-                f"unphysical Werner parameter {f} after swap level {level}"
+            raise NoResultError(
+                "unphysical_fidelity",
+                f"unphysical Werner parameter {f} after swap level {level}",
             )
         levels.append(f)
     return levels
@@ -235,49 +251,59 @@ def evaluate_with_aggregates(
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One row of a distance sweep.  ``result`` is None when the satellite
-    never rises above the elevation mask for that link length (``visible``
-    False) or when the fidelity recursion leaves the physical range."""
+    """One point of a distance sweep.  ``status`` is ``ok`` or that of the
+    :class:`NoResultError` that stopped the point: ``no_visibility`` and
+    ``zero_transmission`` leave ``aggregates`` None, ``zero_herald_rate``
+    and ``unphysical_fidelity`` only ``result``."""
 
     l_total_m: float
     n_levels: int
     altitude_m: float
     link_length_m: float
-    visible: bool
+    status: str
+    aggregates: FlybyAggregates | None
     result: RepeaterResult | None
+
+    @property
+    def visible(self) -> bool:
+        return self.status != "no_visibility"
 
 
 def distance_sweep(
-    cfg_template: RepeaterConfig, l_totals_m: list[float]
+    cfg_template: RepeaterConfig,
+    l_totals_m: list[float],
+    cache: dict | None = None,
+    levels: list[int] | None = None,
 ) -> list[SweepPoint]:
     """Evaluate the chain over a set of total ground distances.
 
-    Each total distance is split into 2^n equal elementary links at the
-    template's nesting depth; geometry is rebuilt per point, everything else is
-    taken from the template.
+    Each total distance is split into 2^n equal elementary links, for each
+    nesting depth n in ``levels`` (default: the template's), depth-major;
+    geometry is rebuilt per point, everything else is taken from the
+    template.  ``cache`` maps (geometry, channel, source fidelity) to
+    converged pass aggregates; pass the same dict to sweeps that differ only
+    in node-side parameters to skip their quadrature.  A
+    :class:`NoResultError` ends only its point, any other error the sweep.
     """
+    cache = {} if cache is None else cache
     points = []
-    for l_total in l_totals_m:
-        if l_total <= 0:
-            raise ValueError("total distance must be positive")
-        link = l_total / cfg_template.n_links
-        geom = dataclasses.replace(cfg_template.geometry, link_length_m=link)
-        cfg = dataclasses.replace(cfg_template, geometry=geom)
-        visible, result = True, None
-        try:
-            result = evaluate(cfg)
-        except NoVisibilityError:
-            visible = False
-        except ValueError:
-            pass  # visible, but no physical result at this distance
-        points.append(
-            SweepPoint(
-                l_total_m=l_total,
-                n_levels=cfg.n_levels,
-                altitude_m=geom.altitude_m,
-                link_length_m=link,
-                visible=visible,
-                result=result,
+    for n in (cfg_template.n_levels,) if levels is None else levels:
+        for l_total in l_totals_m:
+            if not l_total > 0:
+                raise ValueError("total distance must be positive")
+            link = l_total / 2**n
+            geom = dataclasses.replace(cfg_template.geometry, link_length_m=link)
+            cfg = dataclasses.replace(cfg_template, geometry=geom, n_levels=n)
+            key = (geom, cfg.channel, cfg.source.pair_fidelity)
+            status, result = "ok", None
+            agg = cache.get(key)
+            try:
+                if agg is None:
+                    agg = cache[key] = converged_aggregates(*key)
+                result = evaluate_with_aggregates(cfg, agg)
+            except NoResultError as exc:
+                status = exc.status
+            points.append(
+                SweepPoint(l_total, n, geom.altitude_m, link, status, agg, result)
             )
-        )
     return points

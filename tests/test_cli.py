@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from satrep.cli import main
-from satrep.config import default_scenario
+from satrep.config import default_scenario, load_scenario, sweepable_keys
+from satrep.repeater import distance_sweep
 
 
 def read_csv(path):
@@ -40,6 +41,27 @@ class TestTopLevel:
 
     def test_unphysical_override_is_model_error(self):
         assert main(["rates", "--set", "source.pair_fidelity=0.1"]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key", ["orbit.altitude_m", "channel.beam_waist_m", "node.caps_fidelity"]
+    )
+    def test_non_finite_override_is_config_error(self, key, value, capsys):
+        assert key in sweepable_keys()
+        args = ["rates", "--set", f"{key}={value}", "--distances-km", "10000"]
+        assert main(args + ["--links", "4"]) == 1
+        assert "is not finite" in capsys.readouterr().err
+
+    def test_nan_efficiency_is_model_error(self, capsys):
+        # A vanishing beam waist makes the diffracted waist 0 * inf = NaN.
+        code = main(
+            ["rates", "--set", "channel.beam_waist_m=1e-300",
+             "--distances-km", "10000", "--links", "4"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "satrep: model error:" in err
+        assert "Traceback" not in err
 
     def test_unwritable_output_is_usage_error(self, capsys):
         code = main(
@@ -99,7 +121,7 @@ class TestRates:
         assert header == [
             "L_total_km", "n_levels", "h_km", "L0_km", "T_FB_s", "P0",
             "F_pair_avg", "rate_hz", "pairs_per_flyby", "fidelity_final",
-            "visible", "F0", "F1", "F2",
+            "visible", "status", "F0", "F1", "F2",
         ]
         (row,) = rows
         record = dict(zip(header, row))
@@ -159,6 +181,69 @@ class TestRates:
         assert out.read_text() == stdout_text
 
 
+class TestSweepStatus:
+    @staticmethod
+    def records(capsys, *args):
+        assert main(["rates", *args]) == 0
+        header, rows = split_stdout_csv(capsys.readouterr().out)
+        return [dict(zip(header, r)) for r in rows]
+
+    def test_defaults_are_ok(self, capsys):
+        assert {r["status"] for r in self.records(capsys)} == {"ok"}
+
+    def test_out_of_sight_is_no_visibility(self, capsys):
+        # The direct row spans 80,000 km, past 3 pi R_E, where the visibility
+        # cosine turns positive again.
+        records = self.records(
+            capsys, "--distances-km", "80000", "--links", "4", "--with-direct"
+        )
+        assert [(r["n_levels"], r["status"], r["visible"]) for r in records] == [
+            ("2", "no_visibility", "false"),
+            ("0", "no_visibility", "false"),
+        ]
+        assert all(r["T_FB_s"] == "0.0" and r["P0"] == "" for r in records)
+
+    def test_zero_transmission_is_visible(self, capsys):
+        (record,) = self.records(
+            capsys, "--set", "channel.receiver_radius_m=1e-300",
+            "--distances-km", "10000", "--links", "4",
+        )
+        assert record["status"] == "zero_transmission"
+        assert record["visible"] == "true"
+        assert record["T_FB_s"] == record["P0"] == record["pairs_per_flyby"] == ""
+
+    def test_zero_herald_rate_keeps_aggregates(self, capsys):
+        chain, direct = self.records(
+            capsys, "--set", "node.caps_success_probability=0",
+            "--distances-km", "2000", "--links", "4", "--with-direct",
+        )
+        assert chain["status"] == "zero_herald_rate"
+        assert chain["P0"] != "" and chain["pairs_per_flyby"] == ""
+        # Direct transmission uses no memory, so it does not need a herald.
+        assert direct["status"] == "ok"
+        assert float(direct["pairs_per_flyby"]) > 0
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [(), ("channel.receiver_radius_m=1e-300",), ("node.caps_success_probability=0",)],
+    )
+    def test_rows_agree_with_distance_sweep(self, overrides, capsys):
+        args = [a for o in overrides for a in ("--set", o)]
+        records = self.records(
+            capsys, *args, "--distances-km", "5000,10000,40000", "--links", "4,8"
+        )
+        cfg = load_scenario(None, overrides).repeater_config()
+        points = distance_sweep(cfg, [5.0e6, 1.0e7, 4.0e7], levels=[2, 3])
+        assert len(records) == len(points)
+        for r, pt in zip(records, points):
+            assert r["n_levels"] == str(pt.n_levels)
+            assert r["status"] == pt.status
+            assert r["visible"] == ("true" if pt.visible else "false")
+            result = pt.result
+            assert r["pairs_per_flyby"] == (repr(result.pairs_per_flyby) if result else "")
+            assert r["fidelity_final"] == (repr(result.fidelity_final) if result else "")
+
+
 class TestSensitivity:
     def test_unknown_param_lists_sweepable_keys(self, capsys):
         code = main(
@@ -191,6 +276,13 @@ class TestSensitivity:
         # same geometry, worse gate: fidelity must drop, rate must not change
         assert float(records[1]["fidelity_final"]) < float(records[0]["fidelity_final"])
         assert records[0]["rate_hz"] == records[1]["rate_hz"]
+
+    def test_non_finite_value_is_config_error(self):
+        code = main(
+            ["sensitivity", "--param", "node.caps_fidelity", "--values", "nan",
+             "--distances-km", "10000", "--links", "4"]
+        )
+        assert code == 1
 
     def test_malformed_values_rejected(self):
         code = main(

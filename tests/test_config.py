@@ -105,6 +105,11 @@ class TestFileParsing:
         with pytest.raises(ConfigError, match="not a number"):
             load_scenario(path)
 
+    def test_non_finite_float_is_config_error(self, tmp_path):
+        path = write_cfg(tmp_path, "[orbit]\naltitude_m = inf\n")
+        with pytest.raises(ConfigError, match="not finite"):
+            load_scenario(path)
+
     def test_bad_int_is_config_error(self):
         with pytest.raises(ConfigError, match="not an integer"):
             load_scenario(None, overrides=("source.multiplexing_channels=2.5",))

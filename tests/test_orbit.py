@@ -67,6 +67,10 @@ class TestHalfFlybyTime:
         g = geom(l0=math.pi * 6.378e6 * 1.01)
         assert half_flyby_time(g) == 0.0
 
+    def test_no_window_where_the_cosine_turns_positive_again(self):
+        # cos(L0 / 2 R_E) > 0 again past 3 pi R_E (about 60,100 km).
+        assert not pass_timing(geom(l0=8.0e7)).visible
+
     def test_lower_altitude_means_shorter_window(self):
         assert half_flyby_time(geom(h=5.0e5, l0=2.0e6)) < half_flyby_time(
             geom(h=1.5e6, l0=2.0e6)

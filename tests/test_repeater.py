@@ -190,6 +190,8 @@ class TestDistanceSweep:
     def test_rows_follow_visibility(self, baseline_cfg):
         points = distance_sweep(baseline_cfg, [1.0e7, 2.0e7, 8.0e7])
         assert [p.visible for p in points] == [True, True, False]
+        assert [p.status for p in points] == ["ok", "ok", "no_visibility"]
+        assert points[2].aggregates is None
         assert points[0].result is not None
         assert points[2].result is None
         assert points[1].link_length_m == pytest.approx(5.0e6)
@@ -200,6 +202,34 @@ class TestDistanceSweep:
         assert point.result.pairs_per_flyby == pytest.approx(
             single.pairs_per_flyby, rel=1e-12
         )
+
+    def test_zero_transmission_is_a_visible_status(self, baseline_cfg):
+        channel = dataclasses.replace(baseline_cfg.channel, receiver_radius_m=1e-300)
+        cfg = dataclasses.replace(baseline_cfg, channel=channel)
+        (point,) = distance_sweep(cfg, [1.0e7])
+        assert (point.status, point.visible) == ("zero_transmission", True)
+        assert point.aggregates is None and point.result is None
+
+    def test_zero_herald_rate_keeps_aggregates(self, baseline_cfg):
+        node = dataclasses.replace(baseline_cfg.node, caps_success_probability=0.0)
+        cfg = dataclasses.replace(baseline_cfg, node=node)
+        (point,) = distance_sweep(cfg, [1.0e7])
+        assert point.status == "zero_herald_rate"
+        assert point.aggregates is not None and point.result is None
+
+    def test_cache_is_shared_across_node_parameters(self, baseline_cfg):
+        cache = {}
+        first = distance_sweep(baseline_cfg, [1.0e7, 8.0e7], cache, levels=[2, 3])
+        assert [(p.n_levels, p.l_total_m) for p in first] == [
+            (2, 1.0e7), (2, 8.0e7), (3, 1.0e7), (3, 8.0e7),
+        ]
+        assert len(cache) == 2  # failures are not cached
+        node = dataclasses.replace(baseline_cfg.node, caps_fidelity=0.95)
+        second = distance_sweep(
+            dataclasses.replace(baseline_cfg, node=node), [1.0e7], cache
+        )
+        assert second[0].aggregates is first[0].aggregates
+        assert second[0].result.fidelity_final < first[0].result.fidelity_final
 
     def test_sweep_rejects_nonpositive_distance(self, baseline_cfg):
         with pytest.raises(ValueError):
