@@ -137,8 +137,10 @@ def beam_waist(params: ChannelParams, distance_m):
     """
     d = np.asarray(distance_m, dtype=float)
     w0 = params.beam_waist_m
-    spread = params.wavelength_m * d / (math.pi * w0 * w0)
-    out = np.sqrt(w0 * w0 * (1.0 + spread * spread))
+    # An underflowing w0^2 gives NaN, which diffraction_eff rejects; no warning.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spread = params.wavelength_m * d / (math.pi * w0 * w0)
+        out = np.sqrt(w0 * w0 * (1.0 + spread * spread))
     return float(out) if np.isscalar(distance_m) else out
 
 

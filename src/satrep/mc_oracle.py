@@ -19,10 +19,11 @@ rate and fidelity recursions.  Two time models:
     effects, so this mode is expected to sit below it; the comparison report
     surfaces the difference rather than hiding it.
 
-Reproducibility: every trial draws from its own counter-based stream,
-``Philox(key=[trial_index, seed])``, so serial and parallel execution (and any
-trial-order shuffle) produce bit-identical results.  The in-trial draw order is
-fixed and documented in :func:`simulate_chain`.
+Reproducibility: block b of trials draws from its own counter-based stream
+``Philox(key=[b, seed])``.  A constant-p block always draws all its 1024 trials,
+so trial i depends only on (i, seed) and a run is a prefix of any longer run;
+a time-resolved block is one trial.  The in-block draw order is fixed and
+documented in :func:`simulate_chain`.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
 ]
 
 _TIME_MODELS = ("constant-p", "time-resolved")
+_BLOCK_TRIALS = 1024  # constant-p trials per random stream
 
 
 @dataclass(frozen=True)
@@ -120,8 +122,8 @@ class ChainEstimates:
     fidelity_samples: np.ndarray | None = field(default=None, repr=False)
 
 
-def _trial_rng(trial_index: int, seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[trial_index, seed]))
+def _block_rng(block: int, seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=[block, seed]))
 
 
 def simulate_link(p_success, slot_s: float, rng: np.random.Generator, size=None):
@@ -133,36 +135,36 @@ def simulate_link(p_success, slot_s: float, rng: np.random.Generator, size=None)
         raise ValueError("per-attempt success probability must lie in (0, 1]")
     if slot_s <= 0:
         raise ValueError("slot duration must be positive")
-    draws = rng.geometric(p_success, size=size)
-    return draws * slot_s
+    return rng.geometric(p_success, size=size) * slot_s
 
 
 def _merge_tree(
     times: np.ndarray, f0: float, gate_factor: float, gamma_s: float
-) -> tuple[float, list[np.ndarray]]:
-    """Fold 2^n leaf completion times pairwise up the swap tree.
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Fold 2^n leaf completion times (last axis, one trial per row) pairwise
+    up the swap tree.
 
-    A parent completes when the later child does; the earlier child's Werner
-    parameter decays over the actual gap (1/4 + (F - 1/4) e^{-gamma_s gap},
-    the werner_fidelity_decay law applied elementwise) before the swap
-    multiplies the two parameters and the gate/readout factor.  Returns the
-    final Werner parameter and the per-level arrays of gaps.
+    A parent completes when the later child does (on a tie, the first child is
+    the earlier); the earlier child's Werner parameter decays over the actual
+    gap (1/4 + (F - 1/4) e^{-gamma_s gap}, the werner_fidelity_decay law
+    applied elementwise) before the swap multiplies the two parameters and the
+    gate/readout factor.  Returns the final Werner parameters and the
+    per-level arrays of gaps.
     """
-    t = times
-    f = np.full(times.shape, f0)
+    t = np.asarray(times, dtype=float)
+    f = np.full(t.shape, f0)
     gaps: list[np.ndarray] = []
-    while t.size > 1:
-        t = t.reshape(-1, 2)
-        f = f.reshape(-1, 2)
-        rows = np.arange(t.shape[0])
-        early = t.argmin(axis=1)
-        late = 1 - early
-        gap = t[rows, late] - t[rows, early]
-        decayed = 0.25 + (f[rows, early] - 0.25) * np.exp(-gamma_s * gap)
-        f = gate_factor * decayed * f[rows, late]
-        t = t[rows, late]
+    while t.shape[-1] > 1:
+        a, b = t[..., 0::2], t[..., 1::2]
+        first = a <= b
+        gap = np.where(first, b - a, a - b)
+        early = np.where(first, f[..., 0::2], f[..., 1::2])
+        late = np.where(first, f[..., 1::2], f[..., 0::2])
+        decayed = 0.25 + (early - 0.25) * np.exp(-gamma_s * gap)
+        f = gate_factor * decayed * late
+        t = np.maximum(a, b)
         gaps.append(gap)
-    return float(f[0]), gaps
+    return f[..., 0], gaps
 
 
 def simulate_chain(
@@ -174,11 +176,12 @@ def simulate_chain(
 ) -> ChainEstimates:
     """Simulate ``cfg.trials`` independent flybys of a 2^n-link chain.
 
-    Per-trial draw order (fixed; changing it changes byte-level outputs):
+    Per-block draw order (fixed; changing it changes byte-level outputs):
 
-    constant-p:
-      1. geometric heralding slot counts for the 2^n leaves,
-      2. binomial herald count per leaf over the whole pass,
+    constant-p, ``_BLOCK_TRIALS`` trials per block, each draw of shape
+    (trials, 2^n) filled row by row, so row i holds trial i's leaves:
+      1. geometric heralding slot counts,
+      2. binomial herald counts over the whole pass,
       3. binomial thinning of the heralds by the swap-cascade probability.
 
     The pairs estimator credits each leaf herald with 1/2^n of a chain
@@ -187,7 +190,7 @@ def simulate_chain(
     below 1e-12 for Table-scale parameters).  Fidelity and waiting gaps come
     from the merge tree over the leaf times of step 1.
 
-    time-resolved:
+    time-resolved, one trial per block:
       1. per leaf (in order), exponential increments defining an inhomogeneous
          Poisson herald process with per-slot success q(t) proportional to the
          instantaneous two-photon transmission, snapped up to slot boundaries;
@@ -195,11 +198,12 @@ def simulate_chain(
 
     Each cascade consumes all 2^n held links and every leaf restarts; because
     slot attempts are independent, restarting equals continuing the realized
-    process past the restart time, which is how the walk is implemented.
-    Fidelity and gaps are scored on the first completed cascade of each trial;
-    trials whose first cascade does not finish before the pass ends contribute
-    no fidelity sample, and ``completed_fraction`` records the fraction that
-    did.
+    process past the restart time, which is how the walk is implemented (the
+    uniforms of step 2 come from one call after the walk, which draws the same
+    numbers as one scalar call per cascade).  Fidelity and gaps are scored on
+    the first completed cascade of each trial; trials whose first cascade does
+    not finish before the pass ends contribute no fidelity sample, and
+    ``completed_fraction`` records the fraction that did.
     """
     if rep_cfg.n_levels < 1:
         raise ValueError("chain simulation requires at least one swap level")
@@ -211,47 +215,46 @@ def simulate_chain(
         raise ValueError(f"per-attempt probability {p_attempt} outside (0, 1]")
     p_swap = swap_probability(rep_cfg.n_levels, rep_cfg.gate_efficiency)
     f0 = elementary_link_fidelity(agg.f_pair_avg, rep_cfg.node.caps_fidelity)
-    gate_factor = (
-        rep_cfg.node.rydberg_gate_fidelity * rep_cfg.node.readout_fidelity**2
-    )
+    gate_factor = rep_cfg.node.rydberg_gate_fidelity * rep_cfg.node.readout_fidelity**2
     gamma_s = rep_cfg.node.spin_decoherence_rate_hz
 
-    if cfg.time_model == "time-resolved":
+    pairs_samples = np.empty(cfg.trials)
+    leaf_times = np.full((cfg.trials, n_leaves), math.nan)
+    if cfg.time_model == "constant-p":
+        slots_total = t_fb / slot_s
+        if not slots_total < 2.0**63:
+            raise ValueError(f"the pass holds {slots_total:.3g} attempt slots, beyond int64")
+        slots_total = int(round(slots_total))
+        shape = (_BLOCK_TRIALS, n_leaves)
+        for start in range(0, cfg.trials, _BLOCK_TRIALS):
+            rng = _block_rng(start // _BLOCK_TRIALS, cfg.seed)
+            stop = min(start + _BLOCK_TRIALS, cfg.trials)
+            leaf = simulate_link(p_attempt, slot_s, rng, size=shape)
+            heralds = rng.binomial(slots_total, p_attempt, size=shape)
+            successes = rng.binomial(heralds, p_swap)
+            leaf_times[start:stop] = leaf[: stop - start]
+            pairs_samples[start:stop] = successes[: stop - start].sum(axis=1) / n_leaves
+    else:
         if profile is None:
             profile = build_profile(
                 rep_cfg.geometry, rep_cfg.channel, rep_cfg.source.pair_fidelity
             )
         if not math.isclose(profile.flyby_duration_s, t_fb, rel_tol=1e-9):
             raise ValueError("profile and aggregates describe different passes")
-
-    pairs_samples = np.empty(cfg.trials)
-    link_samples = np.full(cfg.trials, math.nan)
-    fidelity_samples = np.full(cfg.trials, math.nan)
-    gap_samples: list[list[float]] = [[] for _ in range(rep_cfg.n_levels)]
-
-    for trial in range(cfg.trials):
-        rng = _trial_rng(trial, cfg.seed)
-        if cfg.time_model == "constant-p":
-            leaf_times = simulate_link(p_attempt, slot_s, rng, size=n_leaves)
-            slots_total = int(round(t_fb / slot_s))
-            heralds = rng.binomial(slots_total, p_attempt, size=n_leaves)
-            successes = rng.binomial(heralds, p_swap)
-            pairs_samples[trial] = successes.sum() / n_leaves
-            first_cycle = leaf_times
-        else:
-            pairs, first_cycle = _time_resolved_trial(
-                rng, profile, rep_cfg, p_swap, slot_s, p_attempt / agg.p0
+        q = np.clip(p_attempt / agg.p0 * profile.eta2_tr, 0.0, 1.0 - 1e-15)
+        rate = -np.log1p(-q) / slot_s
+        hazard = np.cumsum(np.diff(profile.times_s) * (rate[1:] + rate[:-1]) / 2.0)
+        hazard = np.concatenate(([0.0], hazard))
+        for trial in range(cfg.trials):
+            pairs_samples[trial], leaf_times[trial] = _time_resolved_trial(
+                _block_rng(trial, cfg.seed), profile, hazard, n_leaves, slot_s, p_swap
             )
-            pairs_samples[trial] = pairs
-        if first_cycle is not None:
-            link_samples[trial] = first_cycle[0]
-            final_f, gaps = _merge_tree(first_cycle, f0, gate_factor, gamma_s)
-            fidelity_samples[trial] = final_f
-            for level, g in enumerate(gaps):
-                gap_samples[level].extend(g.tolist())
 
-    completed = fidelity_samples[~np.isnan(fidelity_samples)]
-    estimates = ChainEstimates(
+    done = ~np.isnan(leaf_times[:, 0])
+    completed, gaps = _merge_tree(leaf_times[done], f0, gate_factor, gamma_s)
+    fidelity_samples = np.full(cfg.trials, math.nan)
+    fidelity_samples[done] = completed
+    return ChainEstimates(
         n_levels=rep_cfg.n_levels,
         trials=cfg.trials,
         seed=cfg.seed,
@@ -260,15 +263,12 @@ def simulate_chain(
         gamma_s_hz=gamma_s,
         pairs=McEstimate.from_samples(pairs_samples),
         fidelity=McEstimate.from_samples(completed),
-        link_time=McEstimate.from_samples(link_samples[~np.isnan(link_samples)]),
-        gap_by_level=tuple(
-            McEstimate.from_samples(np.array(g)) for g in gap_samples
-        ),
+        link_time=McEstimate.from_samples(leaf_times[done, 0]),
+        gap_by_level=tuple(McEstimate.from_samples(g.ravel()) for g in gaps),
         completed_fraction=completed.size / cfg.trials,
         pairs_samples=pairs_samples if keep_samples else None,
         fidelity_samples=fidelity_samples if keep_samples else None,
     )
-    return estimates
 
 
 def _event_times(
@@ -302,44 +302,40 @@ def _event_times(
 def _time_resolved_trial(
     rng: np.random.Generator,
     profile: FlybyProfile,
-    rep_cfg: RepeaterConfig,
-    p_swap: float,
+    hazard: np.ndarray,
+    n_leaves: int,
     slot_s: float,
-    p_scale: float,
-) -> tuple[float, np.ndarray | None]:
+    p_swap: float,
+) -> tuple[float, np.ndarray]:
     """One flyby in time-resolved mode.  Returns the pair count and the leaf
-    completion times of the first cascade (None if it never completed)."""
-    q = np.clip(p_scale * profile.eta2_tr, 0.0, 1.0 - 1e-15)
-    rate = -np.log1p(-q) / slot_s
-    hazard = np.concatenate(
-        ([0.0], np.cumsum(np.diff(profile.times_s) * (rate[1:] + rate[:-1]) / 2.0))
-    )
-    t_fb = profile.flyby_duration_s
-    n_leaves = rep_cfg.n_links
+    completion times of the first cascade (NaN if it never completed).
+
+    A cascade begun at 0, or where the last one ended, ends at the latest of
+    the leaves' next heralds; a table over 0 and all herald times maps each
+    to that end.  A leaf whose heralds sit at entries h_0 < h_1 < ... next
+    heralds at h_c from any entry in [h_(c-1), h_c), with h_(-1) = 0 and no
+    herald from h_last on, so the table is a running maximum of the h_c.
+    """
     events = [
-        _event_times(rng, profile.times_s, hazard, slot_s, t_fb)
+        _event_times(rng, profile.times_s, hazard, slot_s, profile.flyby_duration_s)
         for _ in range(n_leaves)
     ]
-    pairs = 0.0
-    first_cycle: np.ndarray | None = None
-    now = 0.0
-    while True:
-        leaf_times = np.empty(n_leaves)
-        truncated = False
-        for i, ev in enumerate(events):
-            idx = int(np.searchsorted(ev, now, side="right"))
-            if idx >= ev.size:
-                truncated = True
-                break
-            leaf_times[i] = ev[idx]
-        if truncated:
-            break
-        if first_cycle is None:
-            first_cycle = leaf_times.copy()
-        if rng.random() < p_swap:
-            pairs += 1.0
-        now = float(leaf_times.max())
-    return pairs, first_cycle
+    starts = np.unique(np.concatenate([[0.0], *events]))
+    end = starts.size
+    cascade_end = np.zeros(end, dtype=np.intp)
+    for ev in events:
+        heralds = np.searchsorted(starts, ev)
+        np.maximum.at(cascade_end, np.append(0, heralds), np.append(heralds, end))
+    np.maximum.accumulate(cascade_end, out=cascade_end)
+    cascades = 0
+    k = cascade_end[np.searchsorted(starts, 0.0)]
+    while k < end:
+        cascades += 1
+        k = cascade_end[k]
+    if cascades == 0:
+        return 0.0, np.full(n_leaves, math.nan)
+    first_cycle = [ev[np.searchsorted(ev, 0.0, side="right")] for ev in events]
+    return float(np.count_nonzero(rng.random(cascades) < p_swap)), np.array(first_cycle)
 
 
 @dataclass(frozen=True)

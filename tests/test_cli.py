@@ -63,6 +63,17 @@ class TestTopLevel:
         assert "satrep: model error:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_beam_waist_warns_nothing(self, capsys):
+        # w0^2 underflows to 0; numpy must not warn on its way to the NaN.
+        code = main(
+            ["rates", "--set", "channel.beam_waist_m=1e-300",
+             "--distances-km", "10000", "--links", "4"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "satrep: model error: efficiency exceeded 1 beyond noise or is NaN\n"
+
     def test_unwritable_output_is_usage_error(self, capsys):
         code = main(
             ["caps-curve", "--points", "2", "--output", "/no/such/dir/out.csv"]
@@ -330,6 +341,14 @@ class TestMc:
         assert len(rows) == 50
         assert [r[0] for r in rows[:3]] == ["0", "1", "2"]
         assert all(r[2] != "" for r in rows)  # constant-p always completes
+
+    def test_slot_count_beyond_int64_is_model_error(self, capsys):
+        # A near-massless Earth stretches the pass past 2^63 attempt slots.
+        code = main(["mc", "--trials", "10", "--seed", "1", "--set", "orbit.mu_m3_s2=2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("satrep: model error:")
+        assert "beyond int64" in err and "Traceback" not in err
 
     def test_bad_trials_and_seed(self):
         assert main(["mc", "--trials", "0"]) == 1

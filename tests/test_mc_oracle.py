@@ -5,25 +5,89 @@ import math
 import numpy as np
 import pytest
 
+from satrep.flyby import build_profile
 from satrep.mc_oracle import (
+    _BLOCK_TRIALS,
     ChainEstimates,
     McConfig,
     McEstimate,
     McTolerances,
+    _block_rng,
     _event_times,
     _merge_tree,
-    _trial_rng,
+    _time_resolved_trial,
     compare_report,
     simulate_chain,
     simulate_link,
 )
 from satrep.node import werner_fidelity_decay
-from satrep.repeater import evaluate_with_aggregates
+from satrep.repeater import evaluate_with_aggregates, herald_probability, swap_probability
 
 
 @pytest.fixture(scope="module")
 def analytic(baseline_cfg, baseline_agg):
     return evaluate_with_aggregates(baseline_cfg, baseline_agg)
+
+
+def reference_merge_tree(times, f0, gate_factor, gamma_s):
+    """Reference one-trial merge tree: argmin picks the earlier child, index 0
+    on a tie."""
+    t = times
+    f = np.full(times.shape, f0)
+    gaps = []
+    while t.size > 1:
+        t = t.reshape(-1, 2)
+        f = f.reshape(-1, 2)
+        rows = np.arange(t.shape[0])
+        early = t.argmin(axis=1)
+        late = 1 - early
+        gap = t[rows, late] - t[rows, early]
+        decayed = 0.25 + (f[rows, early] - 0.25) * np.exp(-gamma_s * gap)
+        f = gate_factor * decayed * f[rows, late]
+        t = t[rows, late]
+        gaps.append(gap)
+    return float(f[0]), gaps
+
+
+def hazard_grid(profile, slot_s, p_scale):
+    """Cumulative herald hazard on the profile grid, as simulate_chain builds it."""
+    q = np.clip(p_scale * profile.eta2_tr, 0.0, 1.0 - 1e-15)
+    rate = -np.log1p(-q) / slot_s
+    return np.concatenate(
+        ([0.0], np.cumsum(np.diff(profile.times_s) * (rate[1:] + rate[:-1]) / 2.0))
+    )
+
+
+def reference_time_resolved_trial(rng, profile, rep_cfg, p_swap, slot_s, p_scale):
+    """Reference time-resolved flyby: per cascade, one searchsorted per leaf
+    and one scalar uniform."""
+    hazard = hazard_grid(profile, slot_s, p_scale)
+    t_fb = profile.flyby_duration_s
+    n_leaves = rep_cfg.n_links
+    events = [
+        _event_times(rng, profile.times_s, hazard, slot_s, t_fb)
+        for _ in range(n_leaves)
+    ]
+    pairs = 0.0
+    first_cycle = None
+    now = 0.0
+    while True:
+        leaf_times = np.empty(n_leaves)
+        truncated = False
+        for i, ev in enumerate(events):
+            idx = int(np.searchsorted(ev, now, side="right"))
+            if idx >= ev.size:
+                truncated = True
+                break
+            leaf_times[i] = ev[idx]
+        if truncated:
+            break
+        if first_cycle is None:
+            first_cycle = leaf_times.copy()
+        if rng.random() < p_swap:
+            pairs += 1.0
+        now = float(leaf_times.max())
+    return pairs, first_cycle
 
 
 def unit_gate_chain(baseline_cfg):
@@ -61,12 +125,12 @@ class TestMcEstimate:
 
 class TestSimulateLink:
     def test_certain_success_takes_one_slot(self):
-        rng = _trial_rng(0, 0)
+        rng = _block_rng(0, 0)
         times = simulate_link(1.0, 1e-9, rng, size=1000)
         assert np.all(times == 1e-9)
 
     def test_mean_matches_geometric_expectation(self):
-        rng = _trial_rng(0, 42)
+        rng = _block_rng(0, 42)
         p, slot = 3e-4, 2e-9
         times = simulate_link(p, slot, rng, size=1_000_000)
         expected = slot / p
@@ -74,12 +138,12 @@ class TestSimulateLink:
         assert abs(times.mean() - expected) < 3.0 * stderr
 
     def test_streams_differ_across_trial_indices(self):
-        a = simulate_link(1e-3, 1.0, _trial_rng(0, 9), size=100)
-        b = simulate_link(1e-3, 1.0, _trial_rng(1, 9), size=100)
+        a = simulate_link(1e-3, 1.0, _block_rng(0, 9), size=100)
+        b = simulate_link(1e-3, 1.0, _block_rng(1, 9), size=100)
         assert not np.array_equal(a, b)
 
     def test_rejections(self):
-        rng = _trial_rng(0, 0)
+        rng = _block_rng(0, 0)
         with pytest.raises(ValueError):
             simulate_link(0.0, 1.0, rng)
         with pytest.raises(ValueError):
@@ -106,6 +170,21 @@ class TestMergeTree:
     def test_no_decay_collapses_to_pure_powers(self):
         final, _ = _merge_tree(np.array([1.0, 5.0, 2.0, 8.0]), 0.9, 1.0, 0.0)
         assert final == pytest.approx(0.9**4, rel=1e-14)
+
+    @pytest.mark.parametrize("n_leaves", [2, 4, 8])
+    def test_batched_rows_equal_one_row_calls(self, n_leaves):
+        # Few distinct small times, so many pairs tie at every level.
+        times = _block_rng(0, 21).integers(1, 4, size=(200, n_leaves)).astype(float)
+        assert np.any(times[:, 0::2] == times[:, 1::2])
+        final, gaps = _merge_tree(times, 0.97, 0.99, 0.05)
+        assert final.shape == (200,)
+        for row in range(times.shape[0]):
+            one, one_gaps = _merge_tree(times[row], 0.97, 0.99, 0.05)
+            ref, ref_gaps = reference_merge_tree(times[row], 0.97, 0.99, 0.05)
+            assert final[row].tobytes() == one.tobytes() == np.float64(ref).tobytes()
+            assert len(gaps) == len(one_gaps) == len(ref_gaps)
+            for g, g_one, g_ref in zip(gaps, one_gaps, ref_gaps):
+                assert g[row].tobytes() == g_one.tobytes() == g_ref.tobytes()
 
 
 class TestConstantP:
@@ -162,6 +241,20 @@ class TestConstantP:
         assert np.all(np.isfinite(mc.pairs_samples))
         assert mc.fidelity_samples.shape == (64,)
 
+    def test_runs_are_prefixes_of_longer_runs(self, baseline_cfg, baseline_agg):
+        sizes = (_BLOCK_TRIALS - 1, _BLOCK_TRIALS, _BLOCK_TRIALS + 1, 2 * _BLOCK_TRIALS + 3)
+        runs = [
+            simulate_chain(
+                McConfig(trials=n, seed=9), baseline_cfg, baseline_agg, keep_samples=True
+            )
+            for n in sizes
+        ]
+        longest = runs[-1]
+        for run in runs[:-1]:
+            n = run.trials
+            assert run.pairs_samples.tobytes() == longest.pairs_samples[:n].tobytes()
+            assert run.fidelity_samples.tobytes() == longest.fidelity_samples[:n].tobytes()
+
     def test_requires_at_least_one_level(self, baseline_cfg, baseline_agg):
         flat = dataclasses.replace(baseline_cfg, n_levels=0)
         with pytest.raises(ValueError):
@@ -215,7 +308,7 @@ class TestTimeResolved:
         assert payload["all_pass"] is False
 
     def test_event_times_snap_to_slots(self):
-        rng = _trial_rng(0, 99)
+        rng = _block_rng(0, 99)
         t_grid = np.linspace(0.0, 10.0, 101)
         hazard = 5.0 * t_grid
         slot = 0.25
@@ -238,6 +331,56 @@ class TestTimeResolved:
                 baseline_agg,
                 profile=wrong,
             )
+
+
+class TestNextCascadeWalk:
+    """The next-cascade table walk against the per-cascade reference, bit for
+    bit, including how many uniforms each trial consumes."""
+
+    @staticmethod
+    def assert_walks_agree(rep_cfg, agg, seed, trials):
+        profile = build_profile(
+            rep_cfg.geometry, rep_cfg.channel, rep_cfg.source.pair_fidelity
+        )
+        slot_s = rep_cfg.slot_s
+        p_scale = herald_probability(rep_cfg, agg.p0) / agg.p0
+        p_swap = swap_probability(rep_cfg.n_levels, rep_cfg.gate_efficiency)
+        hazard = hazard_grid(profile, slot_s, p_scale)
+        completed = 0
+        for trial in range(trials):
+            rng = _block_rng(trial, seed)
+            pairs, first = _time_resolved_trial(
+                rng, profile, hazard, rep_cfg.n_links, slot_s, p_swap
+            )
+            ref_rng = _block_rng(trial, seed)
+            ref_pairs, ref_first = reference_time_resolved_trial(
+                ref_rng, profile, rep_cfg, p_swap, slot_s, p_scale
+            )
+            assert pairs == ref_pairs
+            if ref_first is None:
+                assert np.all(np.isnan(first))
+            else:
+                assert first.tobytes() == ref_first.tobytes()
+                completed += 1
+            assert rng.random() == ref_rng.random()
+        return completed
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_matches_per_cascade_loop(self, baseline_cfg, baseline_agg, depth, seed):
+        chain = dataclasses.replace(baseline_cfg, n_levels=depth)
+        assert self.assert_walks_agree(chain, baseline_agg, seed, trials=2) == 2
+
+    def test_matches_with_some_trials_truncated(self, baseline_cfg, baseline_agg):
+        node = dataclasses.replace(baseline_cfg.node, detection_efficiency=1e-3)
+        slow = dataclasses.replace(baseline_cfg, node=node)
+        completed = self.assert_walks_agree(slow, baseline_agg, seed=2, trials=40)
+        assert 0 < completed < 40
+
+    def test_matches_with_every_trial_truncated(self, baseline_cfg, baseline_agg):
+        node = dataclasses.replace(baseline_cfg.node, detection_efficiency=1e-5)
+        dead = dataclasses.replace(baseline_cfg, node=node)
+        assert self.assert_walks_agree(dead, baseline_agg, seed=2, trials=10) == 0
 
 
 class TestCompareReport:
