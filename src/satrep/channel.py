@@ -245,5 +245,8 @@ def pair_fidelity(f_s: float, n_bar: float, eta_tr):
         raise NoResultError(
             "zero_transmission", "pair fidelity undefined at zero transmission"
         )
-    out = 0.25 * (1.0 + (4.0 * f_s - 1.0) / (1.0 + n_bar / eta) ** 2)
+    # For tiny eta the square overflows to inf, which gives the correct
+    # limit 1/4; that overflow is expected, not a fault.
+    with np.errstate(over="ignore"):
+        out = 0.25 * (1.0 + (4.0 * f_s - 1.0) / (1.0 + n_bar / eta) ** 2)
     return float(out) if np.isscalar(eta_tr) else out

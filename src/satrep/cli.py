@@ -99,7 +99,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser(
         "flyby", parents=[common], help="single-pass transmission/fidelity profile"
     )
-    p.add_argument("--samples", type=int, default=2001, help="profile grid points")
+    p.add_argument("--samples", type=int, default=2001, help="CSV profile grid points (odd)")
     p.set_defaults(func=_cmd_flyby, output_required=True)
 
     p = sub.add_parser(
@@ -260,9 +260,7 @@ def _cmd_flyby(args) -> int:
     profile = build_profile(
         cfg.geometry, cfg.channel, cfg.source.pair_fidelity, n_samples=args.samples
     )
-    agg = converged_aggregates(
-        cfg.geometry, cfg.channel, cfg.source.pair_fidelity, start_samples=args.samples
-    )
+    agg = converged_aggregates(cfg.geometry, cfg.channel, cfg.source.pair_fidelity)
     header = ["t_s", "d_m", "zenith_rad", "eta_tr", "eta2_tr", "f_pair"]
     rows = [
         [
@@ -316,12 +314,10 @@ def _point_row(base: RepeaterConfig, pt: SweepPoint) -> dict:
     row["P0"] = agg.p0
     row["F_pair_avg"] = agg.f_pair_avg
     if pt.n_levels == 0:
-        # Direct rows use only the pass aggregates: no memories, no swapping,
-        # so the chain's herald and recursion outcomes do not apply. Unlike
-        # repeater rows, whose fidelity_final is the Werner parameter, this
-        # is the Bell-state fidelity F_pair_avg.
+        # Direct rows use only the pass aggregates: no memories, no swapping.
+        # Unlike repeater rows, whose fidelity_final is the Werner parameter,
+        # this is the Bell-state fidelity F_pair_avg.
         rate = rate_direct(base, agg)
-        row["status"] = "ok"
         row["rate_hz"] = rate
         row["pairs_per_flyby"] = pairs_per_flyby(rate, agg.flyby_duration_s)
         row["fidelity_final"] = agg.f_pair_avg

@@ -51,6 +51,10 @@ __all__ = [
 
 _TIME_MODELS = ("constant-p", "time-resolved")
 _BLOCK_TRIALS = 1024  # constant-p trials per random stream
+# Expected heralds per leaf and pass above which the time-resolved model
+# refuses to draw: its arrays are sized by that count, and 1e6 (about 175x
+# the baseline's 5.7k) keeps each leaf's draw near 10 MB.
+_MAX_HERALDS_PER_LEAF = 1e6
 
 
 @dataclass(frozen=True)
@@ -241,6 +245,8 @@ def simulate_chain(
             )
         if not math.isclose(profile.flyby_duration_s, t_fb, rel_tol=1e-9):
             raise ValueError("profile and aggregates describe different passes")
+        if not np.all(np.diff(profile.times_s) > 0):
+            raise ValueError("the hazard needs a profile sampled at increasing times")
         q = np.clip(p_attempt / agg.p0 * profile.eta2_tr, 0.0, 1.0 - 1e-15)
         rate = -np.log1p(-q) / slot_s
         hazard = np.cumsum(np.diff(profile.times_s) * (rate[1:] + rate[:-1]) / 2.0)
@@ -283,9 +289,16 @@ def _event_times(
     Success times of independent per-slot Bernoulli attempts with slowly
     varying probability are generated as an inhomogeneous Poisson process with
     per-slot rate -log(1 - q)/slot (exact per-slot survival), then snapped up
-    to the owning slot boundary and deduplicated.
+    to the owning slot boundary and deduplicated.  An expected herald count
+    ``hazard_grid[-1]`` above :data:`_MAX_HERALDS_PER_LEAF`, or not finite,
+    raises :class:`ValueError` before anything is drawn.
     """
     total = hazard_grid[-1]
+    if not total <= _MAX_HERALDS_PER_LEAF:
+        raise ValueError(
+            f"a leaf expects {total:.3g} heralds per pass, beyond the "
+            f"time-resolved model's {_MAX_HERALDS_PER_LEAF:.0e}"
+        )
     expected = int(total) + 1
     increments = rng.exponential(size=max(64, int(1.2 * expected) + 32))
     cum = np.cumsum(increments)

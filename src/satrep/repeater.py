@@ -254,7 +254,8 @@ class SweepPoint:
     """One point of a distance sweep.  ``status`` is ``ok`` or that of the
     :class:`NoResultError` that stopped the point: ``no_visibility`` and
     ``zero_transmission`` leave ``aggregates`` None, ``zero_herald_rate``
-    and ``unphysical_fidelity`` only ``result``."""
+    and ``unphysical_fidelity`` only ``result``.  Depth 0 is the
+    direct-transmission reference: it has no chain, so ``result`` is None."""
 
     l_total_m: float
     n_levels: int
@@ -280,7 +281,8 @@ def distance_sweep(
     Each total distance is split into 2^n equal elementary links, for each
     nesting depth n in ``levels`` (default: the template's), depth-major;
     geometry is rebuilt per point, everything else is taken from the
-    template.  ``cache`` maps (geometry, channel, source fidelity) to
+    template; depth 0 (direct transmission, no memories) stops at the pass
+    aggregates.  ``cache`` maps (geometry, channel, source fidelity) to
     converged pass aggregates; pass the same dict to sweeps that differ only
     in node-side parameters to skip their quadrature.  A
     :class:`NoResultError` ends only its point, any other error the sweep.
@@ -300,7 +302,8 @@ def distance_sweep(
             try:
                 if agg is None:
                     agg = cache[key] = converged_aggregates(*key)
-                result = evaluate_with_aggregates(cfg, agg)
+                if n:
+                    result = evaluate_with_aggregates(cfg, agg)
             except NoResultError as exc:
                 status = exc.status
             points.append(

@@ -159,6 +159,12 @@ class TestPairFidelity:
     def test_swamped_by_background_approaches_floor(self):
         assert pair_fidelity(0.998, 1e9, 1e-4) == pytest.approx(0.25, abs=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_ratio_gives_floor_without_warning(self):
+        # (1 + n_bar/eta)^2 overflows to inf; the limit 1/4 is the answer.
+        assert pair_fidelity(0.998, 1e-3, 1e-160) == 0.25
+        assert pair_fidelity(0.998, 1e-3, np.array([1e-160, 1.0]))[0] == 0.25
+
     def test_rejects_zero_transmission(self):
         with pytest.raises(ValueError):
             pair_fidelity(0.998, 1e-7, 0.0)

@@ -74,6 +74,19 @@ class TestTopLevel:
         err = capsys.readouterr().err
         assert err == "satrep: model error: efficiency exceeded 1 beyond noise or is NaN\n"
 
+    @pytest.mark.filterwarnings("error")
+    def test_grazing_pass_overflow_warns_nothing(self, capsys):
+        # Near the horizon (1 + n_bar/eta)^2 overflows to inf in
+        # channel.pair_fidelity; its limit 1/4 is the right value.
+        code = main(
+            ["rates", "--set", "orbit.altitude_m=2e5", "--set", "orbit.max_zenith_deg=89.9",
+             "--set", "channel.zenith_transmittance=0.5",
+             "--set", "channel.beam_waist_m=0.005", "--distances-km", "400",
+             "--links", "4"]
+        )
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
     def test_unwritable_output_is_usage_error(self, capsys):
         code = main(
             ["caps-curve", "--points", "2", "--output", "/no/such/dir/out.csv"]
@@ -349,6 +362,17 @@ class TestMc:
         err = capsys.readouterr().err
         assert err.startswith("satrep: model error:")
         assert "beyond int64" in err and "Traceback" not in err
+
+    def test_oversized_time_resolved_pass_is_model_error(self, capsys):
+        # 1e17 attempts/s expects ~6e13 heralds per leaf; refused before any draw.
+        code = main(
+            ["mc", "--trials", "1", "--seed", "1", "--set", "mc.time_model=time-resolved",
+             "--set", "source.repetition_rate_hz=1e17"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("satrep: model error: a leaf expects")
+        assert "Traceback" not in err
 
     def test_bad_trials_and_seed(self):
         assert main(["mc", "--trials", "0"]) == 1

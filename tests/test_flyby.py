@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from satrep import flyby
 from satrep.channel import ChannelParams, two_photon_transmission
 from satrep.flyby import (
     FlybyProfile,
@@ -169,9 +171,57 @@ def test_converged_aggregates_match_direct_averages(channel, baseline_agg):
     )
 
 
-def test_nonconvergent_integrand_raises_after_refinement_budget(channel):
-    # max_doublings = 0 leaves no room to confirm convergence.
+def test_nonconvergent_integrand_raises_after_refinement_budget(channel, monkeypatch):
+    # A 2/4-node schedule leaves no room to confirm convergence.
+    monkeypatch.setattr(flyby, "GAUSS_NODES", (2, 4))
+    with pytest.raises(QuadratureError, match=r"history \(nodes, P0, F_pair_avg\): \[\(2, "):
+        converged_aggregates(make_geom(1.5e6, 2.5e6), channel, 0.998)
+
+
+# Grazing passes that need 256 Gauss nodes, frozen from composite Simpson
+# converged by grid doubling from 2,001 samples: (h, max zenith deg, L0,
+# zenith transmittance, beam waist) -> (T_FB, P0, F_pair_avg).
+GRAZING = {
+    (2.0e5, 89.9, 1.0e5, 0.5, 0.005): (
+        414.6753638946325, 2.6362425716815728e-08, 0.9961363658807791
+    ),
+    (3.0e5, 89.0, 3.0e5, 0.01, 0.025): (
+        489.1768333647625, 2.1789909657827037e-10, 0.9817577090787873
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(GRAZING))
+def test_grazing_pass_converges_within_budget(key, channel, monkeypatch):
+    h, zenith_deg, l0, transmittance, waist = key
+    geom = OrbitGeometry(
+        altitude_m=h, link_length_m=l0, max_zenith_rad=math.radians(zenith_deg)
+    )
+    params = dataclasses.replace(
+        channel, zenith_transmittance=transmittance, beam_waist_m=waist
+    )
+    t_fb, p0, fbar = GRAZING[key]
+    agg = converged_aggregates(geom, params, 0.998)
+    assert agg.flyby_duration_s == pytest.approx(t_fb, rel=1e-12)
+    assert agg.p0 == pytest.approx(p0, rel=1e-8)
+    assert agg.f_pair_avg == pytest.approx(fbar, rel=1e-8)
+    # A 128-node budget is not enough for these passes.
+    monkeypatch.setattr(flyby, "GAUSS_NODES", flyby.GAUSS_NODES[:3])
     with pytest.raises(QuadratureError):
-        converged_aggregates(
-            make_geom(1.5e6, 2.5e6), channel, 0.998, start_samples=3, max_doublings=0
-        )
+        converged_aggregates(geom, params, 0.998)
+
+
+@pytest.mark.parametrize("n", flyby.GAUSS_NODES)
+def test_gauss_rule_matches_numpy_leggauss(n):
+    fractions, weights = flyby._gauss_legendre(n)
+    x, w = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(fractions - (x + 1.0) / 2.0)) <= 4e-16
+    # leggauss itself is off by up to 1.2e-9 in the end weights at n = 1024.
+    assert weights == pytest.approx(w / 2.0, rel=1e-8)
+    assert math.fsum(weights) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_gauss_rule_is_exact_for_polynomials_to_degree_2n_minus_1():
+    fractions, weights = flyby._gauss_legendre(32)
+    for k in range(64):
+        assert weights @ fractions**k == pytest.approx(1.0 / (k + 1), rel=1e-13)

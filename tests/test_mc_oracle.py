@@ -319,6 +319,29 @@ class TestTimeResolved:
         assert np.all(np.diff(events) > 0)
         assert events.max() <= 10.0
 
+    @pytest.mark.parametrize("total", [1e12, math.inf, math.nan])
+    def test_event_times_refuse_oversized_draws(self, total):
+        # Each value fails the guard before any draw; 1e12 heralds would ask
+        # for terabytes, which an unguarded call could not even allocate.
+        t_grid = np.array([0.0, 10.0])
+        hazard = np.array([0.0, total])
+        with pytest.raises(ValueError, match="heralds per pass"):
+            _event_times(_block_rng(0, 99), t_grid, hazard, 1e-9, 10.0)
+
+    def test_gauss_node_profile_is_rejected(self, baseline, baseline_cfg, baseline_agg):
+        # Two concatenated Gauss rules are not a time series to integrate over.
+        fractions = np.concatenate([np.linspace(0.0, 1.0, 5), np.linspace(0.1, 0.9, 3)])
+        unordered = build_profile(
+            baseline.geometry, baseline.channel, 0.998, fractions=fractions
+        )
+        with pytest.raises(ValueError, match="increasing times"):
+            simulate_chain(
+                McConfig(trials=5, seed=0, time_model="time-resolved"),
+                baseline_cfg,
+                baseline_agg,
+                profile=unordered,
+            )
+
     def test_mismatched_profile_is_rejected(self, baseline, baseline_cfg, baseline_agg):
         from satrep.flyby import build_profile
 

@@ -217,6 +217,15 @@ class TestDistanceSweep:
         assert point.status == "zero_herald_rate"
         assert point.aggregates is not None and point.result is None
 
+    def test_direct_depth_stops_at_aggregates(self, baseline_cfg):
+        # Depth 0 needs no memory herald: no chain is evaluated, even where
+        # the chain's herald rate is zero.
+        node = dataclasses.replace(baseline_cfg.node, caps_success_probability=0.0)
+        cfg = dataclasses.replace(baseline_cfg, node=node)
+        (point,) = distance_sweep(cfg, [2.0e6], levels=[0])
+        assert point.status == "ok"
+        assert point.aggregates is not None and point.result is None
+
     def test_cache_is_shared_across_node_parameters(self, baseline_cfg):
         cache = {}
         first = distance_sweep(baseline_cfg, [1.0e7, 8.0e7], cache, levels=[2, 3])
