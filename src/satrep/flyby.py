@@ -73,8 +73,9 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class FlybyProfile:
-    """Sampled flyby time series over [0, T_FB]: a uniform grid, or given
-    fractions of the pass such as Gauss-Legendre nodes (then unordered).
+    """Sampled flyby over [0, T_FB]: a time series on a uniform grid, or, when
+    built from given fractions of the pass such as Gauss-Legendre nodes,
+    samples for quadrature only, which need not be ordered in time.
 
     Arrays are aligned sample-by-sample; ``eta2_tr`` is exactly ``eta_tr**2``
     and ``f_pair`` is the instantaneous pair fidelity with the scenario's
@@ -115,8 +116,10 @@ def build_profile(
 
     By default on ``n_samples`` uniform points, which must be odd (composite
     Simpson needs an even interval count); with ``fractions`` (values in
-    [0, 1]) at t = fractions * T_FB instead, and ``n_samples`` is unused.  A
-    geometry with no joint-visibility window raises :class:`NoVisibilityError`.
+    [0, 1]) at t = fractions * T_FB instead, and ``n_samples`` is unused.
+    Such a profile is for quadrature only, not a time series: its times keep
+    the order of ``fractions``.  A geometry with no joint-visibility window
+    raises :class:`NoVisibilityError`.
     """
     if fractions is None and (n_samples < 3 or n_samples % 2 == 0):
         raise ValueError(f"n_samples must be odd and >= 3, got {n_samples}")
@@ -225,37 +228,16 @@ def average_pair_fidelity(profile: FlybyProfile) -> float:
     return fbar
 
 
-def _legendre(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(cos theta) and its derivative in theta, by the three-term recurrence."""
-    x = np.cos(theta)
-    p_prev, p = np.ones_like(x), x
-    for j in range(2, n + 1):
-        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-    return p, n * (x * p - p_prev) / np.sin(theta)
-
-
 @functools.cache
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-point Gauss-Legendre rule mapped to [0, 1], in ascending order:
-    fractions (x + 1) / 2 and weights w / 2, which sum to 1.
+    fractions (x + 1) / 2 and weights w / 2, which sum to 1.  Built once per
+    n, on first use; numpy.polynomial is imported here, off the CLI's import
+    chain."""
+    from numpy.polynomial.legendre import leggauss
 
-    The roots x = cos(theta) of P_n are found by Newton's method in theta
-    from Tricomi's estimate, so that 1 - x^2 = sin^2(theta) and (x + 1) / 2 =
-    cos^2(theta / 2) keep full precision near the ends of the pass; the
-    weight is then 2 / (dP_n/dtheta)^2.  Built once per n, on first use.
-    """
-    theta = math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5)
-    for _ in range(100):
-        p, d = _legendre(n, theta)
-        step = p / d
-        theta = theta - step
-        # Quadratic convergence: after a step this small, theta is exact.
-        if np.max(np.abs(step)) < 1e-13:
-            break
-    else:
-        raise RuntimeError(f"Gauss-Legendre nodes did not converge for n={n}")
-    _, d = _legendre(n, theta)
-    fractions, weights = np.cos(theta / 2.0) ** 2, 1.0 / (d * d)
+    x, w = leggauss(n)
+    fractions, weights = (x + 1.0) / 2.0, w / 2.0
     fractions.setflags(write=False)
     weights.setflags(write=False)
     return fractions, weights

@@ -51,10 +51,12 @@ __all__ = [
 
 _TIME_MODELS = ("constant-p", "time-resolved")
 _BLOCK_TRIALS = 1024  # constant-p trials per random stream
-# Expected heralds per leaf and pass above which the time-resolved model
-# refuses to draw: its arrays are sized by that count, and 1e6 (about 175x
-# the baseline's 5.7k) keeps each leaf's draw near 10 MB.
-_MAX_HERALDS_PER_LEAF = 1e6
+# Expected heralds per trial, summed over its leaves, above which the
+# time-resolved model refuses to draw.  A trial's arrays (the leaves' herald
+# times, their union and its cascade table) peak at 33-36 bytes per expected
+# herald (tracemalloc, 2-16 leaves, 1e5-1e6 heralds per leaf), so the cap
+# keeps a trial under about 3.6 GB.  The baseline expects 2 x 5.7k.
+_MAX_HERALDS_PER_TRIAL = 1e8
 
 
 @dataclass(frozen=True)
@@ -245,8 +247,6 @@ def simulate_chain(
             )
         if not math.isclose(profile.flyby_duration_s, t_fb, rel_tol=1e-9):
             raise ValueError("profile and aggregates describe different passes")
-        if not np.all(np.diff(profile.times_s) > 0):
-            raise ValueError("the hazard needs a profile sampled at increasing times")
         q = np.clip(p_attempt / agg.p0 * profile.eta2_tr, 0.0, 1.0 - 1e-15)
         rate = -np.log1p(-q) / slot_s
         hazard = np.cumsum(np.diff(profile.times_s) * (rate[1:] + rate[:-1]) / 2.0)
@@ -289,16 +289,9 @@ def _event_times(
     Success times of independent per-slot Bernoulli attempts with slowly
     varying probability are generated as an inhomogeneous Poisson process with
     per-slot rate -log(1 - q)/slot (exact per-slot survival), then snapped up
-    to the owning slot boundary and deduplicated.  An expected herald count
-    ``hazard_grid[-1]`` above :data:`_MAX_HERALDS_PER_LEAF`, or not finite,
-    raises :class:`ValueError` before anything is drawn.
+    to the owning slot boundary and deduplicated.
     """
     total = hazard_grid[-1]
-    if not total <= _MAX_HERALDS_PER_LEAF:
-        raise ValueError(
-            f"a leaf expects {total:.3g} heralds per pass, beyond the "
-            f"time-resolved model's {_MAX_HERALDS_PER_LEAF:.0e}"
-        )
     expected = int(total) + 1
     increments = rng.exponential(size=max(64, int(1.2 * expected) + 32))
     cum = np.cumsum(increments)
@@ -328,7 +321,17 @@ def _time_resolved_trial(
     to that end.  A leaf whose heralds sit at entries h_0 < h_1 < ... next
     heralds at h_c from any entry in [h_(c-1), h_c), with h_(-1) = 0 and no
     herald from h_last on, so the table is a running maximum of the h_c.
+
+    More than :data:`_MAX_HERALDS_PER_TRIAL` expected heralds over the
+    leaves, or a count that is not finite, raises :class:`ValueError` before
+    anything is drawn.
     """
+    expected = n_leaves * hazard[-1]
+    if not expected <= _MAX_HERALDS_PER_TRIAL:
+        raise ValueError(
+            f"a trial expects {expected:.3g} heralds over its {n_leaves} leaves, "
+            f"beyond the time-resolved model's {_MAX_HERALDS_PER_TRIAL:.0e}"
+        )
     events = [
         _event_times(rng, profile.times_s, hazard, slot_s, profile.flyby_duration_s)
         for _ in range(n_leaves)

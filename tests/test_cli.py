@@ -371,7 +371,7 @@ class TestMc:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("satrep: model error: a leaf expects")
+        assert err.startswith("satrep: model error: a trial expects")
         assert "Traceback" not in err
 
     def test_bad_trials_and_seed(self):

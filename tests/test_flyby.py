@@ -212,16 +212,9 @@ def test_grazing_pass_converges_within_budget(key, channel, monkeypatch):
 
 
 @pytest.mark.parametrize("n", flyby.GAUSS_NODES)
-def test_gauss_rule_matches_numpy_leggauss(n):
+def test_gauss_rule_is_exact_for_polynomials_to_degree_2n_minus_1(n):
     fractions, weights = flyby._gauss_legendre(n)
-    x, w = np.polynomial.legendre.leggauss(n)
-    assert np.max(np.abs(fractions - (x + 1.0) / 2.0)) <= 4e-16
-    # leggauss itself is off by up to 1.2e-9 in the end weights at n = 1024.
-    assert weights == pytest.approx(w / 2.0, rel=1e-8)
+    assert np.all(np.diff(fractions) > 0) and 0 < fractions[0] and fractions[-1] < 1
     assert math.fsum(weights) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_gauss_rule_is_exact_for_polynomials_to_degree_2n_minus_1():
-    fractions, weights = flyby._gauss_legendre(32)
-    for k in range(64):
-        assert weights @ fractions**k == pytest.approx(1.0 / (k + 1), rel=1e-13)
+    for k in range(2 * n):
+        assert weights @ fractions**k == pytest.approx(1.0 / (k + 1), rel=1e-11)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -319,28 +320,18 @@ class TestTimeResolved:
         assert np.all(np.diff(events) > 0)
         assert events.max() <= 10.0
 
-    @pytest.mark.parametrize("total", [1e12, math.inf, math.nan])
-    def test_event_times_refuse_oversized_draws(self, total):
-        # Each value fails the guard before any draw; 1e12 heralds would ask
+    @pytest.mark.parametrize(
+        ("per_leaf", "n_leaves"), [(1e12, 2), (math.inf, 2), (math.nan, 2), (1.3e7, 8)]
+    )
+    def test_trial_refuses_oversized_draws(self, per_leaf, n_leaves):
+        # Each case fails the guard before any draw; 1e12 heralds would ask
         # for terabytes, which an unguarded call could not even allocate.
+        # 8 leaves of 1.3e7 pass any per-leaf cap but not the trial's.
         t_grid = np.array([0.0, 10.0])
-        hazard = np.array([0.0, total])
-        with pytest.raises(ValueError, match="heralds per pass"):
-            _event_times(_block_rng(0, 99), t_grid, hazard, 1e-9, 10.0)
-
-    def test_gauss_node_profile_is_rejected(self, baseline, baseline_cfg, baseline_agg):
-        # Two concatenated Gauss rules are not a time series to integrate over.
-        fractions = np.concatenate([np.linspace(0.0, 1.0, 5), np.linspace(0.1, 0.9, 3)])
-        unordered = build_profile(
-            baseline.geometry, baseline.channel, 0.998, fractions=fractions
-        )
-        with pytest.raises(ValueError, match="increasing times"):
-            simulate_chain(
-                McConfig(trials=5, seed=0, time_model="time-resolved"),
-                baseline_cfg,
-                baseline_agg,
-                profile=unordered,
-            )
+        hazard = np.array([0.0, per_leaf])
+        profile = SimpleNamespace(times_s=t_grid, flyby_duration_s=10.0)
+        with pytest.raises(ValueError, match="heralds over its"):
+            _time_resolved_trial(_block_rng(0, 99), profile, hazard, n_leaves, 1e-9, 1.0)
 
     def test_mismatched_profile_is_rejected(self, baseline, baseline_cfg, baseline_agg):
         from satrep.flyby import build_profile
