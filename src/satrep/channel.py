@@ -137,8 +137,9 @@ def beam_waist(params: ChannelParams, distance_m):
     """
     d = np.asarray(distance_m, dtype=float)
     w0 = params.beam_waist_m
-    # An underflowing w0^2 gives NaN, which diffraction_eff rejects; no warning.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # An underflowing w0^2 gives NaN, which diffraction_eff rejects, and an
+    # overflowing spread gives an infinite waist; no warning.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         spread = params.wavelength_m * d / (math.pi * w0 * w0)
         out = np.sqrt(w0 * w0 * (1.0 + spread * spread))
     return float(out) if np.isscalar(distance_m) else out
@@ -147,7 +148,13 @@ def beam_waist(params: ChannelParams, distance_m):
 def diffraction_eff(params: ChannelParams, distance_m):
     """Fraction of the beam captured by the telescope: 1 - exp(-D_R^2 / 2 w_d^2)."""
     w_d = np.asarray(beam_waist(params, distance_m), dtype=float)
-    out = _clamp_unit(1.0 - np.exp(-(params.receiver_radius_m**2) / (2.0 * w_d * w_d)))
+    try:
+        aperture = params.receiver_radius_m**2
+    except OverflowError as exc:
+        raise ValueError(
+            f"receiver radius {params.receiver_radius_m:.3g} m overflows double precision"
+        ) from exc
+    out = _clamp_unit(1.0 - np.exp(-aperture / (2.0 * w_d * w_d)))
     return float(out) if np.isscalar(distance_m) else out
 
 
@@ -174,9 +181,14 @@ def pointing_divergence(params: ChannelParams) -> float:
 def pointing_eff(params: ChannelParams) -> float:
     """Time-independent pointing efficiency dtheta^2 / (dtheta^2 + 4 sigma^2)."""
     dtheta = pointing_divergence(params)
-    return float(
-        _clamp_unit(dtheta**2 / (dtheta**2 + 4.0 * params.pointing_sigma_rad**2))
-    )
+    try:
+        ratio = dtheta**2 / (dtheta**2 + 4.0 * params.pointing_sigma_rad**2)
+    except OverflowError as exc:
+        raise ValueError(
+            f"pointing efficiency overflows double precision (divergence {dtheta:.3g} "
+            f"rad, jitter {params.pointing_sigma_rad:.3g} rad)"
+        ) from exc
+    return float(_clamp_unit(ratio))
 
 
 def single_photon_transmission(params: ChannelParams, distance_m, zenith_rad):

@@ -22,12 +22,14 @@ rate and fidelity recursions.  Two time models:
 Reproducibility: block b of trials draws from its own counter-based stream
 ``Philox(key=[b, seed])``.  A constant-p block always draws all its 1024 trials,
 so trial i depends only on (i, seed) and a run is a prefix of any longer run;
-a time-resolved block is one trial.  The in-block draw order is fixed and
-documented in :func:`simulate_chain`.
+a time-resolved block is one trial, which draws one wait per leaf for its
+first swap cascade and then one maximum of 2^n waits per later cascade.  The
+in-block draw order is fixed and documented in :func:`simulate_chain`.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -52,10 +54,11 @@ __all__ = [
 _TIME_MODELS = ("constant-p", "time-resolved")
 _BLOCK_TRIALS = 1024  # constant-p trials per random stream
 # Expected heralds per trial, summed over its leaves, above which the
-# time-resolved model refuses to draw.  A trial's arrays (the leaves' herald
-# times, their union and its cascade table) peak at 33-36 bytes per expected
-# herald (tracemalloc, 2-16 leaves, 1e5-1e6 heralds per leaf), so the cap
-# keeps a trial under about 3.6 GB.  The baseline expects 2 x 5.7k.
+# time-resolved model refuses to draw.  A trial's arrays hold one entry per
+# swap cascade, about 1/(2^n H_2^n) of its heralds (H_m the m-th harmonic
+# number); they peak at 7.3 bytes per expected herald at 2 leaves and 1.1 at
+# 8 (tracemalloc, channel.beam_waist_m=0.1: 2.8e6 and 1.1e7 heralds), so the
+# cap keeps a trial under about 0.75 GB.  The baseline expects 2 x 5.7k.
 _MAX_HERALDS_PER_TRIAL = 1e8
 
 
@@ -197,18 +200,24 @@ def simulate_chain(
     from the merge tree over the leaf times of step 1.
 
     time-resolved, one trial per block:
-      1. per leaf (in order), exponential increments defining an inhomogeneous
-         Poisson herald process with per-slot success q(t) proportional to the
-         instantaneous two-photon transmission, snapped up to slot boundaries;
-      2. one uniform per completed swap cascade (cascade success Bernoulli).
+      1. 2^n standard exponential waits, one per leaf in order: each leaf's
+         first herald in hazard space (the cumulative herald hazard of one
+         leaf, in which heralds form a unit-rate Poisson process), mapped to
+         time and snapped up to its slot boundary;
+      2. standard exponentials E, one per later cascade, each mapped to the
+         largest of 2^n waits by -log(1 - exp(-E / 2^n)), drawn in chunks
+         (1.2 x the hazard left after the first cascade over the mean
+         maximum, plus 32; then a quarter of that, plus 32, at a time) until
+         their sum passes the hazard left in the pass;
+      3. one binomial draw: the successful swap cascades among those held
+         inside the pass, each succeeding with the swap-cascade probability.
 
     Each cascade consumes all 2^n held links and every leaf restarts; because
-    slot attempts are independent, restarting equals continuing the realized
-    process past the restart time, which is how the walk is implemented (the
-    uniforms of step 2 come from one call after the walk, which draws the same
-    numbers as one scalar call per cascade).  Fidelity and gaps are scored on
-    the first completed cascade of each trial; trials whose first cascade does
-    not finish before the pass ends contribute no fidelity sample, and
+    slot attempts are independent, the next cascade ends where the hazard
+    has grown by the largest of 2^n fresh waits, snapped up to a slot
+    boundary (:func:`_time_resolved_trial`).  Fidelity and gaps are scored on
+    the first completed cascade of each trial; trials whose first cascade
+    does not finish before the pass ends contribute no fidelity sample, and
     ``completed_fraction`` records the fraction that did.
     """
     if rep_cfg.n_levels < 1:
@@ -277,34 +286,6 @@ def simulate_chain(
     )
 
 
-def _event_times(
-    rng: np.random.Generator,
-    t_grid: np.ndarray,
-    hazard_grid: np.ndarray,
-    slot_s: float,
-    t_fb: float,
-) -> np.ndarray:
-    """Realize one leaf's herald process over the whole pass.
-
-    Success times of independent per-slot Bernoulli attempts with slowly
-    varying probability are generated as an inhomogeneous Poisson process with
-    per-slot rate -log(1 - q)/slot (exact per-slot survival), then snapped up
-    to the owning slot boundary and deduplicated.
-    """
-    total = hazard_grid[-1]
-    expected = int(total) + 1
-    increments = rng.exponential(size=max(64, int(1.2 * expected) + 32))
-    cum = np.cumsum(increments)
-    while cum[-1] < total:
-        more = rng.exponential(size=max(64, expected // 4 + 16))
-        cum = np.concatenate([cum, cum[-1] + np.cumsum(more)])
-    cum = cum[cum <= total]
-    raw = np.interp(cum, hazard_grid, t_grid)
-    snapped = np.ceil(raw / slot_s - 1e-12) * slot_s
-    snapped = np.unique(snapped)
-    return snapped[snapped <= t_fb]
-
-
 def _time_resolved_trial(
     rng: np.random.Generator,
     profile: FlybyProfile,
@@ -316,11 +297,23 @@ def _time_resolved_trial(
     """One flyby in time-resolved mode.  Returns the pair count and the leaf
     completion times of the first cascade (NaN if it never completed).
 
-    A cascade begun at 0, or where the last one ended, ends at the latest of
-    the leaves' next heralds; a table over 0 and all herald times maps each
-    to that end.  A leaf whose heralds sit at entries h_0 < h_1 < ... next
-    heralds at h_c from any entry in [h_(c-1), h_c), with h_(-1) = 0 and no
-    herald from h_last on, so the table is a running maximum of the h_c.
+    The walk runs in hazard space, Lambda = H(t), where each leaf's heralds
+    form a unit-rate Poisson process; a herald at hazard Lambda is held from
+    the end of the slot that contains H^-1(Lambda),
+    ceil(H^-1(Lambda) / slot_s - 1e-12) * slot_s, and a herald past the pass
+    end is lost.  The first cascade ends at the latest of the leaves'
+    first heralds, at their own Exp(1) waits.  Slots are independent, so a
+    cascade that restarts every leaf at slot boundary s ends at the first
+    boundary at or after H^-1(H(s) + M), with M the largest of 2^n fresh
+    Exp(1) waits: one draw per cascade.
+
+    Snapping to a slot end adds at most g = max(dH/dt) * slot_s of hazard
+    per cascade, so the target H(s) + M of the k-th cascade after the first
+    lies in [A_k, A_k + (k - 1) g], with A_k = H(s_1) + M_1 + ... + M_k.  A
+    target at most H(t_FB - slot_s) is held inside the pass, one above
+    H(t_FB) is not.  When both ends of the band, widened by the rounding of
+    k steps, give the same count, that count is exact; otherwise
+    :func:`_walk_cascades` walks the cascades one at a time.
 
     More than :data:`_MAX_HERALDS_PER_TRIAL` expected heralds over the
     leaves, or a count that is not finite, raises :class:`ValueError` before
@@ -332,26 +325,95 @@ def _time_resolved_trial(
             f"a trial expects {expected:.3g} heralds over its {n_leaves} leaves, "
             f"beyond the time-resolved model's {_MAX_HERALDS_PER_TRIAL:.0e}"
         )
-    events = [
-        _event_times(rng, profile.times_s, hazard, slot_s, profile.flyby_duration_s)
-        for _ in range(n_leaves)
-    ]
-    starts = np.unique(np.concatenate([[0.0], *events]))
-    end = starts.size
-    cascade_end = np.zeros(end, dtype=np.intp)
-    for ev in events:
-        heralds = np.searchsorted(starts, ev)
-        np.maximum.at(cascade_end, np.append(0, heralds), np.append(heralds, end))
-    np.maximum.accumulate(cascade_end, out=cascade_end)
-    cascades = 0
-    k = cascade_end[np.searchsorted(starts, 0.0)]
-    while k < end:
-        cascades += 1
-        k = cascade_end[k]
-    if cascades == 0:
-        return 0.0, np.full(n_leaves, math.nan)
-    first_cycle = [ev[np.searchsorted(ev, 0.0, side="right")] for ev in events]
-    return float(np.count_nonzero(rng.random(cascades) < p_swap)), np.array(first_cycle)
+    t_grid = profile.times_s
+    t_fb = profile.flyby_duration_s
+    total = float(hazard[-1])
+    never = (0.0, np.full(n_leaves, math.nan))
+    waits = rng.standard_exponential(n_leaves)
+    if waits.max() > total:
+        return never
+    first = np.ceil(np.interp(waits, hazard, t_grid) / slot_s - 1e-12) * slot_s
+    end = float(first.max())
+    if end > t_fb:
+        return never
+
+    slope_max = float(np.max(np.diff(hazard) / np.diff(t_grid)))
+    g = slope_max * slot_s
+    # Rounding one cascade step can move its hazard by this much.
+    step_err = 8.0 * np.finfo(float).eps * (total + slope_max * t_fb) + 1e-12 * g
+    h = float(np.interp(end, t_grid, hazard))
+    mean_max = float(np.sum(1.0 / np.arange(1, n_leaves + 1)))
+    chunk = int(1.2 * (total - h) / mean_max) + 32
+    maxima = _cascade_maxima(rng, n_leaves, chunk)
+    targets = h + np.cumsum(maxima)
+    while targets[-1] <= total + targets.size * step_err:
+        more = _cascade_maxima(rng, n_leaves, chunk // 4 + 32)
+        maxima = np.concatenate([maxima, more])
+        targets = np.concatenate([targets, targets[-1] + np.cumsum(more)])
+    slack = targets.size * step_err
+    later = int(np.searchsorted(targets, total + slack, side="right"))
+    held = float(np.interp(t_fb - slot_s, t_grid, hazard))
+    if later and targets[later - 1] + (later - 1) * g + slack > held:
+        later = _walk_cascades(t_grid, hazard, slot_s, t_fb, end, h, maxima)
+    return float(rng.binomial(1 + later, p_swap)), first
+
+
+def _cascade_maxima(rng: np.random.Generator, n_leaves: int, size: int) -> np.ndarray:
+    """``size`` draws of the largest of ``n_leaves`` iid Exp(1) waits, each by
+    inversion of one Exp(1) draw E: -log(1 - exp(-E / n_leaves))."""
+    with np.errstate(divide="ignore"):  # E = 0 maps to an endless wait
+        return -np.log(-np.expm1(-rng.standard_exponential(size) / n_leaves))
+
+
+def _walk_cascades(
+    t_grid: np.ndarray,
+    hazard: np.ndarray,
+    slot_s: float,
+    t_fb: float,
+    end: float,
+    h: float,
+    maxima: np.ndarray,
+) -> int:
+    """Cascades held inside the pass after the one ending at slot boundary
+    ``end`` (hazard ``h``), the k-th ending at the slot boundary at or after
+    H^-1(H(s) + maxima[k]), s the previous end.
+
+    The exact lattice walk, one cascade per step in Python floats with the
+    current interval of the piecewise-linear H cached, for the passes where
+    the bounds of :func:`_time_resolved_trial` disagree.
+    """
+    times = t_grid.tolist()
+    haz = hazard.tolist()
+    dt = np.diff(t_grid)
+    rise = np.diff(hazard)
+    slopes = (rise / dt).tolist()
+    inverse = np.divide(dt, rise, out=np.zeros_like(dt), where=rise > 0).tolist()
+    # Grid interval i as (t_i, H_i, t_i+1, H_i+1, dH/dt, dt/dH).
+    cells = list(zip(times, haz, times[1:], haz[1:], slopes, inverse))
+    top = haz[-1]
+    ceil = math.ceil
+    i = min(bisect.bisect_right(times, end) - 1, len(cells) - 1)
+    t0, h0, t1, h1, slope, inv = cells[i]
+    done = 0
+    for start in range(0, maxima.size, 65536):  # bounds the list of floats
+        for m in maxima[start : start + 65536].tolist():
+            target = h + m
+            if target > h1:
+                if target > top:
+                    return done
+                while haz[i + 1] < target:
+                    i += 1
+                t0, h0, t1, h1, slope, inv = cells[i]
+            end = ceil((t0 + (target - h0) * inv) / slot_s - 1e-12) * slot_s
+            if end > t1:
+                if end > t_fb:
+                    return done
+                while times[i + 1] < end:
+                    i += 1
+                t0, h0, t1, h1, slope, inv = cells[i]
+            h = h0 + (end - t0) * slope
+            done += 1
+    return done
 
 
 @dataclass(frozen=True)

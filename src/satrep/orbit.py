@@ -119,9 +119,14 @@ def half_flyby_time(geom: OrbitGeometry) -> float:
         return 0.0
     h = geom.altitude_m
     cos_tm = math.cos(geom.max_zenith_rad)
-    numer = r_e * (1.0 - cos_tm**2) + cos_tm * math.sqrt(
-        h * h + 2.0 * h * r_e + r_e**2 * cos_tm**2
-    )
+    try:
+        numer = r_e * (1.0 - cos_tm**2) + cos_tm * math.sqrt(
+            h * h + 2.0 * h * r_e + r_e**2 * cos_tm**2
+        )
+    except OverflowError as exc:
+        raise ValueError(
+            f"pass geometry overflows double precision (Earth radius {r_e:.3g} m)"
+        ) from exc
     denom = geom.orbit_radius_m * math.cos(geom.link_length_m / (2.0 * r_e))
     if denom <= 0.0:
         return 0.0  # L0 within rounding of pi R_E

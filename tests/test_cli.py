@@ -87,6 +87,23 @@ class TestTopLevel:
         assert code == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "key",
+        ["orbit.earth_radius_m", "channel.wavelength_m", "channel.beam_quality_m2",
+         "channel.receiver_radius_m", "channel.pointing_sigma_rad"],
+    )
+    def test_overflowing_override_is_model_error(self, key, capsys):
+        # Squaring 1e300 overflows a Python float in the pass geometry or
+        # the diffraction and pointing efficiencies.
+        code = main(
+            ["rates", "--set", f"{key}=1e300", "--distances-km", "10000", "--links", "4"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("satrep: model error:") and "overflows" in err
+        assert "Traceback" not in err
+
     def test_unwritable_output_is_usage_error(self, capsys):
         code = main(
             ["caps-curve", "--points", "2", "--output", "/no/such/dir/out.csv"]

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 from types import SimpleNamespace
@@ -6,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import satrep.mc_oracle as mc_oracle
 from satrep.flyby import build_profile
 from satrep.mc_oracle import (
     _BLOCK_TRIALS,
@@ -14,9 +16,9 @@ from satrep.mc_oracle import (
     McEstimate,
     McTolerances,
     _block_rng,
-    _event_times,
     _merge_tree,
     _time_resolved_trial,
+    _walk_cascades,
     compare_report,
     simulate_chain,
     simulate_link,
@@ -59,36 +61,66 @@ def hazard_grid(profile, slot_s, p_scale):
     )
 
 
-def reference_time_resolved_trial(rng, profile, rep_cfg, p_swap, slot_s, p_scale):
-    """Reference time-resolved flyby: per cascade, one searchsorted per leaf
-    and one scalar uniform."""
-    hazard = hazard_grid(profile, slot_s, p_scale)
+def reference_event_times(rng, t_grid, hazard, slot_s, t_fb):
+    """One leaf's heralds over the whole pass, as the per-leaf sampler drew
+    them: unit-rate exponential increments in hazard, mapped to time and
+    snapped up to slot boundaries."""
+    total = hazard[-1]
+    expected = int(total) + 1
+    cum = np.cumsum(rng.exponential(size=max(64, int(1.2 * expected) + 32)))
+    while cum[-1] < total:
+        more = rng.exponential(size=max(64, expected // 4 + 16))
+        cum = np.concatenate([cum, cum[-1] + np.cumsum(more)])
+    raw = np.interp(cum[cum <= total], hazard, t_grid)
+    snapped = np.unique(np.ceil(raw / slot_s - 1e-12) * slot_s)
+    return snapped[snapped <= t_fb]
+
+
+def reference_time_resolved_trial(rng, profile, hazard, n_leaves, slot_s, p_swap):
+    """The per-leaf sampler the hazard-space walk replaced: every herald of
+    every leaf, and a table over their union that maps each cascade start to
+    the latest of the leaves' next heralds.  Returns the pair count and the
+    first cascade's leaf times, as _time_resolved_trial does."""
     t_fb = profile.flyby_duration_s
-    n_leaves = rep_cfg.n_links
     events = [
-        _event_times(rng, profile.times_s, hazard, slot_s, t_fb)
+        reference_event_times(rng, profile.times_s, hazard, slot_s, t_fb)
         for _ in range(n_leaves)
     ]
-    pairs = 0.0
-    first_cycle = None
-    now = 0.0
-    while True:
-        leaf_times = np.empty(n_leaves)
-        truncated = False
-        for i, ev in enumerate(events):
-            idx = int(np.searchsorted(ev, now, side="right"))
-            if idx >= ev.size:
-                truncated = True
-                break
-            leaf_times[i] = ev[idx]
-        if truncated:
-            break
-        if first_cycle is None:
-            first_cycle = leaf_times.copy()
-        if rng.random() < p_swap:
-            pairs += 1.0
-        now = float(leaf_times.max())
-    return pairs, first_cycle
+    starts = np.unique(np.concatenate([[0.0], *events]))
+    end = starts.size
+    cascade_end = np.zeros(end, dtype=np.intp)
+    for ev in events:
+        heralds = np.searchsorted(starts, ev)
+        np.maximum.at(cascade_end, np.append(0, heralds), np.append(heralds, end))
+    np.maximum.accumulate(cascade_end, out=cascade_end)
+    cascades = 0
+    k = cascade_end[0]
+    while k < end:
+        cascades += 1
+        k = cascade_end[k]
+    if cascades == 0:
+        return 0.0, np.full(n_leaves, math.nan)
+    first = [ev[np.searchsorted(ev, 0.0, side="right")] for ev in events]
+    return float(np.count_nonzero(rng.random(cascades) < p_swap)), np.array(first)
+
+
+def half_completing_chain(rep_cfg, agg):
+    """``rep_cfg`` with the detection efficiency at which about half the
+    trials complete their first cascade.
+
+    A leaf heralds inside the pass with probability 1 - exp(-H), H its
+    hazard over the pass, so the first cascade completes with probability
+    (1 - exp(-H))^(2^n); H is proportional to eta_d^e while the per-slot
+    probability is small.
+    """
+    profile = build_profile(rep_cfg.geometry, rep_cfg.channel, rep_cfg.source.pair_fidelity)
+    p_scale = herald_probability(rep_cfg, agg.p0) / agg.p0
+    hazard = hazard_grid(profile, rep_cfg.slot_s, p_scale)[-1]
+    target = -math.log(1.0 - 0.5 ** (1.0 / rep_cfg.n_links))
+    scale = (target / hazard) ** (1.0 / rep_cfg.detector_exponent)
+    eta_d = rep_cfg.node.detection_efficiency * scale
+    node = dataclasses.replace(rep_cfg.node, detection_efficiency=eta_d)
+    return dataclasses.replace(rep_cfg, node=node)
 
 
 def unit_gate_chain(baseline_cfg):
@@ -280,8 +312,7 @@ class TestTimeResolved:
         assert a.fidelity.mean == b.fidelity.mean
 
     def test_truncated_trials_leave_nan_fidelity(self, baseline_cfg, baseline_agg):
-        node = dataclasses.replace(baseline_cfg.node, detection_efficiency=1e-3)
-        slow = dataclasses.replace(baseline_cfg, node=node)
+        slow = half_completing_chain(baseline_cfg, baseline_agg)
         mc = simulate_chain(
             McConfig(trials=40, seed=2, time_model="time-resolved"),
             slow,
@@ -309,16 +340,21 @@ class TestTimeResolved:
         assert payload["all_pass"] is False
 
     def test_event_times_snap_to_slots(self):
-        rng = _block_rng(0, 99)
+        # The first cascade's leaf times, at hazard 5 t: the first herald at
+        # wait E lies at E / 5, held from the end of its slot.
         t_grid = np.linspace(0.0, 10.0, 101)
-        hazard = 5.0 * t_grid
+        profile = SimpleNamespace(times_s=t_grid, flyby_duration_s=10.0)
         slot = 0.25
-        events = _event_times(rng, t_grid, hazard, slot, 10.0)
-        assert events.size > 0
-        misalign = np.abs(events / slot - np.round(events / slot))
-        assert misalign.max() < 1e-9
-        assert np.all(np.diff(events) > 0)
-        assert events.max() <= 10.0
+        for trial, n_leaves in itertools.product(range(20), (2, 8)):
+            pairs, first = _time_resolved_trial(
+                _block_rng(trial, 99), profile, 5.0 * t_grid, n_leaves, slot, 1.0
+            )
+            waits = _block_rng(trial, 99).standard_exponential(n_leaves)
+            assert np.array_equal(first, np.ceil(waits / 5.0 / slot - 1e-12) * slot)
+            misalign = np.abs(first / slot - np.round(first / slot))
+            assert misalign.max() < 1e-9
+            assert 0.0 < first.min() and first.max() <= 10.0
+            assert pairs >= 1.0
 
     @pytest.mark.parametrize(
         ("per_leaf", "n_leaves"), [(1e12, 2), (math.inf, 2), (math.nan, 2), (1.3e7, 8)]
@@ -347,54 +383,167 @@ class TestTimeResolved:
             )
 
 
+class CascadeSpy:
+    """Records the cascade maxima a trial draws and how often it falls back
+    on the sequential walk."""
+
+    def __init__(self, monkeypatch):
+        self.maxima = []
+        self.walks = 0
+        draw, walk = mc_oracle._cascade_maxima, mc_oracle._walk_cascades
+
+        def spy_draw(*args):
+            self.maxima.append(draw(*args))
+            return self.maxima[-1]
+
+        def spy_walk(*args):
+            self.walks += 1
+            return walk(*args)
+
+        monkeypatch.setattr(mc_oracle, "_cascade_maxima", spy_draw)
+        monkeypatch.setattr(mc_oracle, "_walk_cascades", spy_walk)
+
+
 class TestNextCascadeWalk:
-    """The next-cascade table walk against the per-cascade reference, bit for
-    bit, including how many uniforms each trial consumes."""
+    """The vectorised cascade count against the sequential per-cascade
+    lattice walk, trial by trial, over the same draws."""
 
     @staticmethod
-    def assert_walks_agree(rep_cfg, agg, seed, trials):
+    def count_both(monkeypatch, profile, hazard, n_leaves, slot_s, trials, seed):
+        """Per trial, the cascades the trial counted (its pairs at P_swap = 1)
+        and the walk's count over the same draws; plus the fallback count."""
+        spy = CascadeSpy(monkeypatch)
+        counted, walked = [], []
+        for trial in range(trials):
+            spy.maxima.clear()
+            pairs, first = _time_resolved_trial(
+                _block_rng(trial, seed), profile, hazard, n_leaves, slot_s, 1.0
+            )
+            counted.append(pairs)
+            if np.isnan(first[0]):
+                walked.append(0.0)
+                continue
+            end = float(first.max())
+            h = float(np.interp(end, profile.times_s, hazard))
+            later = _walk_cascades(
+                profile.times_s, hazard, slot_s, profile.flyby_duration_s, end, h,
+                np.concatenate(spy.maxima),
+            )
+            walked.append(1.0 + later)
+        return counted, walked, spy.walks
+
+    @classmethod
+    def count_chain(cls, monkeypatch, rep_cfg, agg, trials, seed):
         profile = build_profile(
             rep_cfg.geometry, rep_cfg.channel, rep_cfg.source.pair_fidelity
         )
-        slot_s = rep_cfg.slot_s
         p_scale = herald_probability(rep_cfg, agg.p0) / agg.p0
-        p_swap = swap_probability(rep_cfg.n_levels, rep_cfg.gate_efficiency)
-        hazard = hazard_grid(profile, slot_s, p_scale)
-        completed = 0
-        for trial in range(trials):
-            rng = _block_rng(trial, seed)
-            pairs, first = _time_resolved_trial(
-                rng, profile, hazard, rep_cfg.n_links, slot_s, p_swap
-            )
-            ref_rng = _block_rng(trial, seed)
-            ref_pairs, ref_first = reference_time_resolved_trial(
-                ref_rng, profile, rep_cfg, p_swap, slot_s, p_scale
-            )
-            assert pairs == ref_pairs
-            if ref_first is None:
-                assert np.all(np.isnan(first))
-            else:
-                assert first.tobytes() == ref_first.tobytes()
-                completed += 1
-            assert rng.random() == ref_rng.random()
-        return completed
+        hazard = hazard_grid(profile, rep_cfg.slot_s, p_scale)
+        return cls.count_both(
+            monkeypatch, profile, hazard, rep_cfg.n_links, rep_cfg.slot_s, trials, seed
+        )
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
     @pytest.mark.parametrize("seed", [0, 7, 11])
-    def test_matches_per_cascade_loop(self, baseline_cfg, baseline_agg, depth, seed):
+    def test_matches_per_cascade_loop(self, monkeypatch, baseline_cfg, baseline_agg, depth, seed):
+        # At the baseline the bounds decide every count without the walk.
         chain = dataclasses.replace(baseline_cfg, n_levels=depth)
-        assert self.assert_walks_agree(chain, baseline_agg, seed, trials=2) == 2
+        counted, walked, walks = self.count_chain(
+            monkeypatch, chain, baseline_agg, trials=5, seed=seed
+        )
+        assert counted == walked
+        assert min(counted) > 1000
+        assert walks == 0
 
-    def test_matches_with_some_trials_truncated(self, baseline_cfg, baseline_agg):
-        node = dataclasses.replace(baseline_cfg.node, detection_efficiency=1e-3)
-        slow = dataclasses.replace(baseline_cfg, node=node)
-        completed = self.assert_walks_agree(slow, baseline_agg, seed=2, trials=40)
-        assert 0 < completed < 40
+    def test_matches_with_some_trials_truncated(self, monkeypatch, baseline_cfg, baseline_agg):
+        slow = half_completing_chain(baseline_cfg, baseline_agg)
+        counted, walked, _ = self.count_chain(monkeypatch, slow, baseline_agg, trials=40, seed=2)
+        assert counted == walked
+        assert 0 < np.count_nonzero(counted) < 40
 
-    def test_matches_with_every_trial_truncated(self, baseline_cfg, baseline_agg):
+    def test_matches_with_every_trial_truncated(self, monkeypatch, baseline_cfg, baseline_agg):
         node = dataclasses.replace(baseline_cfg.node, detection_efficiency=1e-5)
         dead = dataclasses.replace(baseline_cfg, node=node)
-        assert self.assert_walks_agree(dead, baseline_agg, seed=2, trials=10) == 0
+        counted, walked, walks = self.count_chain(
+            monkeypatch, dead, baseline_agg, trials=10, seed=2
+        )
+        assert counted == walked == [0.0] * 10
+        assert walks == 0
+
+    @pytest.mark.parametrize("n_leaves", [2, 4, 8])
+    def test_coarse_slots_need_walk(self, monkeypatch, n_leaves):
+        # Hazard 5 t over 10 s in slots of 0.25 s: snapping adds up to 1.25
+        # per cascade, as much as the mean maximum wait, so the bounds
+        # cannot agree and every count comes from the walk.
+        t_grid = np.linspace(0.0, 10.0, 101)
+        profile = SimpleNamespace(times_s=t_grid, flyby_duration_s=10.0)
+        counted, walked, walks = self.count_both(
+            monkeypatch, profile, 5.0 * t_grid, n_leaves, 0.25, trials=50, seed=32
+        )
+        assert counted == walked
+        assert walks > 40
+
+    def test_fine_slots_mix_both_paths(self, monkeypatch):
+        # A convex hazard t^2 / 2 in slots of 1 ms: some counts are decided
+        # by the bounds, the rest by the walk, and all agree.
+        t_grid = np.linspace(0.0, 10.0, 101)
+        profile = SimpleNamespace(times_s=t_grid, flyby_duration_s=10.0)
+        counted, walked, walks = self.count_both(
+            monkeypatch, profile, 0.5 * t_grid**2, 4, 1e-3, trials=200, seed=33
+        )
+        assert counted == walked
+        assert 0 < walks < 200
+
+
+def two_sample_z(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    se = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
+    return (a.mean() - b.mean()) / se
+
+
+class TestAgainstPerLeafSampler:
+    """The hazard-space walk draws from the same distribution as the per-leaf
+    sampler it replaced (seeds fixed before the first run)."""
+
+    @staticmethod
+    def run_both(rep_cfg, agg, trials):
+        profile = build_profile(rep_cfg.geometry, rep_cfg.channel, rep_cfg.source.pair_fidelity)
+        p_scale = herald_probability(rep_cfg, agg.p0) / agg.p0
+        hazard = hazard_grid(profile, rep_cfg.slot_s, p_scale)
+        p_swap = swap_probability(rep_cfg.n_levels, rep_cfg.gate_efficiency)
+        args = (profile, hazard, rep_cfg.n_links, rep_cfg.slot_s, p_swap)
+        new = [_time_resolved_trial(_block_rng(i, 701), *args) for i in range(trials)]
+        old = [reference_time_resolved_trial(_block_rng(i, 702), *args) for i in range(trials)]
+        return new, old
+
+    def test_baseline_pairs_and_leaf_times(self, baseline_cfg, baseline_agg):
+        chain = dataclasses.replace(baseline_cfg, n_levels=1)
+        new, old = self.run_both(chain, baseline_agg, trials=300)
+        assert abs(two_sample_z([p for p, _ in new], [p for p, _ in old])) <= 4.0
+        assert abs(two_sample_z([t[0] for _, t in new], [t[0] for _, t in old])) <= 4.0
+
+    def test_half_completing_pairs_and_completed_fraction(self, baseline_cfg, baseline_agg):
+        slow = half_completing_chain(baseline_cfg, baseline_agg)
+        new, old = self.run_both(slow, baseline_agg, trials=400)
+        assert abs(two_sample_z([p for p, _ in new], [p for p, _ in old])) <= 4.0
+        done_new = [not np.isnan(t[0]) for _, t in new]
+        done_old = [not np.isnan(t[0]) for _, t in old]
+        assert 0.3 < np.mean(done_new) < 0.7
+        assert abs(two_sample_z(done_new, done_old)) <= 4.0
+
+    def test_runs_are_prefixes_of_longer_runs(self, baseline_cfg, baseline_agg):
+        runs = [
+            simulate_chain(
+                McConfig(trials=n, seed=9, time_model="time-resolved"),
+                baseline_cfg,
+                baseline_agg,
+                keep_samples=True,
+            )
+            for n in (5, 8)
+        ]
+        short, longer = runs
+        assert short.pairs_samples.tobytes() == longer.pairs_samples[:5].tobytes()
+        assert short.fidelity_samples.tobytes() == longer.fidelity_samples[:5].tobytes()
 
 
 class TestCompareReport:
