@@ -211,6 +211,8 @@ def simulate_chain(
          their sum passes the hazard left in the pass;
       3. one binomial draw: the successful swap cascades among those held
          inside the pass, each succeeding with the swap-cascade probability.
+    A trial whose first cascade does not finish inside the pass stops after
+    step 1.
 
     Each cascade consumes all 2^n held links and every leaf restarts; because
     slot attempts are independent, the next cascade ends where the hazard

@@ -61,6 +61,13 @@ def hazard_grid(profile, slot_s, p_scale):
     )
 
 
+def chain_hazard(rep_cfg, agg):
+    """The chain's pass profile and herald hazard, as simulate_chain builds them."""
+    profile = build_profile(rep_cfg.geometry, rep_cfg.channel, rep_cfg.source.pair_fidelity)
+    p_scale = herald_probability(rep_cfg, agg.p0) / agg.p0
+    return profile, hazard_grid(profile, rep_cfg.slot_s, p_scale)
+
+
 def reference_event_times(rng, t_grid, hazard, slot_s, t_fb):
     """One leaf's heralds over the whole pass, as the per-leaf sampler drew
     them: unit-rate exponential increments in hazard, mapped to time and
@@ -113,9 +120,7 @@ def half_completing_chain(rep_cfg, agg):
     (1 - exp(-H))^(2^n); H is proportional to eta_d^e while the per-slot
     probability is small.
     """
-    profile = build_profile(rep_cfg.geometry, rep_cfg.channel, rep_cfg.source.pair_fidelity)
-    p_scale = herald_probability(rep_cfg, agg.p0) / agg.p0
-    hazard = hazard_grid(profile, rep_cfg.slot_s, p_scale)[-1]
+    hazard = chain_hazard(rep_cfg, agg)[1][-1]
     target = -math.log(1.0 - 0.5 ** (1.0 / rep_cfg.n_links))
     scale = (target / hazard) ** (1.0 / rep_cfg.detector_exponent)
     eta_d = rep_cfg.node.detection_efficiency * scale
@@ -311,6 +316,19 @@ class TestTimeResolved:
         assert a.pairs.mean == b.pairs.mean
         assert a.fidelity.mean == b.fidelity.mean
 
+    def test_runs_are_prefixes_of_longer_runs(self, baseline_cfg, baseline_agg):
+        short, longer = (
+            simulate_chain(
+                McConfig(trials=n, seed=9, time_model="time-resolved"),
+                baseline_cfg,
+                baseline_agg,
+                keep_samples=True,
+            )
+            for n in (5, 8)
+        )
+        assert short.pairs_samples.tobytes() == longer.pairs_samples[:5].tobytes()
+        assert short.fidelity_samples.tobytes() == longer.fidelity_samples[:5].tobytes()
+
     def test_truncated_trials_leave_nan_fidelity(self, baseline_cfg, baseline_agg):
         slow = half_completing_chain(baseline_cfg, baseline_agg)
         mc = simulate_chain(
@@ -434,11 +452,7 @@ class TestNextCascadeWalk:
 
     @classmethod
     def count_chain(cls, monkeypatch, rep_cfg, agg, trials, seed):
-        profile = build_profile(
-            rep_cfg.geometry, rep_cfg.channel, rep_cfg.source.pair_fidelity
-        )
-        p_scale = herald_probability(rep_cfg, agg.p0) / agg.p0
-        hazard = hazard_grid(profile, rep_cfg.slot_s, p_scale)
+        profile, hazard = chain_hazard(rep_cfg, agg)
         return cls.count_both(
             monkeypatch, profile, hazard, rep_cfg.n_links, rep_cfg.slot_s, trials, seed
         )
@@ -507,9 +521,7 @@ class TestAgainstPerLeafSampler:
 
     @staticmethod
     def run_both(rep_cfg, agg, trials):
-        profile = build_profile(rep_cfg.geometry, rep_cfg.channel, rep_cfg.source.pair_fidelity)
-        p_scale = herald_probability(rep_cfg, agg.p0) / agg.p0
-        hazard = hazard_grid(profile, rep_cfg.slot_s, p_scale)
+        profile, hazard = chain_hazard(rep_cfg, agg)
         p_swap = swap_probability(rep_cfg.n_levels, rep_cfg.gate_efficiency)
         args = (profile, hazard, rep_cfg.n_links, rep_cfg.slot_s, p_swap)
         new = [_time_resolved_trial(_block_rng(i, 701), *args) for i in range(trials)]
@@ -530,20 +542,6 @@ class TestAgainstPerLeafSampler:
         done_old = [not np.isnan(t[0]) for _, t in old]
         assert 0.3 < np.mean(done_new) < 0.7
         assert abs(two_sample_z(done_new, done_old)) <= 4.0
-
-    def test_runs_are_prefixes_of_longer_runs(self, baseline_cfg, baseline_agg):
-        runs = [
-            simulate_chain(
-                McConfig(trials=n, seed=9, time_model="time-resolved"),
-                baseline_cfg,
-                baseline_agg,
-                keep_samples=True,
-            )
-            for n in (5, 8)
-        ]
-        short, longer = runs
-        assert short.pairs_samples.tobytes() == longer.pairs_samples[:5].tobytes()
-        assert short.fidelity_samples.tobytes() == longer.fidelity_samples[:5].tobytes()
 
 
 class TestCompareReport:
