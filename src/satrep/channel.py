@@ -126,9 +126,9 @@ class ChannelParams:
 def _clamp_unit(x):
     # Floating-point hygiene only: anything beyond 1 by more than noise, or
     # NaN, is a model error and must not be clamped away.
-    if not np.all(np.asarray(x) <= 1.0 + 1e-12):
+    if not (np.asarray(x) <= 1.0 + 1e-12).all():
         raise ValueError("efficiency exceeded 1 beyond noise or is NaN")
-    return np.clip(x, 0.0, 1.0)
+    return np.minimum(np.maximum(x, 0.0), 1.0)
 
 
 def beam_waist(params: ChannelParams, distance_m):
@@ -165,7 +165,7 @@ def atmospheric_eff(params: ChannelParams, zenith_rad):
     at or beyond pi/2 are rejected.
     """
     theta = np.asarray(zenith_rad, dtype=float)
-    if np.any(theta < 0.0) or np.any(theta >= math.pi / 2):
+    if (theta < 0.0).any() or (theta >= math.pi / 2).any():
         raise ValueError("zenith angle must lie in [0, pi/2)")
     out = _clamp_unit(params.zenith_transmittance ** (1.0 / np.cos(theta)))
     return float(out) if np.isscalar(zenith_rad) else out
@@ -253,7 +253,7 @@ def pair_fidelity(f_s: float, n_bar: float, eta_tr):
     if n_bar < 0:
         raise ValueError("mean background photon number must be >= 0")
     eta = np.asarray(eta_tr, dtype=float)
-    if np.any(eta <= 0.0):
+    if (eta <= 0.0).any():
         raise NoResultError(
             "zero_transmission", "pair fidelity undefined at zero transmission"
         )

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -78,7 +79,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and then shared: parsing
+    leaves it unchanged and returns a fresh namespace per call, whose
+    defaults are immutable (no ``--set`` is None, not a shared list)."""
     common = _Parser(add_help=False)
     common.add_argument(
         "--config", metavar="FILE", help="scenario file (defaults to the baseline)"
@@ -87,7 +92,6 @@ def _build_parser() -> _Parser:
         "--set",
         metavar="SECTION.KEY=VALUE",
         action="append",
-        default=[],
         dest="overrides",
         help="override one scenario value (repeatable)",
     )
@@ -184,7 +188,7 @@ def main(argv=None) -> int:
 
 
 def _load(args) -> Scenario:
-    return load_scenario(args.config, tuple(args.overrides))
+    return load_scenario(args.config, tuple(args.overrides or ()))
 
 
 def _provenance(scenario: Scenario) -> str:
@@ -376,7 +380,7 @@ def _cmd_sensitivity(args) -> int:
     base = _load(args)
     for tok in tokens:
         scenario = load_scenario(
-            args.config, tuple(args.overrides) + (f"{args.param}={tok}",)
+            args.config, tuple(args.overrides or ()) + (f"{args.param}={tok}",)
         )
         rows = _sweep_rows(scenario, distances, levels, args.with_direct, cache)
         for row in rows:

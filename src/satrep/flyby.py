@@ -18,6 +18,14 @@ one profile per rule, up to 1,024 nodes (six rules) before
 :class:`QuadratureError`.  Most passes agree at 64 nodes; grazing passes
 with a thin atmosphere and a narrow beam need up to 256.
 
+A distance sweep converges its passes in one call: passes that differ only
+in link length are sampled together as (passes x nodes) arrays, each
+leaving the batch at its own converged rule, and one pass is a batch of
+one.  Each pass mean is a row of a matrix product, summed in another order
+than one dot product per pass, so the values differ from per-pass dot
+products in the last bits: by at most 1.3e-14 relative over the 8,680 rows
+of the sweeps checked, with every status unchanged.
+
 The composite Simpson rule on the uniform grid (:func:`average_two_photon`,
 :func:`average_pair_fidelity`) stays as the reference the tests and the
 ``flyby`` CSV use; every Simpson estimate is cross-checked against its own
@@ -28,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +48,7 @@ from .channel import (
     pair_fidelity,
     single_photon_transmission,
 )
-from .orbit import OrbitGeometry, pass_timing, slant_distance, zenith_angle
+from .orbit import OrbitGeometry, PassTiming, pass_timing, slant_distance, zenith_angle
 
 __all__ = [
     "FlybyAggregates",
@@ -58,13 +67,19 @@ CONVERGENCE_RTOL = 1e-6
 # budget of 128 nodes fails on grazing passes (h = 200 km, max zenith 89.9
 # deg, zenith transmittance 0.5, 5 mm beam waist) that 256 nodes resolve.
 GAUSS_NODES = (32, 64, 128, 256, 512, 1024)
+_TINY = np.finfo(float).tiny
 
 
 class NoVisibilityError(NoResultError):
     """The satellite is never simultaneously visible from both stations."""
 
-    def __init__(self, message: str) -> None:
-        super().__init__("no_visibility", message)
+    def __init__(self, geom: OrbitGeometry) -> None:
+        super().__init__(
+            "no_visibility",
+            f"no visibility window: altitude {geom.altitude_m} m cannot serve "
+            f"stations {geom.link_length_m} m apart below zenith angle "
+            f"{geom.max_zenith_rad} rad",
+        )
 
 
 class QuadratureError(RuntimeError):
@@ -79,7 +94,9 @@ class FlybyProfile:
 
     Arrays are aligned sample-by-sample; ``eta2_tr`` is exactly ``eta_tr**2``
     and ``f_pair`` is the instantaneous pair fidelity with the scenario's
-    constant background photon number folded in.
+    constant background photon number folded in (NaN where ``eta_tr`` is 0).
+    A profile of a batch of passes holds (passes, samples) arrays and a
+    (passes, 1) column of durations.
     """
 
     times_s: np.ndarray
@@ -111,6 +128,7 @@ def build_profile(
     n_samples: int = DEFAULT_SAMPLES,
     *,
     fractions: np.ndarray | None = None,
+    timing: PassTiming | None = None,
 ) -> FlybyProfile:
     """Sample d(t), theta(t), eta_tr(t), eta_tr^2(t) and F_pair(t) over one flyby.
 
@@ -118,18 +136,18 @@ def build_profile(
     Simpson needs an even interval count); with ``fractions`` (values in
     [0, 1]) at t = fractions * T_FB instead, and ``n_samples`` is unused.
     Such a profile is for quadrature only, not a time series: its times keep
-    the order of ``fractions``.  A geometry with no joint-visibility window
-    raises :class:`NoVisibilityError`.
+    the order of ``fractions``.  ``timing`` defaults to ``pass_timing(geom)``,
+    and a geometry with no joint-visibility window raises
+    :class:`NoVisibilityError`.  A given timing must be visible; with
+    ``fractions``, a batch timing (column arrays, see
+    :class:`~satrep.orbit.PassTiming`) samples all its passes at once.
     """
     if fractions is None and (n_samples < 3 or n_samples % 2 == 0):
         raise ValueError(f"n_samples must be odd and >= 3, got {n_samples}")
-    timing = pass_timing(geom)
-    if not timing.visible:
-        raise NoVisibilityError(
-            f"no visibility window: altitude {geom.altitude_m} m cannot serve "
-            f"stations {geom.link_length_m} m apart below zenith angle "
-            f"{geom.max_zenith_rad} rad"
-        )
+    if timing is None:
+        timing = pass_timing(geom)
+        if not timing.visible:
+            raise NoVisibilityError(geom)
     if fractions is None:
         times = np.linspace(0.0, timing.flyby_duration_s, n_samples)
     else:
@@ -138,7 +156,9 @@ def build_profile(
     zenith = zenith_angle(geom, slant)
     eta = single_photon_transmission(params, slant, zenith)
     n_bar = mean_background_photons(params)
-    f_pair = pair_fidelity(source_fidelity, n_bar, eta)
+    # No pair fidelity where no photon arrives: NaN there, not an error, so
+    # that one such pass does not stop a batch.
+    f_pair = pair_fidelity(source_fidelity, n_bar, np.where(eta > 0.0, eta, np.nan))
     return FlybyProfile(
         times_s=times,
         slant_m=slant,
@@ -243,42 +263,127 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return fractions, weights
 
 
+@functools.cache
+def _rules(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre rules with these node counts, sampled in one
+    profile: their fractions, concatenated, and a (samples, rules) weight
+    matrix whose column j holds rule j's weights on rule j's samples and 0
+    elsewhere.  Read-only, built once per ``counts``."""
+    rules = [_gauss_legendre(n) for n in counts]
+    fractions = np.concatenate([f for f, _ in rules])
+    weights = np.zeros((fractions.size, len(counts)))
+    start = 0
+    for j, (_, w) in enumerate(rules):
+        weights[start : start + w.size, j] = w
+        start += w.size
+    fractions.setflags(write=False)
+    weights.setflags(write=False)
+    return fractions, weights
+
+
+def _settled(history: np.ndarray, rtol: float) -> np.ndarray:
+    """Per pass, whether P0 and F_pair_avg (axis 0 of ``history``) both moved
+    by less than ``rtol`` between the last two rules (its last axis),
+    relative to the last."""
+    prev, last = history[..., -2], history[..., -1]
+    rel = np.abs(last - prev) / np.maximum(np.abs(last), _TINY)
+    return (rel < rtol).all(axis=0)
+
+
 def converged_aggregates(
-    geom: OrbitGeometry,
+    geometry: OrbitGeometry | Sequence[OrbitGeometry],
     params: ChannelParams,
     source_fidelity: float,
     rtol: float = CONVERGENCE_RTOL,
-) -> FlybyAggregates:
+) -> FlybyAggregates | list[FlybyAggregates | NoResultError]:
     """Compute the flyby aggregates by Gauss-Legendre quadrature, doubling
     the node count from the 32/64 pair of :data:`GAUSS_NODES` until P0 and
     F_pair_avg both move by less than ``rtol`` between successive rules, and
-    return the finer rule's values.  Past the last rule, raise
-    :class:`QuadratureError` with the (nodes, P0, F_pair_avg) history.
+    return the finer rule's values.
+
+    ``geometry`` is one pass, or a sequence of passes that differ only in
+    link length.  The passes are sampled together, one profile of (passes,
+    nodes) arrays per rule set, and each leaves the batch at its own
+    converged rule.  For a sequence the result is a list holding, per pass,
+    its :class:`FlybyAggregates` or the :class:`NoResultError` that stopped
+    it: :class:`NoVisibilityError`, or ``zero_transmission`` when the
+    transmission is 0 at a node or the two-photon transmission averages to
+    0.  For one pass that error is raised.  Any other error is raised for
+    the whole batch, including :class:`QuadratureError` when a pass is still
+    unconverged past the last rule; its message names the pass's link length
+    and gives its (nodes, P0, F_pair_avg) history.
     """
-    history = []
-    for batch in (GAUSS_NODES[:2], *((n,) for n in GAUSS_NODES[2:])):
-        rules = [_gauss_legendre(n) for n in batch]
+    single = isinstance(geometry, OrbitGeometry)
+    geoms = [geometry] if single else list(geometry)
+    shared = {
+        (g.altitude_m, g.earth_radius_m, g.mu_m3_per_s2, g.max_zenith_rad) for g in geoms
+    }
+    if len(shared) > 1:
+        raise ValueError("a batch of passes may differ only in link length")
+    timings = [pass_timing(g) for g in geoms]
+    results: list = [
+        None if t.visible else NoVisibilityError(g) for g, t in zip(geoms, timings)
+    ]
+    # The passes still converging: their indices, (t0, cos(L0 / 2 R_E))
+    # rows and, per rule so far, P0 and F_pair_avg as a (2, passes, rules)
+    # history.
+    rows = [i for i, t in enumerate(timings) if t.visible]
+    passes = np.array(
+        [(timings[i].t0_s, timings[i].cos_half_angle) for i in rows]
+    ).reshape(len(rows), 2)
+    history = None
+    nodes = GAUSS_NODES
+    for counts in (nodes[:2], *((n,) for n in nodes[2:])):
+        if not rows:
+            break
+        fractions, weights = _rules(counts)
         profile = build_profile(
-            geom, params, source_fidelity, fractions=np.concatenate([f for f, _ in rules])
+            geoms[0], params, source_fidelity, fractions=fractions,
+            timing=PassTiming(passes[:, :1], passes[:, 1:]),
         )
         eta2 = profile.eta2_tr
-        f_eta2 = profile.f_pair * eta2
-        start = 0
-        for n, (_, weights) in zip(batch, rules):
-            part = slice(start, start + n)
-            # The weights sum to 1, so each dot product is a pass mean.
-            p0 = float(weights @ eta2[part])
-            fbar = float(weights @ f_eta2[part]) / p0 if p0 else math.nan
-            history.append((n, p0, fbar))
-            start += n
-        (_, p0_prev, fbar_prev), (_, p0, fbar) = history[-2:]
-        rel_p0 = abs(p0 - p0_prev) / max(abs(p0), np.finfo(float).tiny)
-        rel_fb = abs(fbar - fbar_prev) / max(abs(fbar), np.finfo(float).tiny)
-        if rel_p0 < rtol and rel_fb < rtol:
-            return FlybyAggregates(
-                p0=p0, f_pair_avg=fbar, flyby_duration_s=profile.flyby_duration_s
-            )
-    raise QuadratureError(
-        f"flyby aggregates did not converge to {rtol} within {GAUSS_NODES[-1]} "
-        f"Gauss-Legendre nodes; history (nodes, P0, F_pair_avg): {history}"
-    )
+        # The weights sum to 1, so each product is a pass mean: P0, then the
+        # weighted F_pair mean, divided by P0.  0/0 (eta^2 underflowing on
+        # every node) gives NaN, as a node with eta = 0 does.
+        means = (np.concatenate((eta2, profile.f_pair * eta2)) @ weights).reshape(
+            2, len(rows), len(counts)
+        )
+        p0, fbar = means
+        with np.errstate(invalid="ignore"):
+            fbar /= p0
+        history = means if history is None else np.concatenate((history, means), axis=2)
+        dark = np.isnan(fbar).any(axis=1)
+        settled = _settled(history, rtol)
+        pending = []
+        outcomes = zip(rows, dark.tolist(), settled.tolist())
+        for k, (row, no_light, done) in enumerate(outcomes):
+            if no_light:
+                results[row] = NoResultError(
+                    "zero_transmission",
+                    "pass-averaged pair fidelity undefined: zero transmission at "
+                    f"link length {geoms[row].link_length_m} m",
+                )
+            elif done:
+                results[row] = FlybyAggregates(
+                    p0=float(p0[k, -1]),
+                    f_pair_avg=float(fbar[k, -1]),
+                    flyby_duration_s=timings[row].flyby_duration_s,
+                )
+            else:
+                pending.append(k)
+        rows = [rows[k] for k in pending]
+        if not rows:
+            break
+        passes, history = passes[pending], history[:, pending]
+    if rows:
+        trail = list(zip(nodes, history[0, 0].tolist(), history[1, 0].tolist()))
+        raise QuadratureError(
+            f"flyby aggregates did not converge to {rtol} within {nodes[-1]} "
+            f"Gauss-Legendre nodes at link length {geoms[rows[0]].link_length_m} m; "
+            f"history (nodes, P0, F_pair_avg): {trail}"
+        )
+    if not single:
+        return results
+    if isinstance(results[0], NoResultError):
+        raise results[0]
+    return results[0]

@@ -8,7 +8,9 @@ the satellite is simultaneously visible from both stations (zenith angle below
 ``theta_max`` at each).  Earth's rotation is neglected; time ``t = 0`` is the
 instant the satellite enters visibility, ``t = t0`` the closest approach.
 
-All functions are pure and accept numpy arrays in the time/distance arguments.
+All functions are pure and accept numpy arrays in the time/distance arguments;
+a :class:`PassTiming` of column arrays batches passes that differ only in link
+length.
 """
 
 from __future__ import annotations
@@ -81,13 +83,17 @@ class OrbitGeometry:
 
 @dataclass(frozen=True)
 class PassTiming:
-    """Visibility window of one pass: half-flyby time ``t0`` and ``T_FB = 2 t0``."""
+    """One pass over a pair of stations: its half-flyby time ``t0``
+    (``T_FB = 2 t0``, 0 when never jointly visible) and ``cos(L0 / 2 R_E)``,
+    the cosine of half the stations' central angle.
+
+    For a batch of passes that differ only in link length, both fields are
+    column arrays of shape (passes, 1), and :func:`slant_distance` broadcasts
+    over them.
+    """
 
     t0_s: float
-
-    def __post_init__(self) -> None:
-        if self.t0_s < 0:
-            raise ValueError("t0 must be >= 0")
+    cos_half_angle: float
 
     @property
     def flyby_duration_s(self) -> float:
@@ -127,7 +133,7 @@ def half_flyby_time(geom: OrbitGeometry) -> float:
         raise ValueError(
             f"pass geometry overflows double precision (Earth radius {r_e:.3g} m)"
         ) from exc
-    denom = geom.orbit_radius_m * math.cos(geom.link_length_m / (2.0 * r_e))
+    denom = geom.orbit_radius_m * _cos_half_angle(geom)
     if denom <= 0.0:
         return 0.0  # L0 within rounding of pi R_E
     arg = numer / denom
@@ -139,9 +145,13 @@ def half_flyby_time(geom: OrbitGeometry) -> float:
     return math.acos(arg) / angular_speed(geom)
 
 
+def _cos_half_angle(geom: OrbitGeometry) -> float:
+    return math.cos(geom.link_length_m / (2.0 * geom.earth_radius_m))
+
+
 def pass_timing(geom: OrbitGeometry) -> PassTiming:
-    """Convenience wrapper bundling t0 and T_FB."""
-    return PassTiming(t0_s=half_flyby_time(geom))
+    """The pass's t0 (hence T_FB) and cos(L0 / 2 R_E)."""
+    return PassTiming(t0_s=half_flyby_time(geom), cos_half_angle=_cos_half_angle(geom))
 
 
 def slant_distance(geom: OrbitGeometry, timing: PassTiming, t_s):
@@ -150,18 +160,20 @@ def slant_distance(geom: OrbitGeometry, timing: PassTiming, t_s):
     d^2 = R_E^2 + (R_E + h)^2
           - 2 R_E (R_E + h) cos(L0 / 2 R_E) cos(omega (t0 - t))
 
-    Accepts scalar or array ``t_s``; values outside [0, T_FB] are rejected.
+    ``timing`` (from :func:`pass_timing`) supplies t0 and cos(L0 / 2 R_E),
+    so a batch timing samples, against ``t_s`` of shape (passes, samples),
+    every pass that differs from ``geom`` only in link length.  Accepts scalar
+    or array ``t_s``; values outside [0, T_FB] are rejected.
     """
     t = np.asarray(t_s, dtype=float)
-    if np.any(t < 0.0) or np.any(t > timing.flyby_duration_s):
+    if (t < 0.0).any() or (t > timing.flyby_duration_s).any():
         raise ValueError(
             f"time outside the flyby window [0, {timing.flyby_duration_s}]"
         )
     r_e = geom.earth_radius_m
     r_o = geom.orbit_radius_m
     omega = angular_speed(geom)
-    cos_half = math.cos(geom.link_length_m / (2.0 * r_e))
-    d_sq = r_e**2 + r_o**2 - 2.0 * r_e * r_o * cos_half * np.cos(
+    d_sq = r_e**2 + r_o**2 - 2.0 * r_e * r_o * timing.cos_half_angle * np.cos(
         omega * (timing.t0_s - t)
     )
     d = np.sqrt(d_sq)
@@ -178,16 +190,16 @@ def zenith_angle(geom: OrbitGeometry, d_m):
     minimum) raise :class:`GeometryError`.
     """
     d = np.asarray(d_m, dtype=float)
-    if np.any(d <= 0.0):
+    if (d <= 0.0).any():
         raise GeometryError("slant distance must be positive")
     h = geom.altitude_m
     r_e = geom.earth_radius_m
     cos_theta = h / d - (d * d - h * h) / (2.0 * r_e * d)
-    if np.any(cos_theta > 1.0 + _COS_SLACK):
+    if (cos_theta > 1.0 + _COS_SLACK).any():
         raise GeometryError(
             "slant distance below the physical minimum for this altitude"
         )
-    if np.any(cos_theta <= 0.0):
+    if (cos_theta <= 0.0).any():
         raise GeometryError("satellite at or beyond the horizon (zenith >= pi/2)")
     theta = np.arccos(np.minimum(cos_theta, 1.0))
     return float(theta) if np.isscalar(d_m) else theta

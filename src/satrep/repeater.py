@@ -284,29 +284,40 @@ def distance_sweep(
     template; depth 0 (direct transmission, no memories) stops at the pass
     aggregates.  ``cache`` maps (geometry, channel, source fidelity) to
     converged pass aggregates; pass the same dict to sweeps that differ only
-    in node-side parameters to skip their quadrature.  A
-    :class:`NoResultError` ends only its point, any other error the sweep.
+    in node-side parameters to skip their quadrature.  The passes missing
+    from it are converged in one batch.  A :class:`NoResultError` ends only
+    its point, any other error the sweep.
     """
     cache = {} if cache is None else cache
-    points = []
+    channel, fidelity = cfg_template.channel, cfg_template.source.pair_fidelity
+    plan = []
     for n in (cfg_template.n_levels,) if levels is None else levels:
         for l_total in l_totals_m:
             if not l_total > 0:
                 raise ValueError("total distance must be positive")
             link = l_total / 2**n
-            geom = dataclasses.replace(cfg_template.geometry, link_length_m=link)
+            plan.append(
+                (n, l_total, dataclasses.replace(cfg_template.geometry, link_length_m=link))
+            )
+    missing = dict.fromkeys(g for _, _, g in plan if (g, channel, fidelity) not in cache)
+    failed = {}
+    if missing:
+        outcomes = converged_aggregates(list(missing), channel, fidelity)
+        for geom, agg in zip(missing, outcomes):
+            if isinstance(agg, NoResultError):
+                failed[geom] = agg.status
+            else:
+                cache[geom, channel, fidelity] = agg
+    points = []
+    for n, l_total, geom in plan:
+        status, result = failed.get(geom, "ok"), None
+        agg = cache.get((geom, channel, fidelity))
+        if agg is not None and n:
             cfg = dataclasses.replace(cfg_template, geometry=geom, n_levels=n)
-            key = (geom, cfg.channel, cfg.source.pair_fidelity)
-            status, result = "ok", None
-            agg = cache.get(key)
             try:
-                if agg is None:
-                    agg = cache[key] = converged_aggregates(*key)
-                if n:
-                    result = evaluate_with_aggregates(cfg, agg)
+                result = evaluate_with_aggregates(cfg, agg)
             except NoResultError as exc:
                 status = exc.status
-            points.append(
-                SweepPoint(l_total, n, geom.altitude_m, link, status, agg, result)
-            )
+        link = geom.link_length_m
+        points.append(SweepPoint(l_total, n, geom.altitude_m, link, status, agg, result))
     return points

@@ -253,6 +253,16 @@ class TestSweepStatus:
         assert record["visible"] == "true"
         assert record["T_FB_s"] == record["P0"] == record["pairs_per_flyby"] == ""
 
+    def test_underflowing_two_photon_transmission_is_zero_transmission(self, capsys):
+        # eta ~ 1e-303 is positive, but eta^2 underflows to 0 on every node,
+        # so P0 is 0 and F_pair_avg undefined: a status, not a quadrature error.
+        (record,) = self.records(
+            capsys, "--set", "channel.coupling_efficiency=1e-300",
+            "--distances-km", "10000", "--links", "4",
+        )
+        assert (record["status"], record["visible"]) == ("zero_transmission", "true")
+        assert record["P0"] == record["pairs_per_flyby"] == ""
+
     def test_zero_herald_rate_keeps_aggregates(self, capsys):
         chain, direct = self.records(
             capsys, "--set", "node.caps_success_probability=0",
@@ -400,6 +410,42 @@ class TestMc:
         assert main(["mc", "--trials", "100", "--seed", "3", "--output", str(out)]) == 3
         payload = json.loads(out.read_text())
         assert payload["trials"] == 100 and payload["seed"] == 3
+
+
+class TestRepeatedCalls:
+    def test_successive_calls_share_no_state(self, tmp_path, capsys):
+        from satrep import cli
+
+        def provenance(text):
+            return json.loads(text.splitlines()[0][2:])
+
+        first = tmp_path / "first.csv"
+        assert main(
+            ["rates", "--set", "orbit.altitude_m=1e6", "--distances-km", "5000",
+             "--links", "4", "--with-direct", "--output", str(first)]
+        ) == 0
+        written = first.read_text()
+        assert provenance(written)["orbit.altitude_m"] == 1e6
+        assert len(written.splitlines()) == 4  # provenance, header, chain, direct
+        # Another subcommand with its own override, output file and defaults.
+        profile = tmp_path / "profile.csv"
+        assert main(
+            ["flyby", "--set", "channel.beam_waist_m=0.03", "--samples", "5",
+             "--output", str(profile)]
+        ) == 0
+        params = provenance(profile.read_text())
+        assert (params["orbit.altitude_m"], params["channel.beam_waist_m"]) == (1.5e6, 0.03)
+        capsys.readouterr()
+        # Back to the first subcommand without --set, --output or --with-direct.
+        assert main(["rates", "--distances-km", "5000", "--links", "4"]) == 0
+        out = capsys.readouterr().out
+        params = provenance(out)
+        assert (params["orbit.altitude_m"], params["channel.beam_waist_m"]) == (1.5e6, 0.025)
+        assert len(out.splitlines()) == 3
+        assert first.read_text() == written
+        assert main(["caps-curve", "--points", "2"]) == 0
+        assert provenance(capsys.readouterr().out) == default_scenario().flat_dict()
+        assert cli._build_parser.cache_info().misses == 1
 
 
 class TestCapsCurve:

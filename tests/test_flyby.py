@@ -7,7 +7,9 @@ from scipy.integrate import simpson
 
 from satrep import flyby
 from satrep.channel import ChannelParams, two_photon_transmission
+from satrep.channel import NoResultError
 from satrep.flyby import (
+    FlybyAggregates,
     FlybyProfile,
     NoVisibilityError,
     QuadratureError,
@@ -209,6 +211,47 @@ def test_grazing_pass_converges_within_budget(key, channel, monkeypatch):
     monkeypatch.setattr(flyby, "GAUSS_NODES", flyby.GAUSS_NODES[:3])
     with pytest.raises(QuadratureError):
         converged_aggregates(geom, params, 0.998)
+
+
+# Link lengths of one batch at the first grazing pass's altitude, zenith mask
+# and channel: 1,000 and 2,500 km converge at 64 nodes, 300 km at 128, the
+# grazing 100 km at 256; at 3,130 km eta^2 underflows to 0 on every node;
+# 3,200 km lies beyond the zenith mask and 21,000 km beyond pi R_E.
+BATCH_LINKS = (1.0e6, 1.0e5, 3.0e5, 2.5e6, 3.13e6, 3.2e6, 2.1e7)
+BATCH_STATUSES = {
+    1.0: ["ok"] * 4 + ["zero_transmission"] + ["no_visibility"] * 2,
+    1e-300: ["zero_transmission"] * 5 + ["no_visibility"] * 2,
+}
+
+
+@pytest.mark.parametrize("receiver_radius", sorted(BATCH_STATUSES))
+def test_batch_agrees_with_single_passes(receiver_radius, channel):
+    params = dataclasses.replace(
+        channel, zenith_transmittance=0.5, beam_waist_m=0.005,
+        receiver_radius_m=receiver_radius,
+    )
+    geoms = [
+        OrbitGeometry(altitude_m=2.0e5, link_length_m=l0, max_zenith_rad=math.radians(89.9))
+        for l0 in BATCH_LINKS
+    ]
+    batch = converged_aggregates(geoms, params, 0.998)
+    statuses = [getattr(got, "status", "ok") for got in batch]
+    assert statuses == BATCH_STATUSES[receiver_radius]
+    for geom, got in zip(geoms, batch):
+        try:
+            want = converged_aggregates(geom, params, 0.998)
+        except NoResultError as exc:
+            assert type(got) is type(exc) and got.status == exc.status
+            continue
+        assert isinstance(got, FlybyAggregates)
+        assert got.flyby_duration_s == want.flyby_duration_s
+        assert got.p0 == pytest.approx(want.p0, rel=1e-13)
+        assert got.f_pair_avg == pytest.approx(want.f_pair_avg, rel=1e-13)
+
+
+def test_batch_rejects_passes_that_differ_beyond_link_length(channel):
+    with pytest.raises(ValueError, match="differ only in link length"):
+        converged_aggregates([make_geom(1.5e6, 2.0e6), make_geom(1.0e6, 2.0e6)], channel, 0.998)
 
 
 @pytest.mark.parametrize("n", flyby.GAUSS_NODES)

@@ -3,7 +3,9 @@ import math
 
 import pytest
 
-from satrep.flyby import converged_aggregates
+from satrep import flyby
+from satrep.flyby import QuadratureError, converged_aggregates
+from satrep.orbit import OrbitGeometry
 from satrep.repeater import (
     RepeaterConfig,
     distance_sweep,
@@ -239,6 +241,23 @@ class TestDistanceSweep:
         )
         assert second[0].aggregates is first[0].aggregates
         assert second[0].result.fidelity_final < first[0].result.fidelity_final
+
+    def test_quadrature_error_of_one_point_ends_the_sweep(self, baseline_cfg, monkeypatch):
+        # 1,000 km links converge at 64 nodes and 20,000 km ones are never
+        # seen, but the grazing 100 km pass needs 256 nodes.
+        geometry = OrbitGeometry(
+            altitude_m=2.0e5, link_length_m=1.0e5, max_zenith_rad=math.radians(89.9)
+        )
+        channel = dataclasses.replace(
+            baseline_cfg.channel, zenith_transmittance=0.5, beam_waist_m=0.005
+        )
+        cfg = dataclasses.replace(baseline_cfg, geometry=geometry, channel=channel)
+        assert [p.status for p in distance_sweep(cfg, [4.0e6, 8.0e7])] == [
+            "ok", "no_visibility",
+        ]
+        monkeypatch.setattr(flyby, "GAUSS_NODES", (32, 64))
+        with pytest.raises(QuadratureError, match=r"at link length 100000\.0 m;"):
+            distance_sweep(cfg, [4.0e6, 4.0e5, 8.0e7])
 
     def test_sweep_rejects_nonpositive_distance(self, baseline_cfg):
         with pytest.raises(ValueError):
