@@ -6,8 +6,7 @@ import pytest
 from scipy.integrate import simpson
 
 from satrep import flyby
-from satrep.channel import ChannelParams, two_photon_transmission
-from satrep.channel import NoResultError
+from satrep.channel import ChannelParams, NoResultError, two_photon_transmission
 from satrep.flyby import (
     FlybyAggregates,
     FlybyProfile,
@@ -250,8 +249,9 @@ def test_batch_agrees_with_single_passes(receiver_radius, channel):
 
 
 def test_batch_rejects_passes_that_differ_beyond_link_length(channel):
+    geoms = [make_geom(1.5e6, 2.0e6), make_geom(1.0e6, 2.0e6)]
     with pytest.raises(ValueError, match="differ only in link length"):
-        converged_aggregates([make_geom(1.5e6, 2.0e6), make_geom(1.0e6, 2.0e6)], channel, 0.998)
+        converged_aggregates(geoms, channel, 0.998)
 
 
 @pytest.mark.parametrize("n", flyby.GAUSS_NODES)
