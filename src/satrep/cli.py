@@ -39,8 +39,6 @@ from .flyby import QuadratureError, build_profile, converged_aggregates
 from .mc_oracle import compare_report, simulate_chain
 from .node import caps_success
 from .repeater import (
-    RepeaterConfig,
-    SweepPoint,
     distance_sweep,
     evaluate_with_aggregates,
     pairs_per_flyby,
@@ -290,76 +288,55 @@ def _sweep_rows(
     levels: list[int],
     with_direct: bool,
     cache: dict,
-) -> list[dict]:
-    """One output dict per :func:`distance_sweep` point: the chain at each
-    depth in ``levels``, then, with ``with_direct``, the direct-transmission
-    reference as depth 0."""
+    lead: list[str],
+) -> list[list[str]]:
+    """One CSV row per :func:`distance_sweep` point, in :func:`_header`
+    order after the ``lead`` cells: the chain at each depth in ``levels``,
+    then, with ``with_direct``, the direct-transmission reference as depth
+    0.  Floats are written with ``repr``, blank where the point has none."""
     base = scenario.repeater_config()
     depths = levels + [0] if with_direct else levels
-    points = distance_sweep(base, distances_m, cache, depths)
-    return [_point_row(base, pt) for pt in points]
+    width = max(levels, default=0) + 1
+    rows = []
+    for pt in distance_sweep(base, distances_m, cache, depths):
+        agg, result, fidelities = pt.aggregates, pt.result, []
+        row = [
+            *lead,
+            repr(pt.l_total_m / 1e3),
+            str(pt.n_levels),
+            repr(pt.altitude_m / 1e3),
+            repr(pt.link_length_m / 1e3),
+        ]
+        if agg is None:
+            row += ["" if pt.visible else "0.0", "", "", "", "", ""]
+        else:
+            row += [repr(agg.flyby_duration_s), repr(agg.p0), repr(agg.f_pair_avg)]
+            if pt.n_levels == 0:
+                # Direct rows use only the pass aggregates: no memories, no
+                # swapping.  Unlike repeater rows, whose fidelity_final is the
+                # Werner parameter, this is the Bell-state fidelity F_pair_avg.
+                rate = rate_direct(base, agg)
+                row += [repr(rate), repr(pairs_per_flyby(rate, agg.flyby_duration_s)), row[-1]]
+            elif result is None:
+                row += ["", "", ""]
+            else:
+                fidelities = [repr(f) for f in result.fidelity_per_level]
+                row += [repr(result.rate_hz), repr(result.pairs_per_flyby), fidelities[-1]]
+        row += ["true" if pt.visible else "false", pt.status, *fidelities]
+        rows.append(row + [""] * (width - len(fidelities)))
+    return rows
 
 
-def _point_row(base: RepeaterConfig, pt: SweepPoint) -> dict:
-    row = {
-        "L_total_km": pt.l_total_m / 1e3,
-        "n_levels": pt.n_levels,
-        "h_km": pt.altitude_m / 1e3,
-        "L0_km": pt.link_length_m / 1e3,
-        "visible": pt.visible,
-        "status": pt.status,
-    }
-    agg = pt.aggregates
-    if agg is None:
-        if not pt.visible:
-            row["T_FB_s"] = 0.0
-        return row
-    row["T_FB_s"] = agg.flyby_duration_s
-    row["P0"] = agg.p0
-    row["F_pair_avg"] = agg.f_pair_avg
-    if pt.n_levels == 0:
-        # Direct rows use only the pass aggregates: no memories, no swapping.
-        # Unlike repeater rows, whose fidelity_final is the Werner parameter,
-        # this is the Bell-state fidelity F_pair_avg.
-        rate = rate_direct(base, agg)
-        row["rate_hz"] = rate
-        row["pairs_per_flyby"] = pairs_per_flyby(rate, agg.flyby_duration_s)
-        row["fidelity_final"] = agg.f_pair_avg
-    elif pt.result is not None:
-        row["rate_hz"] = pt.result.rate_hz
-        row["pairs_per_flyby"] = pt.result.pairs_per_flyby
-        row["fidelity_final"] = pt.result.fidelity_final
-        for k, f in enumerate(pt.result.fidelity_per_level):
-            row[f"F{k}"] = f
-    return row
-
-
-def _render_sweep(rows: list[dict], levels: list[int], extra: list[str]) -> tuple[list[str], list[list]]:
-    max_levels = max(levels, default=0)
-    header = extra + _SWEEP_COLUMNS + [f"F{k}" for k in range(max_levels + 1)]
-    rendered = []
-    for row in rows:
-        rendered.append([_cell(row.get(col)) for col in header])
-    return header, rendered
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _header(levels: list[int], lead: list[str]) -> list[str]:
+    return lead + _SWEEP_COLUMNS + [f"F{k}" for k in range(max(levels, default=0) + 1)]
 
 
 def _cmd_rates(args) -> int:
     scenario = _load(args)
     distances = [d * 1e3 for d in _parse_floats(args.distances_km, "--distances-km")]
     levels = _parse_links(args.links)
-    rows = _sweep_rows(scenario, distances, levels, args.with_direct, {})
-    header, rendered = _render_sweep(rows, levels, [])
-    _emit(args, _csv_text(scenario, header, rendered))
+    rows = _sweep_rows(scenario, distances, levels, args.with_direct, {}, [])
+    _emit(args, _csv_text(scenario, _header(levels, []), rows))
     return 0
 
 
@@ -375,20 +352,16 @@ def _cmd_sensitivity(args) -> int:
     distances = [d * 1e3 for d in _parse_floats(args.distances_km, "--distances-km")]
     levels = _parse_links(args.links)
 
-    all_rows: list[dict] = []
+    rows: list[list[str]] = []
     cache: dict = {}
     base = _load(args)
     for tok in tokens:
         scenario = load_scenario(
             args.config, tuple(args.overrides or ()) + (f"{args.param}={tok}",)
         )
-        rows = _sweep_rows(scenario, distances, levels, args.with_direct, cache)
-        for row in rows:
-            row["param"] = args.param
-            row["value"] = float(tok)
-        all_rows.extend(rows)
-    header, rendered = _render_sweep(all_rows, levels, ["param", "value"])
-    _emit(args, _csv_text(base, header, rendered))
+        lead = [args.param, repr(float(tok))]
+        rows += _sweep_rows(scenario, distances, levels, args.with_direct, cache, lead)
+    _emit(args, _csv_text(base, _header(levels, ["param", "value"]), rows))
     return 0
 
 

@@ -175,7 +175,9 @@ def waiting_time(level: int, t0_s: float) -> float:
     return 0.5 * 1.5 ** (level - 1) * t0_s
 
 
-def final_fidelity(cfg: RepeaterConfig, agg: FlybyAggregates) -> list[float]:
+def final_fidelity(
+    cfg: RepeaterConfig, agg: FlybyAggregates, *, t0_s: float | None = None
+) -> list[float]:
     """Werner parameter after each swap level, including memory decay.
 
     Returns [F_0, F_1, ..., F_n]: F_0 is the freshly heralded elementary link;
@@ -184,11 +186,12 @@ def final_fidelity(cfg: RepeaterConfig, agg: FlybyAggregates) -> list[float]:
 
         F_k = F_gate * F_readout^2 * (1/4 + (F_{k-1} - 1/4) e^{-gamma_s T_k}) * F_{k-1}
 
+    ``t0_s`` is T0 (:func:`elementary_time`) where the caller has it already.
     Raises :class:`NoResultError` (``unphysical_fidelity``) if any level
     falls below the physical floor of -1/3.
     """
     f0 = elementary_link_fidelity(agg.f_pair_avg, cfg.node.caps_fidelity)
-    t0 = elementary_time(cfg, agg)
+    t0 = elementary_time(cfg, agg) if t0_s is None else t0_s
     gamma_s = cfg.node.spin_decoherence_rate_hz
     gate_factor = cfg.node.rydberg_gate_fidelity * cfg.node.readout_fidelity**2
     levels = [f0]
@@ -242,7 +245,7 @@ def evaluate_with_aggregates(
     return RepeaterResult(
         rate_hz=r_mux,
         pairs_per_flyby=pairs_per_flyby(r_mux, agg.flyby_duration_s),
-        fidelity_per_level=tuple(final_fidelity(cfg, agg)),
+        fidelity_per_level=tuple(final_fidelity(cfg, agg, t0_s=t0)),
         waiting_time_per_level=waits,
         elementary_time_s=t0,
         aggregates=agg,
@@ -280,44 +283,48 @@ def distance_sweep(
 
     Each total distance is split into 2^n equal elementary links, for each
     nesting depth n in ``levels`` (default: the template's), depth-major;
-    geometry is rebuilt per point, everything else is taken from the
-    template; depth 0 (direct transmission, no memories) stops at the pass
-    aggregates.  ``cache`` maps (geometry, channel, source fidelity) to
-    converged pass aggregates; pass the same dict to sweeps that differ only
-    in node-side parameters to skip their quadrature.  The passes missing
-    from it are converged in one batch.  A :class:`NoResultError` ends only
-    its point, any other error the sweep.
+    the geometry is rebuilt once per distinct link length, everything else
+    is taken from the template; depth 0 (direct transmission, no memories)
+    stops at the pass aggregates.  ``cache`` maps (geometry, channel, source
+    fidelity) to the pass's converged aggregates, or to the status of the
+    :class:`NoResultError` that stopped it; pass the same dict to sweeps
+    that differ only in node-side parameters to skip their quadrature and
+    their classification.  The passes missing from it are converged in one
+    batch.  A :class:`NoResultError` ends only its point, any other error
+    the sweep, and is not cached.
     """
     cache = {} if cache is None else cache
     channel, fidelity = cfg_template.channel, cfg_template.source.pair_fidelity
-    plan = []
-    for n in (cfg_template.n_levels,) if levels is None else levels:
-        for l_total in l_totals_m:
-            if not l_total > 0:
-                raise ValueError("total distance must be positive")
-            link = l_total / 2**n
-            plan.append(
-                (n, l_total, dataclasses.replace(cfg_template.geometry, link_length_m=link))
-            )
-    missing = dict.fromkeys(g for _, _, g in plan if (g, channel, fidelity) not in cache)
-    failed = {}
+    altitude = cfg_template.geometry.altitude_m
+    depths = (cfg_template.n_levels,) if levels is None else levels
+    # The recursion reads no geometry: one config per depth serves every
+    # distance.
+    configs = [dataclasses.replace(cfg_template, n_levels=n) for n in depths]
+    if depths and not all(l_total > 0 for l_total in l_totals_m):
+        raise ValueError("total distance must be positive")
+    links = dict.fromkeys(l_total / 2**n for n in depths for l_total in l_totals_m)
+    geoms = {
+        link: dataclasses.replace(cfg_template.geometry, link_length_m=link) for link in links
+    }
+    entries = {link: cache.get((geom, channel, fidelity)) for link, geom in geoms.items()}
+    missing = [link for link, entry in entries.items() if entry is None]
     if missing:
-        outcomes = converged_aggregates(list(missing), channel, fidelity)
-        for geom, agg in zip(missing, outcomes):
-            if isinstance(agg, NoResultError):
-                failed[geom] = agg.status
-            else:
-                cache[geom, channel, fidelity] = agg
+        outcomes = converged_aggregates([geoms[link] for link in missing], channel, fidelity)
+        for link, agg in zip(missing, outcomes):
+            entry = agg.status if isinstance(agg, NoResultError) else agg
+            entries[link] = cache[geoms[link], channel, fidelity] = entry
     points = []
-    for n, l_total, geom in plan:
-        status, result = failed.get(geom, "ok"), None
-        agg = cache.get((geom, channel, fidelity))
-        if agg is not None and n:
-            cfg = dataclasses.replace(cfg_template, geometry=geom, n_levels=n)
-            try:
-                result = evaluate_with_aggregates(cfg, agg)
-            except NoResultError as exc:
-                status = exc.status
-        link = geom.link_length_m
-        points.append(SweepPoint(l_total, n, geom.altitude_m, link, status, agg, result))
+    for cfg in configs:
+        n = cfg.n_levels
+        for l_total in l_totals_m:
+            link = l_total / 2**n
+            agg, status, result = entries[link], "ok", None
+            if isinstance(agg, str):
+                status, agg = agg, None
+            elif n:
+                try:
+                    result = evaluate_with_aggregates(cfg, agg)
+                except NoResultError as exc:
+                    status = exc.status
+            points.append(SweepPoint(l_total, n, altitude, link, status, agg, result))
     return points

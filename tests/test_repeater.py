@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from satrep import flyby
+from satrep import flyby, repeater
 from satrep.flyby import QuadratureError, converged_aggregates
 from satrep.orbit import OrbitGeometry
 from satrep.repeater import (
@@ -228,17 +228,34 @@ class TestDistanceSweep:
         assert point.status == "ok"
         assert point.aggregates is not None and point.result is None
 
-    def test_cache_is_shared_across_node_parameters(self, baseline_cfg):
+    def test_cache_is_shared_across_node_parameters(self, baseline_cfg, monkeypatch):
         cache = {}
         first = distance_sweep(baseline_cfg, [1.0e7, 8.0e7], cache, levels=[2, 3])
         assert [(p.n_levels, p.l_total_m) for p in first] == [
             (2, 1.0e7), (2, 8.0e7), (3, 1.0e7), (3, 8.0e7),
         ]
-        assert len(cache) == 2  # failures are not cached
+        # Every pass is cached: the converged ones as their aggregates, the
+        # invisible ones (20,000 and 10,000 km links) as their status.
+        stored = {geom.link_length_m: entry for (geom, _, _), entry in cache.items()}
+        assert stored == {
+            2.5e6: first[0].aggregates,
+            2.0e7: "no_visibility",
+            1.25e6: first[2].aggregates,
+            1.0e7: "no_visibility",
+        }
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return converged_aggregates(*args, **kwargs)
+
+        monkeypatch.setattr(repeater, "converged_aggregates", counted)
         node = dataclasses.replace(baseline_cfg.node, caps_fidelity=0.95)
         second = distance_sweep(
-            dataclasses.replace(baseline_cfg, node=node), [1.0e7], cache
+            dataclasses.replace(baseline_cfg, node=node), [1.0e7, 8.0e7], cache, levels=[2, 3]
         )
+        assert calls == []  # neither quadrature nor re-classification
+        assert [p.status for p in second] == [p.status for p in first]
         assert second[0].aggregates is first[0].aggregates
         assert second[0].result.fidelity_final < first[0].result.fidelity_final
 
