@@ -316,7 +316,8 @@ def _sweep_rows(
                 # swapping.  Unlike repeater rows, whose fidelity_final is the
                 # Werner parameter, this is the Bell-state fidelity F_pair_avg.
                 rate = rate_direct(base, agg)
-                row += [repr(rate), repr(pairs_per_flyby(rate, agg.flyby_duration_s)), row[-1]]
+                pairs = pairs_per_flyby(rate, agg.flyby_duration_s)
+                row += [repr(rate), repr(pairs), row[-1]]
             elif result is None:
                 row += ["", "", ""]
             else:

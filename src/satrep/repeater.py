@@ -304,12 +304,14 @@ def distance_sweep(
         raise ValueError("total distance must be positive")
     links = dict.fromkeys(l_total / 2**n for n in depths for l_total in l_totals_m)
     geoms = {
-        link: dataclasses.replace(cfg_template.geometry, link_length_m=link) for link in links
+        link: dataclasses.replace(cfg_template.geometry, link_length_m=link)
+        for link in links
     }
     entries = {link: cache.get((geom, channel, fidelity)) for link, geom in geoms.items()}
     missing = [link for link, entry in entries.items() if entry is None]
     if missing:
-        outcomes = converged_aggregates([geoms[link] for link in missing], channel, fidelity)
+        batch = [geoms[link] for link in missing]
+        outcomes = converged_aggregates(batch, channel, fidelity)
         for link, agg in zip(missing, outcomes):
             entry = agg.status if isinstance(agg, NoResultError) else agg
             entries[link] = cache[geoms[link], channel, fidelity] = entry

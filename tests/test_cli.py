@@ -1,12 +1,18 @@
+import contextlib
+import csv
+import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satrep.cli import main
 from satrep.config import default_scenario, load_scenario, sweepable_keys
-from satrep.repeater import distance_sweep
+from satrep.repeater import distance_sweep, pairs_per_flyby, rate_direct
 
 
 def read_csv(path):
@@ -23,6 +29,42 @@ def split_stdout_csv(text):
     lines = text.splitlines()
     assert lines[0].startswith("# {")
     return lines[1].split(","), [line.split(",") for line in lines[2:]]
+
+
+def expected_record(cfg, pt, max_level):
+    """The CSV record of one sweep point: each float ``repr``-formatted, the
+    depth as ``str``, blank where the point has no value."""
+    agg, result = pt.aggregates, pt.result
+    if agg is None:
+        t_fb, p0, f_pair = (None if pt.visible else 0.0), None, None
+    else:
+        t_fb, p0, f_pair = agg.flyby_duration_s, agg.p0, agg.f_pair_avg
+    rate = pairs = fidelity = None
+    levels = ()
+    if pt.n_levels == 0 and agg is not None:
+        rate = rate_direct(cfg, agg)
+        pairs, fidelity = pairs_per_flyby(rate, t_fb), f_pair
+    elif result is not None:
+        rate, pairs = result.rate_hz, result.pairs_per_flyby
+        fidelity, levels = result.fidelity_final, result.fidelity_per_level
+    numbers = {
+        "L_total_km": pt.l_total_m / 1e3,
+        "h_km": pt.altitude_m / 1e3,
+        "L0_km": pt.link_length_m / 1e3,
+        "T_FB_s": t_fb,
+        "P0": p0,
+        "F_pair_avg": f_pair,
+        "rate_hz": rate,
+        "pairs_per_flyby": pairs,
+        "fidelity_final": fidelity,
+    }
+    for k in range(max_level + 1):
+        numbers[f"F{k}"] = levels[k] if k < len(levels) else None
+    record = {key: "" if value is None else repr(value) for key, value in numbers.items()}
+    record["n_levels"] = str(pt.n_levels)
+    record["visible"] = "true" if pt.visible else "false"
+    record["status"] = pt.status
+    return record
 
 
 class TestTopLevel:
@@ -281,18 +323,20 @@ class TestSweepStatus:
     def test_rows_agree_with_distance_sweep(self, overrides, capsys):
         args = [a for o in overrides for a in ("--set", o)]
         records = self.records(
-            capsys, *args, "--distances-km", "5000,10000,40000", "--links", "4,8"
+            capsys, *args, "--distances-km", "2000,10000,40000,80000", "--links", "4,8",
+            "--with-direct",
         )
         cfg = load_scenario(None, overrides).repeater_config()
-        points = distance_sweep(cfg, [5.0e6, 1.0e7, 4.0e7], levels=[2, 3])
-        assert len(records) == len(points)
-        for r, pt in zip(records, points):
-            assert r["n_levels"] == str(pt.n_levels)
-            assert r["status"] == pt.status
-            assert r["visible"] == ("true" if pt.visible else "false")
-            result = pt.result
-            assert r["pairs_per_flyby"] == (repr(result.pairs_per_flyby) if result else "")
-            assert r["fidelity_final"] == (repr(result.fidelity_final) if result else "")
+        points = distance_sweep(cfg, [2.0e6, 1.0e7, 4.0e7, 8.0e7], levels=[2, 3, 0])
+        assert [expected_record(cfg, pt, 3) for pt in points] == records
+        # The 80,000 km rows, direct one included, are out of sight.
+        far = [r for r in records if r["L_total_km"] == "80000.0"]
+        assert [(r["n_levels"], r["status"], r["T_FB_s"]) for r in far] == [
+            ("2", "no_visibility", "0.0"),
+            ("3", "no_visibility", "0.0"),
+            ("0", "no_visibility", "0.0"),
+        ]
+
 
 
 class TestSensitivity:
@@ -327,6 +371,26 @@ class TestSensitivity:
         # same geometry, worse gate: fidelity must drop, rate must not change
         assert float(records[1]["fidelity_final"]) < float(records[0]["fidelity_final"])
         assert records[0]["rate_hz"] == records[1]["rate_hz"]
+
+    def test_node_key_sweep_equals_single_value_rates(self, capsys):
+        # Later values reuse the first one's cached passes, the invisible and
+        # the zero-herald ones included; every row must read as if computed
+        # alone.
+        key, values = "node.caps_success_probability", ["0", "0.5", "1"]
+        grid = ["--distances-km", "2000,10000,80000", "--links", "4,8", "--with-direct"]
+        sweep = ["sensitivity", "--param", key, "--values", ",".join(values)]
+        assert main(sweep + grid) == 0
+        header, rows = split_stdout_csv(capsys.readouterr().out)
+        expected = []
+        for value in values:
+            assert main(["rates", "--set", f"{key}={value}", *grid]) == 0
+            rates_header, rates_rows = split_stdout_csv(capsys.readouterr().out)
+            assert header == ["param", "value", *rates_header]
+            expected += [[key, repr(float(value)), *row] for row in rates_rows]
+        assert rows == expected
+        assert {row[header.index("status")] for row in rows} == {
+            "ok", "no_visibility", "zero_herald_rate",
+        }
 
     def test_non_finite_value_is_config_error(self):
         code = main(
@@ -446,6 +510,66 @@ class TestRepeatedCalls:
         assert main(["caps-curve", "--points", "2"]) == 0
         assert provenance(capsys.readouterr().out) == default_scenario().flat_dict()
         assert cli._build_parser.cache_info().misses == 1
+
+
+EXTREME_VALUES = ("0", "1e-300", "-1e-300", "1e300", "-1e300", "-1")
+EXTREME_COMMANDS = {
+    "rates": ["rates", "--with-direct", "--links", "2,4,8"],
+    "mc-const": ["mc", "--trials", "2", "--seed", "1"],
+    "mc-timed": [
+        "mc", "--trials", "2", "--seed", "1", "--set", "mc.time_model=time-resolved",
+    ],
+}
+
+
+def non_finite_numbers(text):
+    """The non-finite numbers in a JSON report or in a CSV, its provenance
+    line included; JSON null is not a number."""
+    found = []
+
+    def walk(x):
+        if isinstance(x, float) and not math.isfinite(x):
+            found.append(x)
+        elif isinstance(x, dict):
+            for v in x.values():
+                walk(v)
+        elif isinstance(x, list):
+            for v in x:
+                walk(v)
+
+    if text.startswith("{"):
+        walk(json.loads(text))
+        return found
+    first, _, table = text.partition("\n")
+    walk(json.loads(first[2:]))
+    for row in csv.reader(io.StringIO(table)):
+        for cell in row:
+            try:
+                walk(float(cell))
+            except ValueError:
+                pass  # a header, status, flag or blank cell
+    return found
+
+
+class TestExtremeInputs:
+    # Each sweepable key at 0, +-1e-300, +-1e300 or -1 ends in a typed exit
+    # code with finite numbers, never in a traceback.  Hypothesis draws no
+    # case twice, so 504 examples cover every key, value and command (28 x 6
+    # x 3 today) in about 1 s.
+    @settings(max_examples=504, deadline=None, derandomize=True, database=None)
+    @given(
+        key=st.sampled_from(sweepable_keys()),
+        value=st.sampled_from(EXTREME_VALUES),
+        command=st.sampled_from(sorted(EXTREME_COMMANDS)),
+    )
+    def test_extreme_value_ends_in_typed_exit(self, key, value, command):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(EXTREME_COMMANDS[command] + ["--set", f"{key}={value}"])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert non_finite_numbers(out.getvalue()) == []
 
 
 class TestCapsCurve:

@@ -1,0 +1,71 @@
+"""``tools/output_digest.py``: its command list, its in-process runner and
+``--compare``.  Running the whole list against two checkouts is left to the
+tool itself; here one command runs against this checkout's ``src``."""
+
+import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from satrep.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def digest_tool():
+    spec = importlib.util.spec_from_file_location(
+        "output_digest", ROOT / "tools" / "output_digest.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    write_bytecode = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave no cache file in tools/ or perfbench/
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+    return module
+
+
+def test_commands_cover_the_benchmark_stream_and_every_subcommand(digest_tool):
+    cmds = digest_tool.commands()
+    bench = len(digest_tool.BENCH_SEEDS) * digest_tool.BENCH_OPS
+    assert len(cmds) == len({" ".join(c) for c in cmds})  # no command twice
+    assert all(c[0] == "sensitivity" for c in cmds[-bench:])
+    assert {c[0] for c in cmds} == {"flyby", "rates", "sensitivity", "mc"}
+    assert ["mc.time_model=time-resolved"] == [
+        c[c.index("--set") + 1] for c in cmds if c[0] == "mc" and "--dump-trials" in c
+    ]
+
+
+def test_record_hashes_stdout_and_written_files(digest_tool, tmp_path, capsys):
+    argv = ["rates", "--distances-km", "10000,80000", "--links", "4"]
+    (record,) = digest_tool._run_all([argv], tmp_path)
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert record["exit"] == 0
+    assert record["stdout"] == hashlib.sha256(stdout.encode()).hexdigest()
+    assert record["files"] == {}
+    (written,) = digest_tool._run_all([argv + ["--output", digest_tool.OUT]], tmp_path)
+    assert written["files"] == {digest_tool.OUT: record["stdout"]}
+    assert written["stdout"] == hashlib.sha256(b"").hexdigest()
+    (bad,) = digest_tool._run_all([["rates", "--links", "3"]], tmp_path)
+    assert bad["exit"] == 1 and bad["stderr"] != record["stderr"]
+
+
+def test_compare_lists_differing_commands(digest_tool, tmp_path, capsys):
+    records = [
+        {"argv": ["rates"], "exit": 0, "stdout": "a", "stderr": "b", "files": {}},
+        {"argv": ["mc"], "exit": 3, "stdout": "c", "stderr": "b", "files": {}},
+    ]
+    same, changed = tmp_path / "same.json", tmp_path / "changed.json"
+    same.write_text(json.dumps({"commands": records}))
+    moved = [dict(records[0]), dict(records[1], files={"{dump}": "d"})]
+    changed.write_text(json.dumps({"commands": moved}))
+    assert digest_tool.main(["--compare", str(same), str(same)]) == 0
+    assert capsys.readouterr().out == "0 of 2 commands differ\n"
+    assert digest_tool.main(["--compare", str(same), str(changed)]) == 1
+    assert capsys.readouterr().out == "differs: mc\n1 of 2 commands differ\n"

@@ -251,9 +251,8 @@ class TestDistanceSweep:
 
         monkeypatch.setattr(repeater, "converged_aggregates", counted)
         node = dataclasses.replace(baseline_cfg.node, caps_fidelity=0.95)
-        second = distance_sweep(
-            dataclasses.replace(baseline_cfg, node=node), [1.0e7, 8.0e7], cache, levels=[2, 3]
-        )
+        cfg = dataclasses.replace(baseline_cfg, node=node)
+        second = distance_sweep(cfg, [1.0e7, 8.0e7], cache, levels=[2, 3])
         assert calls == []  # neither quadrature nor re-classification
         assert [p.status for p in second] == [p.status for p in first]
         assert second[0].aggregates is first[0].aggregates
