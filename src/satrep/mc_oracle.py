@@ -90,9 +90,11 @@ class McEstimate:
     its standard error is exactly 0.  (Summing n identical doubles through the
     general path would smear the mean by a few ulp and leave a ~1e-17 standard
     error, turning an exact agreement into a huge z-score.)  Both are taken
-    on the samples scaled by a power of two, which is exact, so that the
-    squares of samples near the largest double (elementary times at a
-    repetition rate of 1e-300 Hz) do not overflow.
+    on the samples scaled by a power of two to below 1 in magnitude.  The
+    scaling is exact, so the values are those of the unscaled samples
+    wherever the squared deviations stay normal doubles, and the squares of
+    samples near the largest double (elementary times at a repetition rate
+    of 1e-300 Hz) no longer overflow.
     """
 
     mean: float
@@ -109,10 +111,10 @@ class McEstimate:
             return McEstimate(mean=float(samples[0]), std_err=math.nan, n=1)
         if np.all(samples == samples[0]):
             return McEstimate(mean=float(samples[0]), std_err=0.0, n=n)
-        exp = int(np.frexp(np.abs(samples).max())[1])
+        exp = math.frexp(np.abs(samples).max())[1]
         scaled = np.ldexp(samples, -exp)
-        mean = float(np.ldexp(scaled.mean(), exp))
-        std_err = float(np.ldexp(scaled.std(ddof=1), exp) / math.sqrt(n))
+        mean = math.ldexp(scaled.mean(), exp)
+        std_err = math.ldexp(scaled.std(ddof=1), exp) / math.sqrt(n)
         return McEstimate(mean=mean, std_err=std_err, n=n)
 
 
