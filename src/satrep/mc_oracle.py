@@ -89,12 +89,10 @@ class McEstimate:
     are all identical is a point mass: its mean is that value bit for bit and
     its standard error is exactly 0.  (Summing n identical doubles through the
     general path would smear the mean by a few ulp and leave a ~1e-17 standard
-    error, turning an exact agreement into a huge z-score.)  Both are taken
-    on the samples scaled by a power of two to below 1 in magnitude.  The
-    scaling is exact, so the values are those of the unscaled samples
-    wherever the squared deviations stay normal doubles, and the squares of
-    samples near the largest double (elementary times at a repetition rate
-    of 1e-300 Hz) no longer overflow.
+    error, turning an exact agreement into a huge z-score.)  Where the
+    squares of samples near the largest double overflow (elementary times
+    at a repetition rate of 1e-300 Hz), both are taken again on the samples
+    scaled by a power of two to below 1 in magnitude, which is exact.
     """
 
     mean: float
@@ -111,11 +109,14 @@ class McEstimate:
             return McEstimate(mean=float(samples[0]), std_err=math.nan, n=1)
         if np.all(samples == samples[0]):
             return McEstimate(mean=float(samples[0]), std_err=0.0, n=n)
-        exp = math.frexp(np.abs(samples).max())[1]
-        scaled = np.ldexp(samples, -exp)
-        mean = math.ldexp(scaled.mean(), exp)
-        std_err = math.ldexp(scaled.std(ddof=1), exp) / math.sqrt(n)
-        return McEstimate(mean=mean, std_err=std_err, n=n)
+        with np.errstate(over="ignore"):
+            mean, std = samples.mean(), samples.std(ddof=1)
+        if not (math.isfinite(mean) and math.isfinite(std)):
+            exp = math.frexp(np.abs(samples).max())[1]
+            scaled = np.ldexp(samples, -exp)
+            mean = math.ldexp(scaled.mean(), exp)
+            std = math.ldexp(scaled.std(ddof=1), exp)
+        return McEstimate(mean=float(mean), std_err=float(std / math.sqrt(n)), n=n)
 
 
 @dataclass(frozen=True)
