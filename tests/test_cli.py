@@ -338,7 +338,6 @@ class TestSweepStatus:
         ]
 
 
-
 class TestSensitivity:
     def test_unknown_param_lists_sweepable_keys(self, capsys):
         code = main(
