@@ -185,8 +185,10 @@ def main(argv=None) -> int:
         return 2
 
 
-def _load(args) -> Scenario:
-    return load_scenario(args.config, tuple(args.overrides or ()))
+def _load(args, *overrides: str) -> Scenario:
+    """The scenario from ``--config`` and ``--set``, then ``overrides``
+    (``section.key=value``, applied last)."""
+    return load_scenario(args.config, (*(args.overrides or ()), *overrides))
 
 
 def _provenance(scenario: Scenario) -> str:
@@ -256,7 +258,7 @@ def _parse_links(text: str) -> list[int]:
 
 def _cmd_flyby(args) -> int:
     scenario = _load(args)
-    cfg = scenario.repeater_config()
+    cfg = scenario.repeater
     if args.samples < 3 or args.samples % 2 == 0:
         raise UsageError("--samples must be an odd integer >= 3")
     profile = build_profile(
@@ -294,7 +296,7 @@ def _sweep_rows(
     order after the ``lead`` cells: the chain at each depth in ``levels``,
     then, with ``with_direct``, the direct-transmission reference as depth
     0.  Floats are written with ``repr``, blank where the point has none."""
-    base = scenario.repeater_config()
+    base = scenario.repeater
     depths = levels + [0] if with_direct else levels
     width = max(levels, default=0) + 1
     rows = []
@@ -357,9 +359,7 @@ def _cmd_sensitivity(args) -> int:
     cache: dict = {}
     base = _load(args)
     for tok in tokens:
-        scenario = load_scenario(
-            args.config, tuple(args.overrides or ()) + (f"{args.param}={tok}",)
-        )
+        scenario = _load(args, f"{args.param}={tok}")
         lead = [args.param, repr(float(tok))]
         rows += _sweep_rows(scenario, distances, levels, args.with_direct, cache, lead)
     _emit(args, _csv_text(base, _header(levels, ["param", "value"]), rows))
@@ -371,9 +371,9 @@ def _cmd_mc(args) -> int:
         raise UsageError("--trials must be >= 1")
     if args.seed is not None and not 0 <= args.seed < 2**64:
         raise UsageError("--seed must fit in 64 bits")
-    scenario = _load(args)
-    scenario = scenario.with_mc(trials=args.trials, seed=args.seed)
-    cfg = scenario.repeater_config()
+    flags = {"mc.trials": args.trials, "mc.seed": args.seed}
+    scenario = _load(args, *(f"{k}={v}" for k, v in flags.items() if v is not None))
+    cfg = scenario.repeater
     agg = converged_aggregates(cfg.geometry, cfg.channel, cfg.source.pair_fidelity)
     analytic = evaluate_with_aggregates(cfg, agg)
     estimates = simulate_chain(

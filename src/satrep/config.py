@@ -9,7 +9,9 @@ spells out the same baseline explicitly and loading it reproduces the defaults
 exactly.
 
 Precedence: built-in defaults, then the config file, then ``--set`` style
-overrides, later wins.  The loader tracks which keys the user actually set:
+overrides, later wins.  The ``mc`` command's ``--trials`` and ``--seed`` act
+as ``--set mc.trials=`` and ``--set mc.seed=`` applied last, so they replace
+a file's value before it is validated.  The loader tracks which keys the user actually set:
 that matters for the memory-loading success probability, which can be given
 directly (``node.caps_success_probability``) or derived from
 ``node.internal_cooperativity`` — a user-set cooperativity replaces the
@@ -22,7 +24,7 @@ from __future__ import annotations
 import configparser
 import difflib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -105,49 +107,19 @@ _SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
 
 @dataclass(frozen=True)
 class Scenario:
-    """Fully resolved run configuration.
+    """Fully resolved run configuration: the repeater chain and the Monte
+    Carlo settings.
 
     ``resolved`` holds the flat ``section.key -> value`` mapping after all
     overlays, in schema order, for provenance headers on output files.
     """
 
-    geometry: OrbitGeometry
-    channel: ChannelParams
-    source: SourceParams
-    node: NodeParams
-    n_levels: int
-    gate_efficiency: float
-    detector_exponent: int
+    repeater: RepeaterConfig
     mc: McConfig
     resolved: tuple[tuple[str, float | int | str], ...] = field(repr=False)
 
-    def repeater_config(self) -> RepeaterConfig:
-        return RepeaterConfig(
-            geometry=self.geometry,
-            channel=self.channel,
-            source=self.source,
-            node=self.node,
-            n_levels=self.n_levels,
-            gate_efficiency=self.gate_efficiency,
-            detector_exponent=self.detector_exponent,
-        )
-
     def flat_dict(self) -> dict[str, float | int | str]:
         return dict(self.resolved)
-
-    def with_mc(self, *, trials: int | None = None, seed: int | None = None) -> "Scenario":
-        """Copy with Monte Carlo trial count and/or seed overridden (the CLI
-        --trials/--seed flags)."""
-        mc = self.mc
-        if trials is not None:
-            mc = replace(mc, trials=trials)
-        if seed is not None:
-            mc = replace(mc, seed=seed)
-        resolved = tuple(
-            (k, mc.trials if k == "mc.trials" else mc.seed if k == "mc.seed" else v)
-            for k, v in self.resolved
-        )
-        return replace(self, mc=mc, resolved=resolved)
 
 
 def _suggest(name: str, candidates) -> str:
@@ -245,6 +217,10 @@ def _assemble(
     def v(section: str, key: str):
         return values[(section, key)]
 
+    def by_name(cls, section: str):
+        # For sections whose schema keys are the class's field names.
+        return cls(**{key: v(section, key) for key in _SCHEMA[section]})
+
     geometry = OrbitGeometry(
         altitude_m=v("orbit", "altitude_m"),
         link_length_m=v("orbit", "link_length_m"),
@@ -252,30 +228,8 @@ def _assemble(
         mu_m3_per_s2=v("orbit", "mu_m3_s2"),
         max_zenith_rad=math.radians(v("orbit", "max_zenith_deg")),
     )
-    channel = ChannelParams(
-        wavelength_m=v("channel", "wavelength_m"),
-        beam_waist_m=v("channel", "beam_waist_m"),
-        beam_quality_m2=v("channel", "beam_quality_m2"),
-        receiver_radius_m=v("channel", "receiver_radius_m"),
-        pointing_sigma_rad=v("channel", "pointing_sigma_rad"),
-        zenith_transmittance=v("channel", "zenith_transmittance"),
-        coupling_efficiency=v("channel", "coupling_efficiency"),
-        sky_spectral_irradiance_w_m2_um_sr=v(
-            "channel", "sky_spectral_irradiance_w_m2_um_sr"
-        ),
-        field_of_view_sr=v("channel", "field_of_view_sr"),
-        filter_bandwidth_m=v("channel", "filter_bandwidth_m"),
-        coincidence_window_s=v("channel", "coincidence_window_s"),
-        aperture_interpretation=v("channel", "aperture_interpretation"),
-    )
-    source = SourceParams(
-        pair_fidelity=v("source", "pair_fidelity"),
-        repetition_rate_hz=v("source", "repetition_rate_hz"),
-        emission_efficiency=v("source", "emission_efficiency"),
-        multiplexing_channels=v("source", "multiplexing_channels"),
-        demux_efficiency=v("source", "demux_efficiency"),
-        direct_repetition_rate_hz=v("source", "direct_repetition_rate_hz"),
-    )
+    channel = by_name(ChannelParams, "channel")
+    source = by_name(SourceParams, "source")
     cooperativity = values.get(("node", "internal_cooperativity"))
     caps_explicit: float | None = v("node", "caps_success_probability")
     if cooperativity is not None and ("node", "caps_success_probability") not in user_set:
@@ -291,18 +245,8 @@ def _assemble(
         caps_success_probability=caps_explicit,
         internal_cooperativity=cooperativity,
     )
-    mc = McConfig(
-        trials=v("mc", "trials"),
-        seed=v("mc", "seed"),
-        time_model=v("mc", "time_model"),
-    )
-    resolved = tuple(
-        (f"{section}.{key}", values[(section, key)])
-        for section, keys in _SCHEMA.items()
-        for key in keys
-        if (section, key) in values
-    )
-    scenario = Scenario(
+    mc = by_name(McConfig, "mc")
+    repeater = RepeaterConfig(
         geometry=geometry,
         channel=channel,
         source=source,
@@ -310,11 +254,14 @@ def _assemble(
         n_levels=v("repeater", "nesting_levels"),
         gate_efficiency=v("repeater", "gate_efficiency"),
         detector_exponent=v("repeater", "detector_exponent"),
-        mc=mc,
-        resolved=resolved,
     )
-    scenario.repeater_config()  # validate the chain-level fields eagerly
-    return scenario
+    resolved = tuple(
+        (f"{section}.{key}", values[(section, key)])
+        for section, keys in _SCHEMA.items()
+        for key in keys
+        if (section, key) in values
+    )
+    return Scenario(repeater=repeater, mc=mc, resolved=resolved)
 
 
 def default_scenario() -> Scenario:

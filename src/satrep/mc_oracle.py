@@ -30,7 +30,6 @@ in-block draw order is fixed and documented in :func:`simulate_chain`.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -474,6 +473,9 @@ class McReport:
         return all(e.passed for e in self.entries)
 
     def to_dict(self) -> dict:
+        """JSON-ready mapping, NaN/inf mapped to None (JSON has no
+        representation for them; the pass flags already encode the
+        verdict)."""
         return {
             "n_levels": self.n_levels,
             "trials": self.trials,
@@ -498,12 +500,6 @@ class McReport:
             ],
             "all_pass": self.all_pass,
         }
-
-    def to_json(self) -> str:
-        """Deterministic serialization: sorted keys, NaN/inf mapped to null
-        (JSON has no representation for them; the pass flags already encode
-        the verdict)."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def _json_number(x: float) -> float | None:

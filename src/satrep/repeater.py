@@ -187,8 +187,9 @@ def final_fidelity(
         F_k = F_gate * F_readout^2 * (1/4 + (F_{k-1} - 1/4) e^{-gamma_s T_k}) * F_{k-1}
 
     ``t0_s`` is T0 (:func:`elementary_time`) where the caller has it already.
-    Raises :class:`NoResultError` (``unphysical_fidelity``) if any level
-    falls below the physical floor of -1/3.
+    F_0 lies in [-1/3, 1], the gate factor in [0, 1] and the decayed value
+    between F_{k-1} and 1/4, so F_k >= min(0, F_{k-1}/4): F_1, ..., F_n lie
+    in [-1/12, 1] and no level needs a check.
     """
     f0 = elementary_link_fidelity(agg.f_pair_avg, cfg.node.caps_fidelity)
     t0 = elementary_time(cfg, agg) if t0_s is None else t0_s
@@ -199,11 +200,6 @@ def final_fidelity(
     for level in range(1, cfg.n_levels + 1):
         decayed = werner_fidelity_decay(f, gamma_s, waiting_time(level, t0))
         f = gate_factor * decayed * f
-        if f < -1.0 / 3.0:
-            raise NoResultError(
-                "unphysical_fidelity",
-                f"unphysical Werner parameter {f} after swap level {level}",
-            )
         levels.append(f)
     return levels
 
@@ -257,8 +253,8 @@ class SweepPoint:
     """One point of a distance sweep.  ``status`` is ``ok`` or that of the
     :class:`NoResultError` that stopped the point: ``no_visibility`` and
     ``zero_transmission`` leave ``aggregates`` None, ``zero_herald_rate``
-    and ``unphysical_fidelity`` only ``result``.  Depth 0 is the
-    direct-transmission reference: it has no chain, so ``result`` is None."""
+    only ``result``.  Depth 0 is the direct-transmission reference: it has
+    no chain, so ``result`` is None."""
 
     l_total_m: float
     n_levels: int

@@ -12,7 +12,7 @@ def baseline():
 
 @pytest.fixture(scope="session")
 def baseline_cfg(baseline):
-    return baseline.repeater_config()
+    return baseline.repeater
 
 
 @pytest.fixture(scope="session")

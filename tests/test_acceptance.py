@@ -54,7 +54,7 @@ def _report(number: int, ok: bool, detail: str) -> None:
 
 def chain(l_total_m, n_levels, altitude_m=1.5e6, detector_exponent=1, overrides=()):
     scenario = load_scenario(None, tuple(overrides))
-    base = scenario.repeater_config()
+    base = scenario.repeater
     geom = dataclasses.replace(
         base.geometry, altitude_m=altitude_m, link_length_m=l_total_m / 2**n_levels
     )
@@ -243,7 +243,7 @@ def test_criterion_06():
 
 def test_criterion_07():
     scenario = load_scenario(None)
-    geom, channel = scenario.geometry, scenario.channel
+    geom, channel = scenario.repeater.geometry, scenario.repeater.channel
     coarse = build_profile(geom, channel, 0.998, n_samples=2001)
     fine = build_profile(geom, channel, 0.998, n_samples=4001)
     p0_c, fbar_c = average_two_photon(coarse), average_pair_fidelity(coarse)
@@ -277,7 +277,7 @@ def test_criterion_07():
 
 
 def test_criterion_08():
-    base = load_scenario(None).repeater_config()
+    base = load_scenario(None).repeater
     agg = converged_aggregates(base.geometry, base.channel, base.source.pair_fidelity)
     details = []
     ok = True
@@ -399,7 +399,7 @@ def test_criterion_10():
         for n in (2, 3):
             sweeps = []
             for value in (good, bad):
-                cfg = load_scenario(None, (f"{key}={value}",)).repeater_config()
+                cfg = load_scenario(None, (f"{key}={value}",)).repeater
                 cfg = dataclasses.replace(cfg, n_levels=n)
                 sweeps.append(distance_sweep(cfg, DISTANCE_GRID_M))
             better, worse = sweeps

@@ -326,7 +326,7 @@ class TestSweepStatus:
             capsys, *args, "--distances-km", "2000,10000,40000,80000", "--links", "4,8",
             "--with-direct",
         )
-        cfg = load_scenario(None, overrides).repeater_config()
+        cfg = load_scenario(None, overrides).repeater
         points = distance_sweep(cfg, [2.0e6, 1.0e7, 4.0e7, 8.0e7], levels=[2, 3, 0])
         assert [expected_record(cfg, pt, 3) for pt in points] == records
         # The 80,000 km rows, direct one included, are out of sight.
@@ -467,6 +467,29 @@ class TestMc:
     def test_bad_trials_and_seed(self):
         assert main(["mc", "--trials", "0"]) == 1
         assert main(["mc", "--seed", "-1"]) == 1
+
+    def test_trials_and_seed_flags_set_provenance(self, capsys):
+        assert main(["mc", "--trials", "500", "--seed", "77"]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["trials"] == 500 and payload["seed"] == 77
+        assert payload["parameters"]["mc.trials"] == 500
+        assert payload["parameters"]["mc.seed"] == 77
+
+    def test_flags_apply_after_set(self, capsys):
+        assert main(["mc", "--set", "mc.trials=9", "--trials", "500"]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["trials"] == 500 and payload["parameters"]["mc.trials"] == 500
+        # a flag replaces only its own key
+        assert main(["mc", "--set", "mc.trials=9", "--seed", "4"]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["trials"], payload["seed"]) == (9, 4)
+
+    def test_trials_flag_replaces_file_value_before_validation(self, tmp_path, capsys):
+        cfg = tmp_path / "mc.cfg"
+        cfg.write_text("[mc]\ntrials = 0\n")
+        assert main(["mc", "--config", str(cfg), "--trials", "5"]) in (0, 3)
+        assert json.loads(capsys.readouterr().out)["trials"] == 5
+        assert main(["mc", "--config", str(cfg), "--trials", "0"]) == 1
 
     def test_output_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -24,25 +24,22 @@ class TestDefaults:
         path = write_cfg(tmp_path, bundled_baseline_text())
         from_file = load_scenario(path)
         defaults = default_scenario()
-        assert from_file.geometry == defaults.geometry
-        assert from_file.channel == defaults.channel
-        assert from_file.source == defaults.source
-        assert from_file.node == defaults.node
+        assert from_file.repeater == defaults.repeater
         assert from_file.mc == defaults.mc
-        assert from_file.n_levels == defaults.n_levels
         assert from_file.flat_dict() == defaults.flat_dict()
 
     def test_default_values_spot_checks(self):
         s = default_scenario()
-        assert s.geometry.altitude_m == 1.5e6
-        assert s.geometry.max_zenith_rad == pytest.approx(math.radians(80.0), rel=1e-15)
-        assert s.channel.wavelength_m == 780e-9
-        assert s.channel.aperture_interpretation == "literal"
-        assert s.source.multiplexing_channels == 100
-        assert s.node.caps_success_probability == 0.75
-        assert s.node.internal_cooperativity is None
-        assert s.n_levels == 2
-        assert s.detector_exponent == 1
+        cfg = s.repeater
+        assert cfg.geometry.altitude_m == 1.5e6
+        assert cfg.geometry.max_zenith_rad == pytest.approx(math.radians(80.0), rel=1e-15)
+        assert cfg.channel.wavelength_m == 780e-9
+        assert cfg.channel.aperture_interpretation == "literal"
+        assert cfg.source.multiplexing_channels == 100
+        assert cfg.node.caps_success_probability == 0.75
+        assert cfg.node.internal_cooperativity is None
+        assert cfg.n_levels == 2
+        assert cfg.detector_exponent == 1
         assert s.mc.trials == 100_000 and s.mc.seed == 1
 
     def test_resolved_mapping_is_complete_and_ordered(self):
@@ -60,19 +57,19 @@ class TestFileParsing:
     def test_file_overrides_defaults(self, tmp_path):
         path = write_cfg(tmp_path, "[orbit]\naltitude_m = 1.0e6\n")
         s = load_scenario(path)
-        assert s.geometry.altitude_m == 1.0e6
-        assert s.geometry.link_length_m == 2.5e6  # untouched default
+        assert s.repeater.geometry.altitude_m == 1.0e6
+        assert s.repeater.geometry.link_length_m == 2.5e6  # untouched default
 
     def test_set_override_beats_file(self, tmp_path):
         path = write_cfg(tmp_path, "[orbit]\naltitude_m = 1.0e6\n")
         s = load_scenario(path, overrides=("orbit.altitude_m=2.0e6",))
-        assert s.geometry.altitude_m == 2.0e6
+        assert s.repeater.geometry.altitude_m == 2.0e6
 
     def test_later_override_wins(self):
         s = load_scenario(
             None, overrides=("orbit.altitude_m=1.0e6", "orbit.altitude_m=0.5e6")
         )
-        assert s.geometry.altitude_m == 0.5e6
+        assert s.repeater.geometry.altitude_m == 0.5e6
 
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -137,11 +134,11 @@ class TestOverrideSyntax:
 class TestCapsResolution:
     def test_cooperativity_alone_derives_probability(self):
         s = load_scenario(None, overrides=("node.internal_cooperativity=96.5",))
-        assert s.node.internal_cooperativity == 96.5
-        assert s.node.caps_success_probability == pytest.approx(
+        assert s.repeater.node.internal_cooperativity == 96.5
+        assert s.repeater.node.caps_success_probability == pytest.approx(
             caps_success(96.5), rel=1e-15
         )
-        assert s.node.caps_success_probability == pytest.approx(0.75, abs=1e-5)
+        assert s.repeater.node.caps_success_probability == pytest.approx(0.75, abs=1e-5)
 
     def test_both_set_explicit_wins_with_warning(self):
         with pytest.warns(UserWarning, match="overrides"):
@@ -152,11 +149,11 @@ class TestCapsResolution:
                     "node.caps_success_probability=0.6",
                 ),
             )
-        assert s.node.caps_success_probability == 0.6
+        assert s.repeater.node.caps_success_probability == 0.6
 
     def test_neither_set_keeps_default(self):
         s = default_scenario()
-        assert s.node.caps_success_probability == 0.75
+        assert s.repeater.node.caps_success_probability == 0.75
 
 
 class TestValidationBoundary:
@@ -177,24 +174,6 @@ class TestValidationBoundary:
 
 
 class TestScenarioHelpers:
-    def test_with_mc_updates_config_and_provenance(self):
-        s = default_scenario().with_mc(trials=500, seed=77)
-        assert s.mc.trials == 500 and s.mc.seed == 77
-        flat = s.flat_dict()
-        assert flat["mc.trials"] == 500
-        assert flat["mc.seed"] == 77
-
-    def test_with_mc_partial_update(self):
-        s = default_scenario().with_mc(seed=9)
-        assert s.mc.trials == 100_000 and s.mc.seed == 9
-
-    def test_repeater_config_round_trip(self):
-        s = default_scenario()
-        cfg = s.repeater_config()
-        assert cfg.geometry == s.geometry
-        assert cfg.n_levels == s.n_levels
-        assert cfg.detector_exponent == s.detector_exponent
-
     def test_sweepable_keys_are_float_physics_knobs(self):
         keys = sweepable_keys()
         assert "orbit.altitude_m" in keys

@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import json
 import math
 from types import SimpleNamespace
 
@@ -230,7 +229,7 @@ class TestConstantP:
         cfg = McConfig(trials=500, seed=11)
         first = compare_report(analytic, simulate_chain(cfg, baseline_cfg, baseline_agg))
         second = compare_report(analytic, simulate_chain(cfg, baseline_cfg, baseline_agg))
-        assert first.to_json() == second.to_json()
+        assert first.to_dict() == second.to_dict()
         other = simulate_chain(McConfig(trials=500, seed=12), baseline_cfg, baseline_agg)
         assert other.pairs.mean != first.entries[0].mc_mean
 
@@ -351,7 +350,7 @@ class TestTimeResolved:
         )
         assert mc.completed_fraction == 0.0
         assert math.isnan(mc.fidelity.mean)
-        payload = json.loads(compare_report(an, mc).to_json())
+        payload = compare_report(an, mc).to_dict()
         entry = {e["quantity"]: e for e in payload["entries"]}["fidelity_final"]
         assert entry["mc_mean"] is None
         assert entry["pass"] is False
@@ -390,8 +389,8 @@ class TestTimeResolved:
     def test_mismatched_profile_is_rejected(self, baseline, baseline_cfg, baseline_agg):
         from satrep.flyby import build_profile
 
-        other_geom = dataclasses.replace(baseline.geometry, link_length_m=2.0e6)
-        wrong = build_profile(other_geom, baseline.channel, 0.998, n_samples=201)
+        other_geom = dataclasses.replace(baseline.repeater.geometry, link_length_m=2.0e6)
+        wrong = build_profile(other_geom, baseline.repeater.channel, 0.998, n_samples=201)
         with pytest.raises(ValueError, match="different passes"):
             simulate_chain(
                 McConfig(trials=5, seed=0, time_model="time-resolved"),
@@ -567,7 +566,7 @@ class TestCompareReport:
 
     def test_json_shape(self, baseline_cfg, baseline_agg, analytic):
         mc = simulate_chain(McConfig(trials=50, seed=8), baseline_cfg, baseline_agg)
-        payload = json.loads(compare_report(analytic, mc).to_json())
+        payload = compare_report(analytic, mc).to_dict()
         assert set(payload) == {
             "n_levels", "trials", "seed", "time_model", "completed_fraction",
             "tolerances", "entries", "all_pass",

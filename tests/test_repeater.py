@@ -2,9 +2,11 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satrep import flyby, repeater
-from satrep.flyby import QuadratureError, converged_aggregates
+from satrep.flyby import FlybyAggregates, QuadratureError, converged_aggregates
 from satrep.orbit import OrbitGeometry
 from satrep.repeater import (
     RepeaterConfig,
@@ -19,6 +21,10 @@ from satrep.repeater import (
     swap_probability,
     waiting_time,
 )
+
+
+EDGE_FIDELITIES = st.sampled_from([0.0, 1e-300, 0.25, 1.0]) | st.floats(0.0, 1.0)
+EDGE_RATES = st.sampled_from([0.0, 1e-300, 1.0, 1e300]) | st.floats(0.0, 1e300)
 
 
 def config_for(baseline, l_total_m, n_levels, detector_exponent=1):
@@ -94,8 +100,8 @@ class TestRateComposition:
         )
 
     def test_detector_exponent_two_divides_by_eta_d(self, baseline, baseline_agg):
-        cfg1 = config_for(baseline.repeater_config(), 1.0e7, 2, detector_exponent=1)
-        cfg2 = config_for(baseline.repeater_config(), 1.0e7, 2, detector_exponent=2)
+        cfg1 = config_for(baseline.repeater, 1.0e7, 2, detector_exponent=1)
+        cfg2 = config_for(baseline.repeater, 1.0e7, 2, detector_exponent=2)
         agg = converged_aggregates(cfg1.geometry, cfg1.channel, cfg1.source.pair_fidelity)
         assert rate(cfg2, agg) == pytest.approx(
             rate(cfg1, agg) * cfg1.node.detection_efficiency, rel=1e-15
@@ -103,8 +109,8 @@ class TestRateComposition:
 
     def test_direct_transmission_frozen(self, baseline):
         cfg = dataclasses.replace(
-            baseline.repeater_config(),
-            geometry=dataclasses.replace(baseline.geometry, link_length_m=2.0e6),
+            baseline.repeater,
+            geometry=dataclasses.replace(baseline.repeater.geometry, link_length_m=2.0e6),
         )
         agg = converged_aggregates(cfg.geometry, cfg.channel, cfg.source.pair_fidelity)
         assert rate_direct(cfg, agg) == pytest.approx(2351.4584212640534, rel=1e-8)
@@ -112,7 +118,7 @@ class TestRateComposition:
 
 class TestFidelityRecursion:
     def test_depth_zero_is_elementary_link(self, baseline, baseline_agg):
-        cfg = dataclasses.replace(baseline.repeater_config(), n_levels=0)
+        cfg = dataclasses.replace(baseline.repeater, n_levels=0)
         levels = final_fidelity(cfg, baseline_agg)
         assert len(levels) == 1
         expected = (4.0 * baseline_agg.f_pair_avg * cfg.node.caps_fidelity - 1.0) / 3.0
@@ -142,12 +148,56 @@ class TestFidelityRecursion:
             waiting_time(0, 1.0)
 
 
+class TestFidelityBound:
+    # The bound final_fidelity's docstring derives, which lets it skip any
+    # per-level check.
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(
+        f_pair=EDGE_FIDELITIES,
+        caps=EDGE_FIDELITIES,
+        gate=EDGE_FIDELITIES,
+        readout=EDGE_FIDELITIES,
+        gamma_s=EDGE_RATES,
+        t0_s=EDGE_RATES,
+        depth=st.integers(0, 8),
+    )
+    def test_levels_stay_within_bound(
+        self, baseline_cfg, f_pair, caps, gate, readout, gamma_s, t0_s, depth
+    ):
+        node = dataclasses.replace(
+            baseline_cfg.node,
+            caps_fidelity=caps,
+            rydberg_gate_fidelity=gate,
+            readout_fidelity=readout,
+            spin_decoherence_rate_hz=gamma_s,
+        )
+        cfg = dataclasses.replace(baseline_cfg, node=node, n_levels=depth)
+        agg = FlybyAggregates(p0=0.5, f_pair_avg=f_pair, flyby_duration_s=100.0)
+        levels = final_fidelity(cfg, agg, t0_s=t0_s)
+        assert len(levels) == depth + 1
+        assert -1.0 / 3.0 <= levels[0] <= 1.0
+        assert all(-1.0 / 12.0 <= f <= 1.0 for f in levels[1:])
+
+    def test_floor_is_reached(self, baseline_cfg):
+        # F_0 = -1/3 decays fully to 1/4 before a perfect swap: -1/12.
+        node = dataclasses.replace(
+            baseline_cfg.node,
+            caps_fidelity=0.0,
+            rydberg_gate_fidelity=1.0,
+            readout_fidelity=1.0,
+            spin_decoherence_rate_hz=1e300,
+        )
+        cfg = dataclasses.replace(baseline_cfg, node=node, n_levels=1)
+        agg = FlybyAggregates(p0=0.5, f_pair_avg=0.5, flyby_duration_s=100.0)
+        assert final_fidelity(cfg, agg, t0_s=1.0) == [-1.0 / 3.0, -1.0 / 12.0]
+
+
 class TestEvaluate:
     @pytest.mark.parametrize("key", sorted(FROZEN_RUNS))
     def test_frozen_pipeline_outputs(self, key, baseline):
         h, l_total, n, det = key
         pairs, f_final, t0 = FROZEN_RUNS[key]
-        template = baseline.repeater_config()
+        template = baseline.repeater
         template = dataclasses.replace(
             template,
             geometry=dataclasses.replace(template.geometry, altitude_m=h),
@@ -200,7 +250,7 @@ class TestDistanceSweep:
 
     def test_sweep_matches_single_evaluation(self, baseline, baseline_cfg):
         (point,) = distance_sweep(baseline_cfg, [1.0e7])
-        single = evaluate(config_for(baseline.repeater_config(), 1.0e7, 2))
+        single = evaluate(config_for(baseline.repeater, 1.0e7, 2))
         assert point.result.pairs_per_flyby == pytest.approx(
             single.pairs_per_flyby, rel=1e-12
         )

@@ -13,8 +13,7 @@ lists the commands whose records differ and exits 1 if any do, 0 if none.
 
 The commands: ``flyby``, ``rates``, ``sensitivity`` and both ``mc`` time
 models at and around the defaults; one sweep per row status (``ok``,
-``no_visibility``, ``zero_transmission`` both ways, ``zero_herald_rate``;
-``unphysical_fidelity`` is unreachable with fidelities in [0, 1]); a
+``no_visibility``, ``zero_transmission`` both ways, ``zero_herald_rate``); a
 node-key sweep whose later values reuse cached statuses; a 1,000-point
 altitude grid; a few exit 1 and 2 cases; and the first :data:`BENCH_OPS`
 operations of the benchmark's ``sweep`` stream for each of
