@@ -34,16 +34,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, Scenario, load_scenario, sweepable_keys
+from .config import ConfigError, Scenario, load_scenario, load_scenarios, sweepable_keys
 from .flyby import QuadratureError, build_profile, converged_aggregates
 from .mc_oracle import compare_report, simulate_chain
 from .node import caps_success
-from .repeater import (
-    distance_sweep,
-    evaluate_with_aggregates,
-    pairs_per_flyby,
-    rate_direct,
-)
+from .repeater import distance_sweep, evaluate_with_aggregates
 
 __all__ = ["UsageError", "main"]
 
@@ -236,6 +231,8 @@ def _parse_floats(text: str, flag: str) -> list[float]:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise UsageError(f"{flag} expects comma-separated numbers, got {text!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"{flag} values must be finite, got {text!r}")
     return values
 
 
@@ -284,50 +281,59 @@ def _cmd_flyby(args) -> int:
     return 0
 
 
-def _sweep_rows(
-    scenario: Scenario,
-    distances_m: list[float],
-    levels: list[int],
-    with_direct: bool,
-    cache: dict,
-    lead: list[str],
-) -> list[list[str]]:
-    """One CSV row per :func:`distance_sweep` point, in :func:`_header`
-    order after the ``lead`` cells: the chain at each depth in ``levels``,
-    then, with ``with_direct``, the direct-transmission reference as depth
-    0.  Floats are written with ``repr``, blank where the point has none."""
-    base = scenario.repeater
-    depths = levels + [0] if with_direct else levels
-    width = max(levels, default=0) + 1
-    rows = []
-    for pt in distance_sweep(base, distances_m, cache, depths):
-        agg, result, fidelities = pt.aggregates, pt.result, []
-        row = [
-            *lead,
-            repr(pt.l_total_m / 1e3),
-            str(pt.n_levels),
-            repr(pt.altitude_m / 1e3),
-            repr(pt.link_length_m / 1e3),
-        ]
-        if agg is None:
-            row += ["" if pt.visible else "0.0", "", "", "", "", ""]
-        else:
-            row += [repr(agg.flyby_duration_s), repr(agg.p0), repr(agg.f_pair_avg)]
-            if pt.n_levels == 0:
-                # Direct rows use only the pass aggregates: no memories, no
-                # swapping.  Unlike repeater rows, whose fidelity_final is the
-                # Werner parameter, this is the Bell-state fidelity F_pair_avg.
-                rate = rate_direct(base, agg)
-                pairs = pairs_per_flyby(rate, agg.flyby_duration_s)
-                row += [repr(rate), repr(pairs), row[-1]]
-            elif result is None:
-                row += ["", "", ""]
-            else:
-                fidelities = [repr(f) for f in result.fidelity_per_level]
-                row += [repr(result.rate_hz), repr(result.pairs_per_flyby), fidelities[-1]]
-        row += ["true" if pt.visible else "false", pt.status, *fidelities]
-        rows.append(row + [""] * (width - len(fidelities)))
-    return rows
+class _SweepWriter:
+    """CSV rows of one run's distance sweeps, in :func:`_header` order: per
+    scenario, the chain at each depth in ``levels``, then, with
+    ``with_direct``, the direct-transmission reference as depth 0.  The
+    sweeps share one aggregates cache, and each cell that several rows share
+    (a distance, a depth's link length, a pass's T_FB_s, P0 and F_pair_avg)
+    is formatted once per run.  Floats are written with ``repr``, blank where
+    the entry has none."""
+
+    def __init__(self, distances_m: list[float], levels: list[int], with_direct: bool):
+        self.distances_m = distances_m
+        self.depths = levels + [0] if with_direct else levels
+        self.width = max(levels, default=0) + 1
+        self.totals = [repr(d / 1e3) for d in distances_m]
+        self.cache: dict = {}
+        self.links: dict[int, list[str]] = {}
+        self.passes: dict = {}
+
+    def rows(self, scenario: Scenario, lead: list[str]) -> list[list[str]]:
+        """The rows of ``scenario``'s sweep, each after the ``lead`` cells."""
+        cfg = scenario.repeater
+        h_km = repr(cfg.geometry.altitude_m / 1e3)
+        rows = []
+        for cols in distance_sweep(cfg, self.distances_m, self.cache, self.depths):
+            n = cols.n_levels
+            if n not in self.links:
+                self.links[n] = [repr(link / 1e3) for link in cols.link_length_m]
+            entries = zip(
+                self.totals, self.links[n], cols.visible, cols.status, cols.aggregates,
+                cols.rate_hz, cols.pairs_per_flyby, cols.fidelity_per_level,
+            )
+            for total, link_km, visible, status, agg, rate, pairs, levels in entries:
+                if agg is None:
+                    cells = ["" if visible else "0.0", "", ""]
+                else:
+                    cells = self.passes.get(agg)
+                    if cells is None:
+                        cells = self.passes[agg] = [
+                            repr(agg.flyby_duration_s), repr(agg.p0), repr(agg.f_pair_avg)
+                        ]
+                row = [*lead, total, str(n), h_km, link_km, *cells]
+                fidelities = [] if levels is None else [repr(f) for f in levels]
+                if rate is None:
+                    row += ["", "", ""]
+                else:
+                    # Direct rows have no levels: unlike repeater rows, whose
+                    # fidelity_final is the Werner parameter, theirs is the
+                    # Bell-state fidelity F_pair_avg.
+                    final = fidelities[-1] if fidelities else cells[2]
+                    row += [repr(rate), repr(pairs), final]
+                row += ["true" if visible else "false", status, *fidelities]
+                rows.append(row + [""] * (self.width - len(fidelities)))
+        return rows
 
 
 def _header(levels: list[int], lead: list[str]) -> list[str]:
@@ -338,7 +344,7 @@ def _cmd_rates(args) -> int:
     scenario = _load(args)
     distances = [d * 1e3 for d in _parse_floats(args.distances_km, "--distances-km")]
     levels = _parse_links(args.links)
-    rows = _sweep_rows(scenario, distances, levels, args.with_direct, {}, [])
+    rows = _SweepWriter(distances, levels, args.with_direct).rows(scenario, [])
     _emit(args, _csv_text(scenario, _header(levels, []), rows))
     return 0
 
@@ -355,13 +361,12 @@ def _cmd_sensitivity(args) -> int:
     distances = [d * 1e3 for d in _parse_floats(args.distances_km, "--distances-km")]
     levels = _parse_links(args.links)
 
+    variants = tuple(f"{args.param}={tok}" for tok in tokens)
+    scenarios = load_scenarios(args.config, args.overrides or (), variants)
+    base, writer = next(scenarios), _SweepWriter(distances, levels, args.with_direct)
     rows: list[list[str]] = []
-    cache: dict = {}
-    base = _load(args)
-    for tok in tokens:
-        scenario = _load(args, f"{args.param}={tok}")
-        lead = [args.param, repr(float(tok))]
-        rows += _sweep_rows(scenario, distances, levels, args.with_direct, cache, lead)
+    for tok, scenario in zip(tokens, scenarios):
+        rows += writer.rows(scenario, [args.param, repr(float(tok))])
     _emit(args, _csv_text(base, _header(levels, ["param", "value"]), rows))
     return 0
 
@@ -405,6 +410,9 @@ def _cmd_caps_curve(args) -> int:
     scenario = _load(args)
     if args.points < 2:
         raise UsageError("--points must be >= 2")
+    for flag, value in (("--cin-min", args.cin_min), ("--cin-max", args.cin_max)):
+        if not math.isfinite(value):
+            raise UsageError(f"{flag} must be finite, got {value}")
     if args.cin_min < 0 or args.cin_max <= args.cin_min:
         raise UsageError("need 0 <= --cin-min < --cin-max")
     grid = np.linspace(args.cin_min, args.cin_max, args.points)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import configparser
 import difflib
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -40,6 +41,7 @@ __all__ = [
     "bundled_baseline_text",
     "default_scenario",
     "load_scenario",
+    "load_scenarios",
     "parse_override",
     "sweepable_keys",
 ]
@@ -177,6 +179,18 @@ def load_scenario(
     unknown sections/keys, or untypeable or non-finite values; physical-range violations
     surface later as ``ValueError`` from the parameter classes themselves.
     """
+    return next(load_scenarios(path, overrides))
+
+
+def load_scenarios(
+    path: str | Path | None = None,
+    overrides: tuple[str, ...] = (),
+    variants: tuple[str, ...] = (),
+) -> Iterator[Scenario]:
+    """The scenario :func:`load_scenario` builds, then, for each
+    ``section.key=value`` in ``variants``, that scenario with the one
+    override applied last.  The file and ``overrides`` are read once; each
+    scenario is built, and fails, when the iterator reaches it."""
     values: dict[tuple[str, str], object] = {}
     for section, keys in _SCHEMA.items():
         for key, (_, default) in keys.items():
@@ -198,17 +212,21 @@ def load_scenario(
             raise ConfigError(f"malformed config file {path}: {exc}") from exc
         for section in parser.sections():
             for key, raw in parser.items(section):
-                _check_key(section, key)
-                values[(section, key)] = _convert(section, key, raw)
-                user_set.add((section, key))
+                _set(values, user_set, section, key, raw)
 
     for expr in overrides:
-        section, key, raw = parse_override(expr)
-        _check_key(section, key)
-        values[(section, key)] = _convert(section, key, raw)
-        user_set.add((section, key))
+        _set(values, user_set, *parse_override(expr))
+    yield _assemble(values, user_set)
+    for expr in variants:
+        variant, variant_set = dict(values), set(user_set)
+        _set(variant, variant_set, *parse_override(expr))
+        yield _assemble(variant, variant_set)
 
-    return _assemble(values, user_set)
+
+def _set(values: dict, user_set: set, section: str, key: str, raw: str) -> None:
+    _check_key(section, key)
+    values[(section, key)] = _convert(section, key, raw)
+    user_set.add((section, key))
 
 
 def _assemble(

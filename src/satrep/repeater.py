@@ -5,8 +5,8 @@ into two memory nodes) is fused pairwise by deterministic-but-lossy gate-based
 swaps, n levels deep.  This module computes the analytic end-to-end quantities:
 distributed-pair rate with and without multiplexing, expected pairs during one
 satellite pass, the level-by-level fidelity recursion with memory-decay
-penalties, and distance sweeps that re-derive the pass geometry for each total
-distance.
+penalties, and distance sweeps that compute each nesting depth as columns over
+the total distances, reusing cached pass averages.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .orbit import OrbitGeometry
 __all__ = [
     "RepeaterConfig",
     "RepeaterResult",
-    "SweepPoint",
+    "SweepColumns",
     "distance_sweep",
     "elementary_time",
     "evaluate",
@@ -92,40 +92,86 @@ def swap_probability(n_levels: int, gate_efficiency: float = 1.0) -> float:
     return ((2.0 / 3.0) * gate_efficiency) ** n_levels
 
 
-def _detection_factor(cfg: RepeaterConfig) -> float:
-    return cfg.node.detection_efficiency**cfg.detector_exponent
+class _Chain:
+    """One config's chain formulas at one nesting depth, each written once.
+    Python multiplies left to right, so the leading factors of a product
+    that depend on the config alone are multiplied here once without moving
+    a bit of any result; a sweep builds one per depth for all its passes."""
+
+    def __init__(self, cfg: RepeaterConfig, n_levels: int | None = None) -> None:
+        source, node = cfg.source, cfg.node
+        n_levels = cfg.n_levels if n_levels is None else n_levels
+        mux, eta_s = source.multiplexing_channels, source.emission_efficiency
+        demux2 = source.demux_efficiency**2
+        self.rate_prefix = source.repetition_rate_hz * eta_s
+        self.mux_prefix = mux * demux2
+        self.direct_prefix = mux * source.direct_repetition_rate_hz * eta_s
+        self.herald_prefix = demux2 * eta_s
+        self.caps = node.caps_success_probability
+        self.detection = node.detection_efficiency**cfg.detector_exponent
+        self.swap = swap_probability(n_levels, cfg.gate_efficiency)
+        self.slot_s, self.node = cfg.slot_s, node
+        self.gate = node.rydberg_gate_fidelity * node.readout_fidelity**2
+        self.wait_factors = [_wait_factor(k) for k in range(1, n_levels + 1)]
+
+    def rate(self, p0: float) -> float:
+        return self.rate_prefix * p0 * self.caps * self.detection * self.swap
+
+    def rate_multiplexed(self, p0: float) -> float:
+        return self.mux_prefix * self.rate(p0)
+
+    def rate_direct(self, p0: float) -> float:
+        return self.direct_prefix * p0
+
+    def herald_probability(self, p0: float) -> float:
+        return self.herald_prefix * p0 * self.caps * self.detection
+
+    def elementary_time(self, p0: float) -> float:
+        p = self.herald_probability(p0)
+        if p <= 0:
+            raise NoResultError(
+                "zero_herald_rate", "elementary link rate is zero; no heralding possible"
+            )
+        return self.slot_s / p
+
+    def waiting_times(self, t0_s: float) -> list[float]:
+        return [factor * t0_s for factor in self.wait_factors]
+
+    def fidelities(self, f_pair_avg: float, waits: list[float]) -> list[float]:
+        f = elementary_link_fidelity(f_pair_avg, self.node.caps_fidelity)
+        levels = [f]
+        for wait in waits:
+            decayed = werner_fidelity_decay(f, self.node.spin_decoherence_rate_hz, wait)
+            f = self.gate * decayed * f
+            levels.append(f)
+        return levels
+
+    def evaluate(self, agg: FlybyAggregates) -> tuple:
+        """(rate, pairs, T0, waiting times, fidelities) of one pass."""
+        t0 = self.elementary_time(agg.p0)
+        rate_hz, waits = self.rate_multiplexed(agg.p0), self.waiting_times(t0)
+        pairs = pairs_per_flyby(rate_hz, agg.flyby_duration_s)
+        return rate_hz, pairs, t0, waits, self.fidelities(agg.f_pair_avg, waits)
 
 
 def rate(cfg: RepeaterConfig, agg: FlybyAggregates) -> float:
     """Pass-averaged end-to-end pair rate of a single (non-multiplexed) chain:
     R_s * eta_s * P0 * eta_caps * eta_d^e * P_swap.
     """
-    return (
-        cfg.source.repetition_rate_hz
-        * cfg.source.emission_efficiency
-        * agg.p0
-        * cfg.node.caps_success_probability
-        * _detection_factor(cfg)
-        * swap_probability(cfg.n_levels, cfg.gate_efficiency)
-    )
+    return _Chain(cfg).rate(agg.p0)
 
 
 def rate_multiplexed(cfg: RepeaterConfig, agg: FlybyAggregates) -> float:
     """Multiplexed rate: N_mux parallel source channels, each paying the
     demultiplexer once per end of the elementary link."""
-    return cfg.source.multiplexing_channels * cfg.source.demux_efficiency**2 * rate(cfg, agg)
+    return _Chain(cfg).rate_multiplexed(agg.p0)
 
 
 def rate_direct(cfg: RepeaterConfig, agg: FlybyAggregates) -> float:
     """Rate of the repeaterless reference: the same satellite sends both
     photons of each pair straight down to the end points, no memories, no
     swapping, at the direct-transmission source rate."""
-    return (
-        cfg.source.multiplexing_channels
-        * cfg.source.direct_repetition_rate_hz
-        * cfg.source.emission_efficiency
-        * agg.p0
-    )
+    return _Chain(cfg, 0).rate_direct(agg.p0)
 
 
 def pairs_per_flyby(rate_hz: float, t_fb_s: float) -> float:
@@ -138,24 +184,19 @@ def herald_probability(cfg: RepeaterConfig, p0: float) -> float:
     demux^2 * eta_s * P0 * eta_caps * eta_d^e: T0 is the slot duration divided
     by it, and the Monte Carlo draws from it (time-resolved: at the
     instantaneous transmission in place of P0)."""
-    return (
-        cfg.source.demux_efficiency**2
-        * cfg.source.emission_efficiency
-        * p0
-        * cfg.node.caps_success_probability
-        * _detection_factor(cfg)
-    )
+    return _Chain(cfg).herald_probability(p0)
 
 
 def elementary_time(cfg: RepeaterConfig, agg: FlybyAggregates) -> float:
     """Mean time for one multiplexed elementary link to herald, T0: the slot
     duration divided by the per-slot herald probability."""
-    p = herald_probability(cfg, agg.p0)
-    if p <= 0:
-        raise NoResultError(
-            "zero_herald_rate", "elementary link rate is zero; no heralding possible"
-        )
-    return cfg.slot_s / p
+    return _Chain(cfg).elementary_time(agg.p0)
+
+
+def _wait_factor(level: int) -> float:
+    if level < 1:
+        raise ValueError("swap levels are counted from 1")
+    return 0.5 * 1.5 ** (level - 1)
 
 
 def waiting_time(level: int, t0_s: float) -> float:
@@ -170,9 +211,7 @@ def waiting_time(level: int, t0_s: float) -> float:
     T0, 7/6 T0 and 1.2690 T0 at levels 1-3, levelling off towards
     2 ln 2 T0.  The recursion keeps the rule as the paper's model.
     """
-    if level < 1:
-        raise ValueError("swap levels are counted from 1")
-    return 0.5 * 1.5 ** (level - 1) * t0_s
+    return _wait_factor(level) * t0_s
 
 
 def final_fidelity(
@@ -191,17 +230,9 @@ def final_fidelity(
     between F_{k-1} and 1/4, so F_k >= min(0, F_{k-1}/4): F_1, ..., F_n lie
     in [-1/12, 1] and no level needs a check.
     """
-    f0 = elementary_link_fidelity(agg.f_pair_avg, cfg.node.caps_fidelity)
-    t0 = elementary_time(cfg, agg) if t0_s is None else t0_s
-    gamma_s = cfg.node.spin_decoherence_rate_hz
-    gate_factor = cfg.node.rydberg_gate_fidelity * cfg.node.readout_fidelity**2
-    levels = [f0]
-    f = f0
-    for level in range(1, cfg.n_levels + 1):
-        decayed = werner_fidelity_decay(f, gamma_s, waiting_time(level, t0))
-        f = gate_factor * decayed * f
-        levels.append(f)
-    return levels
+    chain = _Chain(cfg)
+    t0 = chain.elementary_time(agg.p0) if t0_s is None else t0_s
+    return chain.fidelities(agg.f_pair_avg, chain.waiting_times(t0))
 
 
 @dataclass(frozen=True)
@@ -235,38 +266,32 @@ def evaluate_with_aggregates(
     """Same as :func:`evaluate` but reusing precomputed pass averages (the
     aggregates depend only on geometry, channel, and source fidelity, so sweeps
     over nesting depth can share them)."""
-    r_mux = rate_multiplexed(cfg, agg)
-    t0 = elementary_time(cfg, agg)
-    waits = tuple(waiting_time(k, t0) for k in range(1, cfg.n_levels + 1))
-    return RepeaterResult(
-        rate_hz=r_mux,
-        pairs_per_flyby=pairs_per_flyby(r_mux, agg.flyby_duration_s),
-        fidelity_per_level=tuple(final_fidelity(cfg, agg, t0_s=t0)),
-        waiting_time_per_level=waits,
-        elementary_time_s=t0,
-        aggregates=agg,
-    )
+    rate_hz, pairs, t0, waits, levels = _Chain(cfg).evaluate(agg)
+    return RepeaterResult(rate_hz, pairs, tuple(levels), tuple(waits), t0, agg)
 
 
 @dataclass(frozen=True)
-class SweepPoint:
-    """One point of a distance sweep.  ``status`` is ``ok`` or that of the
-    :class:`NoResultError` that stopped the point: ``no_visibility`` and
-    ``zero_transmission`` leave ``aggregates`` None, ``zero_herald_rate``
-    only ``result``.  Depth 0 is the direct-transmission reference: it has
-    no chain, so ``result`` is None."""
+class SweepColumns:
+    """One nesting depth of a distance sweep, as columns: entry i of each
+    list belongs to the sweep's i-th total distance.  ``status`` is ``ok``
+    or that of the :class:`NoResultError` that stopped the entry:
+    ``no_visibility`` and ``zero_transmission`` leave its ``aggregates``
+    None, ``zero_herald_rate`` only its chain columns, the last four.  Depth
+    0 is the direct-transmission reference: its rate is :func:`rate_direct`'s
+    and, having no chain, it has no T0 and no fidelity levels."""
 
-    l_total_m: float
     n_levels: int
-    altitude_m: float
-    link_length_m: float
-    status: str
-    aggregates: FlybyAggregates | None
-    result: RepeaterResult | None
+    link_length_m: list[float]
+    status: list[str]
+    aggregates: list[FlybyAggregates | None]
+    rate_hz: list[float | None]
+    pairs_per_flyby: list[float | None]
+    elementary_time_s: list[float | None]
+    fidelity_per_level: list[list[float] | None]
 
     @property
-    def visible(self) -> bool:
-        return self.status != "no_visibility"
+    def visible(self) -> list[bool]:
+        return [status != "no_visibility" for status in self.status]
 
 
 def distance_sweep(
@@ -274,55 +299,58 @@ def distance_sweep(
     l_totals_m: list[float],
     cache: dict | None = None,
     levels: list[int] | None = None,
-) -> list[SweepPoint]:
+) -> list[SweepColumns]:
     """Evaluate the chain over a set of total ground distances.
 
     Each total distance is split into 2^n equal elementary links, for each
-    nesting depth n in ``levels`` (default: the template's), depth-major;
-    the geometry is rebuilt once per distinct link length, everything else
-    is taken from the template; depth 0 (direct transmission, no memories)
-    stops at the pass aggregates.  ``cache`` maps (geometry, channel, source
-    fidelity) to the pass's converged aggregates, or to the status of the
-    :class:`NoResultError` that stopped it; pass the same dict to sweeps
-    that differ only in node-side parameters to skip their quadrature and
-    their classification.  The passes missing from it are converged in one
-    batch.  A :class:`NoResultError` ends only its point, any other error
-    the sweep, and is not cached.
+    nesting depth n in ``levels`` (default: the template's); the result
+    holds one :class:`SweepColumns` per depth, in that order.  Everything
+    but the link length is taken from the template; depth 0 (direct
+    transmission, no memories) stops at the pass aggregates.  ``cache`` maps
+    the scalars that define a pass apart from its link length (altitude,
+    Earth radius, mu, max zenith angle, channel, source fidelity) to a dict
+    from link length to the pass's converged aggregates, or to the status
+    of the :class:`NoResultError` that stopped it; pass the same dict to
+    sweeps that differ only in node-side parameters to skip their
+    quadrature and their classification.  Only the passes missing from it
+    get a geometry, and they are converged in one batch.  A
+    :class:`NoResultError` ends only its entry, any other error the sweep,
+    and is not cached.
     """
     cache = {} if cache is None else cache
-    channel, fidelity = cfg_template.channel, cfg_template.source.pair_fidelity
-    altitude = cfg_template.geometry.altitude_m
+    geom, channel = cfg_template.geometry, cfg_template.channel
+    fidelity = cfg_template.source.pair_fidelity
     depths = (cfg_template.n_levels,) if levels is None else levels
-    # The recursion reads no geometry: one config per depth serves every
-    # distance.
-    configs = [dataclasses.replace(cfg_template, n_levels=n) for n in depths]
     if depths and not all(l_total > 0 for l_total in l_totals_m):
         raise ValueError("total distance must be positive")
-    links = dict.fromkeys(l_total / 2**n for n in depths for l_total in l_totals_m)
-    geoms = {
-        link: dataclasses.replace(cfg_template.geometry, link_length_m=link)
-        for link in links
-    }
-    entries = {link: cache.get((geom, channel, fidelity)) for link, geom in geoms.items()}
-    missing = [link for link, entry in entries.items() if entry is None]
+    link_columns = [[l_total / 2**n for l_total in l_totals_m] for n in depths]
+    shape = (geom.altitude_m, geom.earth_radius_m, geom.mu_m3_per_s2, geom.max_zenith_rad)
+    passes = cache.setdefault((*shape, channel, fidelity), {})
+    missing = list(
+        dict.fromkeys(
+            link for column in link_columns for link in column if link not in passes
+        )
+    )
     if missing:
-        batch = [geoms[link] for link in missing]
-        outcomes = converged_aggregates(batch, channel, fidelity)
-        for link, agg in zip(missing, outcomes):
-            entry = agg.status if isinstance(agg, NoResultError) else agg
-            entries[link] = cache[geoms[link], channel, fidelity] = entry
-    points = []
-    for cfg in configs:
-        n = cfg.n_levels
-        for l_total in l_totals_m:
-            link = l_total / 2**n
-            agg, status, result = entries[link], "ok", None
+        batch = [dataclasses.replace(geom, link_length_m=link) for link in missing]
+        for link, agg in zip(missing, converged_aggregates(batch, channel, fidelity)):
+            passes[link] = agg.status if isinstance(agg, NoResultError) else agg
+    sweep = []
+    for n, links in zip(depths, link_columns):
+        chain, entries = _Chain(cfg_template, n), []
+        for agg in map(passes.__getitem__, links):
             if isinstance(agg, str):
-                status, agg = agg, None
-            elif n:
+                entries.append((agg, None, None, None, None, None))
+            elif not n:
+                rate_hz = chain.rate_direct(agg.p0)
+                pairs = pairs_per_flyby(rate_hz, agg.flyby_duration_s)
+                entries.append(("ok", agg, rate_hz, pairs, None, None))
+            else:
                 try:
-                    result = evaluate_with_aggregates(cfg, agg)
+                    rate_hz, pairs, t0, _, fidelities = chain.evaluate(agg)
+                    entries.append(("ok", agg, rate_hz, pairs, t0, fidelities))
                 except NoResultError as exc:
-                    status = exc.status
-            points.append(SweepPoint(l_total, n, altitude, link, status, agg, result))
-    return points
+                    entries.append((exc.status, agg, None, None, None, None))
+        columns = [list(column) for column in zip(*entries)] or [[] for _ in range(6)]
+        sweep.append(SweepColumns(n, links, *columns))
+    return sweep

@@ -14,13 +14,7 @@ import numpy as np
 from scipy.optimize import bisect, brentq
 
 from satrep.config import load_scenario
-from satrep.flyby import (
-    FlybyProfile,
-    average_pair_fidelity,
-    average_two_photon,
-    build_profile,
-    converged_aggregates,
-)
+from satrep.flyby import FlybyProfile, build_profile, converged_aggregates
 from satrep.mc_oracle import McConfig, compare_report, simulate_chain
 from satrep.node import (
     CavityParams,
@@ -41,6 +35,7 @@ from satrep.orbit import (
     zenith_angle,
 )
 from satrep.repeater import distance_sweep, evaluate, evaluate_with_aggregates
+from simpson_reference import average_pair_fidelity, average_two_photon
 
 DISTANCE_GRID_M = [1.0e7, 1.25e7, 1.5e7, 1.75e7, 2.0e7]
 
@@ -402,10 +397,14 @@ def test_criterion_10():
                 cfg = load_scenario(None, (f"{key}={value}",)).repeater
                 cfg = dataclasses.replace(cfg, n_levels=n)
                 sweeps.append(distance_sweep(cfg, DISTANCE_GRID_M))
-            better, worse = sweeps
-            for pt_b, pt_w in zip(better, worse):
-                assert pt_b.visible and pt_w.visible
-                dominated = pt_b.result.fidelity_final > pt_w.result.fidelity_final
+            (better,), (worse,) = sweeps
+            pairs = zip(
+                better.visible, worse.visible,
+                better.fidelity_per_level, worse.fidelity_per_level,
+            )
+            for visible_b, visible_w, levels_b, levels_w in pairs:
+                assert visible_b and visible_w
+                dominated = levels_b[-1] > levels_w[-1]
                 ok = ok and dominated
             details.append(f"{key} {good}>{bad} at 2^{n} links")
     _report(

@@ -5,13 +5,20 @@ import json
 import math
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satrep.cli import main
-from satrep.config import default_scenario, load_scenario, sweepable_keys
+from satrep.config import (
+    bundled_baseline_text,
+    default_scenario,
+    load_scenario,
+    sweepable_keys,
+)
 from satrep.repeater import distance_sweep, pairs_per_flyby, rate_direct
 
 
@@ -31,26 +38,28 @@ def split_stdout_csv(text):
     return lines[1].split(","), [line.split(",") for line in lines[2:]]
 
 
-def expected_record(cfg, pt, max_level):
-    """The CSV record of one sweep point: each float ``repr``-formatted, the
-    depth as ``str``, blank where the point has no value."""
-    agg, result = pt.aggregates, pt.result
+def expected_record(cfg, cols, i, l_total_m, max_level):
+    """The CSV record of entry ``i`` of one depth's sweep columns: each float
+    ``repr``-formatted, the depth as ``str``, blank where the entry has no
+    value."""
+    agg, status, n_levels = cols.aggregates[i], cols.status[i], cols.n_levels
+    visible = status != "no_visibility"
     if agg is None:
-        t_fb, p0, f_pair = (None if pt.visible else 0.0), None, None
+        t_fb, p0, f_pair = (None if visible else 0.0), None, None
     else:
         t_fb, p0, f_pair = agg.flyby_duration_s, agg.p0, agg.f_pair_avg
     rate = pairs = fidelity = None
     levels = ()
-    if pt.n_levels == 0 and agg is not None:
+    if n_levels == 0 and agg is not None:
         rate = rate_direct(cfg, agg)
         pairs, fidelity = pairs_per_flyby(rate, t_fb), f_pair
-    elif result is not None:
-        rate, pairs = result.rate_hz, result.pairs_per_flyby
-        fidelity, levels = result.fidelity_final, result.fidelity_per_level
+    elif cols.rate_hz[i] is not None:
+        rate, pairs = cols.rate_hz[i], cols.pairs_per_flyby[i]
+        fidelity, levels = cols.fidelity_per_level[i][-1], cols.fidelity_per_level[i]
     numbers = {
-        "L_total_km": pt.l_total_m / 1e3,
-        "h_km": pt.altitude_m / 1e3,
-        "L0_km": pt.link_length_m / 1e3,
+        "L_total_km": l_total_m / 1e3,
+        "h_km": cfg.geometry.altitude_m / 1e3,
+        "L0_km": cols.link_length_m[i] / 1e3,
         "T_FB_s": t_fb,
         "P0": p0,
         "F_pair_avg": f_pair,
@@ -61,9 +70,9 @@ def expected_record(cfg, pt, max_level):
     for k in range(max_level + 1):
         numbers[f"F{k}"] = levels[k] if k < len(levels) else None
     record = {key: "" if value is None else repr(value) for key, value in numbers.items()}
-    record["n_levels"] = str(pt.n_levels)
-    record["visible"] = "true" if pt.visible else "false"
-    record["status"] = pt.status
+    record["n_levels"] = str(n_levels)
+    record["visible"] = "true" if visible else "false"
+    record["status"] = status
     return record
 
 
@@ -255,6 +264,11 @@ class TestRates:
     def test_bad_distances_rejected(self):
         assert main(["rates", "--distances-km", "10q0", "--links", "4"]) == 1
 
+    @pytest.mark.parametrize("distances", ["nan", "inf", "10000,-inf", "1e400"])
+    def test_non_finite_distances_are_usage_errors(self, distances, capsys):
+        assert main(["rates", "--distances-km", distances, "--links", "4"]) == 1
+        assert "--distances-km values must be finite" in capsys.readouterr().err
+
     def test_output_file_matches_stdout(self, tmp_path, capsys):
         args = ["rates", "--distances-km", "10000", "--links", "4"]
         assert main(args) == 0
@@ -327,8 +341,10 @@ class TestSweepStatus:
             "--with-direct",
         )
         cfg = load_scenario(None, overrides).repeater
-        points = distance_sweep(cfg, [2.0e6, 1.0e7, 4.0e7, 8.0e7], levels=[2, 3, 0])
-        assert [expected_record(cfg, pt, 3) for pt in points] == records
+        distances = [2.0e6, 1.0e7, 4.0e7, 8.0e7]
+        sweep = distance_sweep(cfg, distances, levels=[2, 3, 0])
+        points = [(cols, i, d) for cols in sweep for i, d in enumerate(distances)]
+        assert [expected_record(cfg, *pt, 3) for pt in points] == records
         # The 80,000 km rows, direct one included, are out of sight.
         far = [r for r in records if r["L_total_km"] == "80000.0"]
         assert [(r["n_levels"], r["status"], r["T_FB_s"]) for r in far] == [
@@ -404,6 +420,57 @@ class TestSensitivity:
              "--distances-km", "10000", "--links", "4"]
         )
         assert code == 1
+
+    def test_config_file_is_read_once(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(
+            bundled_baseline_text().replace("altitude_m = 1.5e6", "altitude_m = 1.2e6")
+        )
+        key, values = "node.caps_fidelity", ["0.95", "0.97", "0.99"]
+        grid = ["--distances-km", "10000,80000", "--links", "4", "--with-direct"]
+        reads = []
+        read_text = Path.read_text
+
+        def counted(path, *args, **kwargs):
+            reads.append(path)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counted)
+        sweep = ["sensitivity", "--config", str(cfg), "--param", key]
+        assert main(sweep + ["--values", ",".join(values), *grid]) == 0
+        assert reads == [cfg]
+        out = capsys.readouterr().out
+        expected = []
+        for value in values:
+            assert main(["rates", "--config", str(cfg), "--set", f"{key}={value}", *grid]) == 0
+            _, rates_rows = split_stdout_csv(capsys.readouterr().out)
+            expected += [[key, repr(float(value)), *row] for row in rates_rows]
+        assert split_stdout_csv(out)[1] == expected
+        assert out.splitlines()[0] == "# " + json.dumps(load_scenario(cfg).flat_dict())
+
+    @pytest.mark.parametrize("with_file", [False, True])
+    def test_cooperativity_sweep_keeps_the_user_set_rule(self, with_file, tmp_path, capsys):
+        # The bundled file sets node.caps_success_probability, which then wins
+        # over each swept cooperativity; with no file each cooperativity
+        # replaces the default probability.
+        cfg = tmp_path / "table1.cfg"
+        cfg.write_text(bundled_baseline_text())
+        config = ["--config", str(cfg)] if with_file else []
+        key, values = "node.internal_cooperativity", ["20", "200"]
+        grid = ["--distances-km", "10000", "--links", "4"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            sweep = ["sensitivity", *config, "--param", key, "--values", ",".join(values)]
+            assert main(sweep + grid) == 0
+            header, rows = split_stdout_csv(capsys.readouterr().out)
+            expected = []
+            for value in values:
+                assert main(["rates", *config, "--set", f"{key}={value}", *grid]) == 0
+                _, rates_rows = split_stdout_csv(capsys.readouterr().out)
+                expected += [[key, repr(float(value)), *row] for row in rates_rows]
+        assert rows == expected
+        rates = {row[header.index("rate_hz")] for row in rows}
+        assert len(rates) == (1 if with_file else 2)
 
 
 class TestMc:
@@ -611,6 +678,20 @@ class TestCapsCurve:
         assert main(["caps-curve", "--points", "1"]) == 1
         assert main(["caps-curve", "--cin-min", "5", "--cin-max", "5"]) == 1
         assert main(["caps-curve", "--cin-min", "-1"]) == 1
+
+    @pytest.mark.parametrize(
+        "flag, bounds",
+        [
+            ("--cin-min", ["--cin-min", "nan"]),
+            ("--cin-max", ["--cin-min", "1", "--cin-max", "inf"]),
+            ("--cin-max", ["--cin-max", "nan"]),
+        ],
+    )
+    def test_non_finite_bounds_are_usage_errors(self, flag, bounds, capsys):
+        assert main(["caps-curve", *bounds, "--points", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"satrep: error: {flag} must be finite" in captured.err
 
 
 def test_rates_runs_on_numpy_alone():

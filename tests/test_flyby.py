@@ -12,13 +12,11 @@ from satrep.flyby import (
     FlybyProfile,
     NoVisibilityError,
     QuadratureError,
-    _simpson,
-    average_pair_fidelity,
-    average_two_photon,
     build_profile,
     converged_aggregates,
 )
 from satrep.orbit import OrbitGeometry, pass_timing, slant_distance, zenith_angle
+from simpson_reference import _simpson, average_pair_fidelity, average_two_photon
 
 
 def make_geom(h, l0):

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from satrep.cli import main
+from satrep.config import bundled_baseline_text
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,6 +40,27 @@ def test_commands_cover_the_benchmark_stream_and_every_subcommand(digest_tool):
     assert ["mc.time_model=time-resolved"] == [
         c[c.index("--set") + 1] for c in cmds if c[0] == "mc" and "--dump-trials" in c
     ]
+    assert len(cmds) == 145
+    # One node-key and one aggregate-key sweep read the scenario file.
+    assert [c[c.index("--param") + 1] for c in cmds if digest_tool.CFG in c] == [
+        "node.spin_decoherence_rate_hz", "channel.beam_waist_m",
+    ]
+
+
+def test_scenario_file_changes_one_value(digest_tool, tmp_path, capsys):
+    argv = ["rates", "--config", digest_tool.CFG, "--distances-km", "10000", "--links", "4"]
+    (record,) = digest_tool._run_all([argv], tmp_path)
+    assert record["exit"] == 0 and record["files"] == {}
+    scenario = tmp_path / "scenario.cfg"
+    assert main([*argv[:2], str(scenario), *argv[3:]]) == 0
+    stdout = capsys.readouterr().out
+    assert record["stdout"] == hashlib.sha256(stdout.encode()).hexdigest()
+    changed = [
+        line for line, base in zip(
+            scenario.read_text().splitlines(), bundled_baseline_text().splitlines()
+        ) if line != base
+    ]
+    assert changed == [digest_tool.CFG_EDIT[1]]
 
 
 def test_record_hashes_stdout_and_written_files(digest_tool, tmp_path, capsys):

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satrep import flyby, repeater
+from satrep.channel import NoResultError
+from satrep.config import load_scenario
 from satrep.flyby import FlybyAggregates, QuadratureError, converged_aggregates
 from satrep.orbit import OrbitGeometry
 from satrep.repeater import (
@@ -15,6 +17,7 @@ from satrep.repeater import (
     evaluate,
     evaluate_with_aggregates,
     final_fidelity,
+    pairs_per_flyby,
     rate,
     rate_direct,
     rate_multiplexed,
@@ -240,18 +243,18 @@ class TestEvaluate:
 
 class TestDistanceSweep:
     def test_rows_follow_visibility(self, baseline_cfg):
-        points = distance_sweep(baseline_cfg, [1.0e7, 2.0e7, 8.0e7])
-        assert [p.visible for p in points] == [True, True, False]
-        assert [p.status for p in points] == ["ok", "ok", "no_visibility"]
-        assert points[2].aggregates is None
-        assert points[0].result is not None
-        assert points[2].result is None
-        assert points[1].link_length_m == pytest.approx(5.0e6)
+        (points,) = distance_sweep(baseline_cfg, [1.0e7, 2.0e7, 8.0e7])
+        assert points.visible == [True, True, False]
+        assert points.status == ["ok", "ok", "no_visibility"]
+        assert points.aggregates[2] is None
+        assert points.fidelity_per_level[0] is not None
+        assert points.fidelity_per_level[2] is None
+        assert points.link_length_m[1] == pytest.approx(5.0e6)
 
     def test_sweep_matches_single_evaluation(self, baseline, baseline_cfg):
         (point,) = distance_sweep(baseline_cfg, [1.0e7])
         single = evaluate(config_for(baseline.repeater, 1.0e7, 2))
-        assert point.result.pairs_per_flyby == pytest.approx(
+        assert point.pairs_per_flyby[0] == pytest.approx(
             single.pairs_per_flyby, rel=1e-12
         )
 
@@ -259,15 +262,15 @@ class TestDistanceSweep:
         channel = dataclasses.replace(baseline_cfg.channel, receiver_radius_m=1e-300)
         cfg = dataclasses.replace(baseline_cfg, channel=channel)
         (point,) = distance_sweep(cfg, [1.0e7])
-        assert (point.status, point.visible) == ("zero_transmission", True)
-        assert point.aggregates is None and point.result is None
+        assert (point.status[0], point.visible[0]) == ("zero_transmission", True)
+        assert point.aggregates[0] is None and point.fidelity_per_level[0] is None
 
     def test_zero_herald_rate_keeps_aggregates(self, baseline_cfg):
         node = dataclasses.replace(baseline_cfg.node, caps_success_probability=0.0)
         cfg = dataclasses.replace(baseline_cfg, node=node)
         (point,) = distance_sweep(cfg, [1.0e7])
-        assert point.status == "zero_herald_rate"
-        assert point.aggregates is not None and point.result is None
+        assert point.status[0] == "zero_herald_rate"
+        assert point.aggregates[0] is not None and point.fidelity_per_level[0] is None
 
     def test_direct_depth_stops_at_aggregates(self, baseline_cfg):
         # Depth 0 needs no memory herald: no chain is evaluated, even where
@@ -275,22 +278,31 @@ class TestDistanceSweep:
         node = dataclasses.replace(baseline_cfg.node, caps_success_probability=0.0)
         cfg = dataclasses.replace(baseline_cfg, node=node)
         (point,) = distance_sweep(cfg, [2.0e6], levels=[0])
-        assert point.status == "ok"
-        assert point.aggregates is not None and point.result is None
+        assert point.status[0] == "ok"
+        assert point.aggregates[0] is not None and point.fidelity_per_level[0] is None
 
     def test_cache_is_shared_across_node_parameters(self, baseline_cfg, monkeypatch):
         cache = {}
         first = distance_sweep(baseline_cfg, [1.0e7, 8.0e7], cache, levels=[2, 3])
-        assert [(p.n_levels, p.l_total_m) for p in first] == [
+        assert [
+            (cols.n_levels, link * 2**cols.n_levels)
+            for cols in first
+            for link in cols.link_length_m
+        ] == [
             (2, 1.0e7), (2, 8.0e7), (3, 1.0e7), (3, 8.0e7),
         ]
         # Every pass is cached: the converged ones as their aggregates, the
         # invisible ones (20,000 and 10,000 km links) as their status.
-        stored = {geom.link_length_m: entry for (geom, _, _), entry in cache.items()}
+        ((key, stored),) = cache.items()
+        geom = baseline_cfg.geometry
+        assert key == (
+            geom.altitude_m, geom.earth_radius_m, geom.mu_m3_per_s2,
+            geom.max_zenith_rad, baseline_cfg.channel, baseline_cfg.source.pair_fidelity,
+        )
         assert stored == {
-            2.5e6: first[0].aggregates,
+            2.5e6: first[0].aggregates[0],
             2.0e7: "no_visibility",
-            1.25e6: first[2].aggregates,
+            1.25e6: first[1].aggregates[0],
             1.0e7: "no_visibility",
         }
         calls = []
@@ -302,11 +314,20 @@ class TestDistanceSweep:
         monkeypatch.setattr(repeater, "converged_aggregates", counted)
         node = dataclasses.replace(baseline_cfg.node, caps_fidelity=0.95)
         cfg = dataclasses.replace(baseline_cfg, node=node)
+        geometries = []
+        post_init = OrbitGeometry.__post_init__
+
+        def counted_geometry(geom):
+            geometries.append(geom)
+            post_init(geom)
+
+        monkeypatch.setattr(OrbitGeometry, "__post_init__", counted_geometry)
         second = distance_sweep(cfg, [1.0e7, 8.0e7], cache, levels=[2, 3])
         assert calls == []  # neither quadrature nor re-classification
+        assert geometries == []  # nor a geometry for any cached pass
         assert [p.status for p in second] == [p.status for p in first]
-        assert second[0].aggregates is first[0].aggregates
-        assert second[0].result.fidelity_final < first[0].result.fidelity_final
+        assert second[0].aggregates[0] is first[0].aggregates[0]
+        assert second[0].fidelity_per_level[0][-1] < first[0].fidelity_per_level[0][-1]
 
     def test_quadrature_error_of_one_point_ends_the_sweep(self, baseline_cfg, monkeypatch):
         # 1,000 km links converge at 64 nodes and 20,000 km ones are never
@@ -318,12 +339,95 @@ class TestDistanceSweep:
             baseline_cfg.channel, zenith_transmittance=0.5, beam_waist_m=0.005
         )
         cfg = dataclasses.replace(baseline_cfg, geometry=geometry, channel=channel)
-        assert [p.status for p in distance_sweep(cfg, [4.0e6, 8.0e7])] == [
+        assert distance_sweep(cfg, [4.0e6, 8.0e7])[0].status == [
             "ok", "no_visibility",
         ]
         monkeypatch.setattr(flyby, "GAUSS_NODES", (32, 64))
         with pytest.raises(QuadratureError, match=r"at link length 100000\.0 m;"):
             distance_sweep(cfg, [4.0e6, 4.0e5, 8.0e7])
+
+    # Non-default values for every factor of the chain formulas.
+    NODE_AND_SOURCE = (
+        "node.caps_success_probability=0.55",
+        "node.caps_fidelity=0.97",
+        "node.rydberg_gate_fidelity=0.985",
+        "node.readout_fidelity=0.993",
+        "node.detection_efficiency=0.7",
+        "node.spin_decoherence_rate_hz=0.8",
+        "source.repetition_rate_hz=3.7e6",
+        "source.multiplexing_channels=37",
+        "source.demux_efficiency=0.81",
+        "source.direct_repetition_rate_hz=2.2e8",
+        "repeater.gate_efficiency=0.93",
+        "repeater.detector_exponent=2",
+    )
+
+    @pytest.mark.parametrize(
+        "overrides, chain_statuses, direct_statuses",
+        [
+            (NODE_AND_SOURCE, {"ok", "no_visibility"}, {"ok", "no_visibility"}),
+            (
+                ("channel.receiver_radius_m=1e-300",),
+                {"zero_transmission", "no_visibility"},
+                {"zero_transmission", "no_visibility"},
+            ),
+            # A direct entry needs no memory herald.
+            (
+                ("node.caps_success_probability=0",),
+                {"zero_herald_rate", "no_visibility"},
+                {"ok", "no_visibility"},
+            ),
+        ],
+    )
+    def test_columns_equal_single_point_evaluation(
+        self, overrides, chain_statuses, direct_statuses
+    ):
+        # Bit for bit: each chain entry is evaluate_with_aggregates of the
+        # entry's own pass, each direct entry rate_direct of it, and a pass
+        # without aggregates is classified as converging it alone does.
+        cfg = load_scenario(None, overrides).repeater
+        distances = [2.0e6, 1.0e7, 2.0e7, 8.0e7]
+        sweep = distance_sweep(cfg, distances, levels=[0, 1, 2, 3, 4])
+        assert [cols.n_levels for cols in sweep] == [0, 1, 2, 3, 4]
+        seen = {True: set(), False: set()}
+        for cols in sweep:
+            chain = dataclasses.replace(cfg, n_levels=cols.n_levels)
+            for i, l_total in enumerate(distances):
+                link = l_total / 2**cols.n_levels
+                agg, status = cols.aggregates[i], cols.status[i]
+                entry = (
+                    cols.rate_hz[i], cols.pairs_per_flyby[i],
+                    cols.elementary_time_s[i], cols.fidelity_per_level[i],
+                )
+                assert cols.link_length_m[i] == link
+                seen[cols.n_levels == 0].add(status)
+                if agg is None:
+                    geom = dataclasses.replace(cfg.geometry, link_length_m=link)
+                    with pytest.raises(NoResultError) as exc:
+                        converged_aggregates(geom, cfg.channel, cfg.source.pair_fidelity)
+                    assert status == exc.value.status
+                    assert entry == (None, None, None, None)
+                elif cols.n_levels == 0:
+                    rate_hz = rate_direct(cfg, agg)
+                    assert status == "ok"
+                    assert entry == (
+                        rate_hz, pairs_per_flyby(rate_hz, agg.flyby_duration_s), None, None
+                    )
+                elif status == "zero_herald_rate":
+                    with pytest.raises(NoResultError, match="no heralding"):
+                        evaluate_with_aggregates(chain, agg)
+                    assert entry == (None, None, None, None)
+                else:
+                    result = evaluate_with_aggregates(chain, agg)
+                    assert status == "ok"
+                    assert entry == (
+                        result.rate_hz,
+                        result.pairs_per_flyby,
+                        result.elementary_time_s,
+                        list(result.fidelity_per_level),
+                    )
+                    assert len(entry[3]) == cols.n_levels + 1
+        assert seen == {False: chain_statuses, True: direct_statuses}
 
     def test_sweep_rejects_nonpositive_distance(self, baseline_cfg):
         with pytest.raises(ValueError):

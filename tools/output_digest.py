@@ -14,8 +14,10 @@ lists the commands whose records differ and exits 1 if any do, 0 if none.
 The commands: ``flyby``, ``rates``, ``sensitivity`` and both ``mc`` time
 models at and around the defaults; one sweep per row status (``ok``,
 ``no_visibility``, ``zero_transmission`` both ways, ``zero_herald_rate``); a
-node-key sweep whose later values reuse cached statuses; a 1,000-point
-altitude grid; a few exit 1 and 2 cases; and the first :data:`BENCH_OPS`
+node-key sweep whose later values reuse cached statuses; a node-key and an
+aggregate-key sweep read from a scenario file (the bundled baseline with
+:data:`CFG_EDIT` applied); a 1,000-point altitude grid; a few exit 1 and 2
+cases; and the first :data:`BENCH_OPS`
 operations of the benchmark's ``sweep`` stream for each of
 :data:`BENCH_SEEDS`, taken from ``perfbench/workloads.py``, which is only
 read.  Standard library only.
@@ -41,6 +43,10 @@ BENCH_OPS = 60
 # Output file placeholders: each is replaced by a path in the run's
 # temporary directory, and the digest names the file by its placeholder.
 OUT, DUMP = "{out}", "{dump}"
+# Input file placeholder: replaced by the path of a scenario file written
+# once per run from the bundled baseline with CFG_EDIT's one value changed.
+CFG = "{cfg}"
+CFG_EDIT = ("altitude_m = 1.5e6", "altitude_m = 1.2e6")
 SWEEP_LINKS = ("--links", "4,8,16", "--with-direct")
 
 
@@ -98,6 +104,11 @@ def commands() -> list[list[str]]:
         # Later values reuse the first one's aggregates and statuses.
         _sensitivity("node.caps_success_probability", "0,0.5,1", *far),
         _sensitivity("node.caps_fidelity", "0.95,0.99", *far, "--output", OUT),
+        # The scenario file is read once per run, not once per value.
+        _sensitivity("node.spin_decoherence_rate_hz", "0.05,0.5,1", "--config", CFG,
+                     *SWEEP_LINKS),
+        _sensitivity("channel.beam_waist_m", "0.02,0.05", "--config", CFG,
+                     "--set", "node.caps_fidelity=0.97", *SWEEP_LINKS),
         # The 1,000-point grid: 100 altitudes x 10 distances.
         _sensitivity("orbit.altitude_m", _grid(5e5, 2.5e6, 100),
                      "--distances-km", _grid(2000, 20000, 10), "--links", "4"),
@@ -117,16 +128,23 @@ def _sha(data: str) -> str:
 def _run_all(cmds: list[list[str]], workdir: Path) -> list[dict]:
     """In this process: one ``satrep.cli.main`` call per command."""
     from satrep.cli import main
+    from satrep.config import bundled_baseline_text
 
+    baseline = bundled_baseline_text()
+    if CFG_EDIT[0] not in baseline:
+        raise SystemExit(f"the bundled baseline has no line {CFG_EDIT[0]!r}")
+    scenario = workdir / "scenario.cfg"
+    scenario.write_text(baseline.replace(*CFG_EDIT))
     records = []
     for argv in cmds:
         paths = {p: workdir / name for p, name in ((OUT, "out"), (DUMP, "dump"))}
         for path in paths.values():
             path.unlink(missing_ok=True)
+        args = {**paths, CFG: scenario}
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
-                code = main([str(paths.get(a, a)) for a in argv])
+                code = main([str(args.get(a, a)) for a in argv])
             except Exception as exc:  # an escape from the CLI is an outcome too
                 code = f"raised {type(exc).__name__}"
                 print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
