@@ -44,6 +44,9 @@ __all__ = ["UsageError", "main"]
 
 _DEFAULT_DISTANCES_KM = "10000,12500,15000,17500,20000"
 _DEFAULT_LINKS = "4,8"
+# Most points --samples or --points may ask for, checked before any allocation:
+# the rows peak at about 870 and 360 bytes per point (tracemalloc), under 1 GB.
+_MAX_GRID_POINTS = 10**6
 
 _SWEEP_COLUMNS = [
     "L_total_km",
@@ -186,10 +189,6 @@ def _load(args, *overrides: str) -> Scenario:
     return load_scenario(args.config, (*(args.overrides or ()), *overrides))
 
 
-def _provenance(scenario: Scenario) -> str:
-    return "# " + json.dumps(scenario.flat_dict()) + "\n"
-
-
 def _emit(args, text: str) -> None:
     if args.output is None:
         sys.stdout.write(text)
@@ -219,7 +218,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _csv_text(scenario: Scenario, header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
-    buf.write(_provenance(scenario))
+    buf.write("# " + json.dumps(scenario.flat_dict()) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -258,6 +257,8 @@ def _cmd_flyby(args) -> int:
     cfg = scenario.repeater
     if args.samples < 3 or args.samples % 2 == 0:
         raise UsageError("--samples must be an odd integer >= 3")
+    if args.samples > _MAX_GRID_POINTS:
+        raise UsageError(f"--samples must be at most {_MAX_GRID_POINTS}")
     profile = build_profile(
         cfg.geometry, cfg.channel, cfg.source.pair_fidelity, n_samples=args.samples
     )
@@ -389,20 +390,14 @@ def _cmd_mc(args) -> int:
     payload["parameters"] = scenario.flat_dict()
     _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     if args.dump_trials is not None:
-        buf = io.StringIO()
-        buf.write(_provenance(scenario))
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["trial", "pairs", "fidelity"])
-        for i in range(estimates.trials):
-            fid = estimates.fidelity_samples[i]
-            writer.writerow(
-                [
-                    i,
-                    repr(float(estimates.pairs_samples[i])),
-                    "" if math.isnan(fid) else repr(float(fid)),
-                ]
+        rows = [
+            [i, repr(float(pairs)), "" if math.isnan(fid) else repr(float(fid))]
+            for i, (pairs, fid) in enumerate(
+                zip(estimates.pairs_samples, estimates.fidelity_samples)
             )
-        _atomic_write(args.dump_trials, buf.getvalue())
+        ]
+        header = ["trial", "pairs", "fidelity"]
+        _atomic_write(args.dump_trials, _csv_text(scenario, header, rows))
     return 0 if report.all_pass else 3
 
 
@@ -410,6 +405,8 @@ def _cmd_caps_curve(args) -> int:
     scenario = _load(args)
     if args.points < 2:
         raise UsageError("--points must be >= 2")
+    if args.points > _MAX_GRID_POINTS:
+        raise UsageError(f"--points must be at most {_MAX_GRID_POINTS}")
     for flag, value in (("--cin-min", args.cin_min), ("--cin-max", args.cin_max)):
         if not math.isfinite(value):
             raise UsageError(f"{flag} must be finite, got {value}")

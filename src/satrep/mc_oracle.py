@@ -6,7 +6,7 @@ rate and fidelity recursions.  Two time models:
 
 ``constant-p``
     Every attempt slot succeeds with the flyby-averaged herald probability
-    :func:`~satrep.repeater.herald_probability`, the same product the
+    :meth:`~satrep.repeater.Chain.herald_probability`, the same product the
     analytic T0 divides the slot duration by.  This is the model the
     equivalence tests use: estimator means are designed to coincide with the
     analytic values exactly, so z-scores are meaningful.
@@ -37,7 +37,7 @@ import numpy as np
 
 from .flyby import FlybyAggregates, FlybyProfile, build_profile
 from .node import elementary_link_fidelity
-from .repeater import RepeaterConfig, RepeaterResult, herald_probability, swap_probability
+from .repeater import Chain, RepeaterConfig, RepeaterResult
 
 __all__ = [
     "ChainEstimates",
@@ -59,6 +59,10 @@ _BLOCK_TRIALS = 1024  # constant-p trials per random stream
 # 8 (tracemalloc, channel.beam_waist_m=0.1: 2.8e6 and 1.1e7 heralds), so the
 # cap keeps a trial under about 0.75 GB.  The baseline expects 2 x 5.7k.
 _MAX_HERALDS_PER_TRIAL = 1e8
+# Leaf times one simulate_chain run may hold: trials x 2^n, plus a block of
+# _BLOCK_TRIALS x 2^n in constant-p.  At about 51 bytes each (tracemalloc, 4
+# to 128 leaves) the cap keeps a run under 1 GB; the baseline holds 1e5 x 4.
+_MAX_LEAF_TIMES = 2e7
 
 
 @dataclass(frozen=True)
@@ -227,19 +231,25 @@ def simulate_chain(
     boundary (:func:`_time_resolved_trial`).  Fidelity and gaps are scored on
     the first completed cascade of each trial; trials whose first cascade
     does not finish before the pass ends contribute no fidelity sample, and
-    ``completed_fraction`` records the fraction that did.
+    ``completed_fraction`` records the fraction that did.  More than
+    :data:`_MAX_LEAF_TIMES` leaf times raise ValueError before any allocation.
     """
     if rep_cfg.n_levels < 1:
         raise ValueError("chain simulation requires at least one swap level")
     n_leaves = rep_cfg.n_links
+    block = _BLOCK_TRIALS if cfg.time_model == "constant-p" else 0
+    if not (cfg.trials + block) * n_leaves <= _MAX_LEAF_TIMES:
+        raise ValueError(
+            f"{cfg.trials} trials of {n_leaves} leaves exceed the Monte Carlo's "
+            f"{_MAX_LEAF_TIMES:.0e} leaf times"
+        )
     slot_s = rep_cfg.slot_s
     t_fb = agg.flyby_duration_s
-    p_attempt = herald_probability(rep_cfg, agg.p0)
+    chain = Chain(rep_cfg)
+    p_attempt, p_swap = chain.herald_probability(agg.p0), chain.swap
     if not 0.0 < p_attempt <= 1.0:
         raise ValueError(f"per-attempt probability {p_attempt} outside (0, 1]")
-    p_swap = swap_probability(rep_cfg.n_levels, rep_cfg.gate_efficiency)
     f0 = elementary_link_fidelity(agg.f_pair_avg, rep_cfg.node.caps_fidelity)
-    gate_factor = rep_cfg.node.rydberg_gate_fidelity * rep_cfg.node.readout_fidelity**2
     gamma_s = rep_cfg.node.spin_decoherence_rate_hz
 
     pairs_samples = np.empty(cfg.trials)
@@ -275,7 +285,7 @@ def simulate_chain(
             )
 
     done = ~np.isnan(leaf_times[:, 0])
-    completed, gaps = _merge_tree(leaf_times[done], f0, gate_factor, gamma_s)
+    completed, gaps = _merge_tree(leaf_times[done], f0, chain.gate, gamma_s)
     fidelity_samples = np.full(cfg.trials, math.nan)
     fidelity_samples[done] = completed
     return ChainEstimates(

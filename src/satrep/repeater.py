@@ -6,7 +6,8 @@ swaps, n levels deep.  This module computes the analytic end-to-end quantities:
 distributed-pair rate with and without multiplexing, expected pairs during one
 satellite pass, the level-by-level fidelity recursion with memory-decay
 penalties, and distance sweeps that compute each nesting depth as columns over
-the total distances, reusing cached pass averages.
+the total distances, reusing cached pass averages.  :class:`Chain` holds each
+chain formula once, for the evaluations, the sweeps and the Monte Carlo.
 """
 
 from __future__ import annotations
@@ -25,20 +26,14 @@ from .node import (
 from .orbit import OrbitGeometry
 
 __all__ = [
+    "Chain",
     "RepeaterConfig",
     "RepeaterResult",
     "SweepColumns",
     "distance_sweep",
-    "elementary_time",
     "evaluate",
-    "final_fidelity",
-    "herald_probability",
+    "evaluate_with_aggregates",
     "pairs_per_flyby",
-    "rate",
-    "rate_direct",
-    "rate_multiplexed",
-    "swap_probability",
-    "waiting_time",
 ]
 
 
@@ -73,34 +68,23 @@ class RepeaterConfig:
         return 2**self.n_levels
 
     @property
-    def total_distance_m(self) -> float:
-        return self.n_links * self.geometry.link_length_m
-
-    @property
     def slot_s(self) -> float:
         """Duration of one multiplexed attempt slot, 1/(N_mux R_s)."""
         return 1.0 / (self.source.multiplexing_channels * self.source.repetition_rate_hz)
 
 
-def swap_probability(n_levels: int, gate_efficiency: float = 1.0) -> float:
-    """Probability that all 2^n - 1 swaps in an n-level chain succeed,
-    ((2/3) * P_gate)^n, for the intrinsic-2/3 gate-based swap."""
-    if n_levels < 0:
-        raise ValueError("nesting depth must be >= 0")
-    if not 0.0 < gate_efficiency <= 1.0:
-        raise ValueError("gate efficiency must lie in (0, 1]")
-    return ((2.0 / 3.0) * gate_efficiency) ** n_levels
-
-
-class _Chain:
-    """One config's chain formulas at one nesting depth, each written once.
-    Python multiplies left to right, so the leading factors of a product
-    that depend on the config alone are multiplied here once without moving
-    a bit of any result; a sweep builds one per depth for all its passes."""
+class Chain:
+    """Each chain formula of one config at one depth (default: the config's).
+    ``swap`` = ((2/3) * P_gate)^n is the probability that all 2^n - 1 swaps
+    succeed, ``gate`` = F_gate * F_readout^2 the depolarization of one swap.
+    Python multiplies left to right, so each product's config-only leading
+    factors are multiplied here once, without moving a bit of any result."""
 
     def __init__(self, cfg: RepeaterConfig, n_levels: int | None = None) -> None:
-        source, node = cfg.source, cfg.node
         n_levels = cfg.n_levels if n_levels is None else n_levels
+        if n_levels < 0:
+            raise ValueError("nesting depth must be >= 0")
+        source, node = cfg.source, cfg.node
         mux, eta_s = source.multiplexing_channels, source.emission_efficiency
         demux2 = source.demux_efficiency**2
         self.rate_prefix = source.repetition_rate_hz * eta_s
@@ -109,24 +93,37 @@ class _Chain:
         self.herald_prefix = demux2 * eta_s
         self.caps = node.caps_success_probability
         self.detection = node.detection_efficiency**cfg.detector_exponent
-        self.swap = swap_probability(n_levels, cfg.gate_efficiency)
+        self.swap = ((2.0 / 3.0) * cfg.gate_efficiency) ** n_levels
         self.slot_s, self.node = cfg.slot_s, node
         self.gate = node.rydberg_gate_fidelity * node.readout_fidelity**2
-        self.wait_factors = [_wait_factor(k) for k in range(1, n_levels + 1)]
+        self.wait_factors = [0.5 * 1.5 ** (k - 1) for k in range(1, n_levels + 1)]
 
     def rate(self, p0: float) -> float:
+        """Pass-averaged end-to-end pair rate of a single (non-multiplexed)
+        chain: R_s * eta_s * P0 * eta_caps * eta_d^e * P_swap."""
         return self.rate_prefix * p0 * self.caps * self.detection * self.swap
 
     def rate_multiplexed(self, p0: float) -> float:
+        """Multiplexed rate: N_mux parallel source channels, each paying the
+        demultiplexer once per end of the elementary link."""
         return self.mux_prefix * self.rate(p0)
 
     def rate_direct(self, p0: float) -> float:
+        """Rate of the repeaterless reference: the same satellite sends both
+        photons of each pair straight down to the end points, no memories,
+        no swapping, at the direct-transmission source rate."""
         return self.direct_prefix * p0
 
     def herald_probability(self, p0: float) -> float:
+        """Per-slot probability that one elementary link heralds,
+        demux^2 * eta_s * P0 * eta_caps * eta_d^e: T0 is the slot duration
+        divided by it, and the Monte Carlo draws from it (time-resolved: at
+        the instantaneous transmission in place of P0)."""
         return self.herald_prefix * p0 * self.caps * self.detection
 
     def elementary_time(self, p0: float) -> float:
+        """Mean time for one multiplexed elementary link to herald, T0: the
+        slot duration divided by the per-slot herald probability."""
         p = self.herald_probability(p0)
         if p <= 0:
             raise NoResultError(
@@ -135,9 +132,28 @@ class _Chain:
         return self.slot_s / p
 
     def waiting_times(self, t0_s: float) -> list[float]:
+        """The paper's heuristic storage time at swap levels k = 1..n,
+        (1/2) * (3/2)^(k-1) * T0: the rule of Sangouard et al., Rev. Mod.
+        Phys. 83, 33 (2011), kept as the paper's model.  It is not the mean
+        wait for a partner: with exponential heralding times of mean T0, a
+        level-k sub-chain completes at the latest of its m = 2^(k-1) leaves,
+        and the exact mean gap between siblings is 2 * (H_2m - H_m) * T0
+        (H_j the j-th harmonic number): T0, 7/6 T0 and 1.2690 T0 at levels
+        1-3, levelling off towards 2 ln 2 T0."""
         return [factor * t0_s for factor in self.wait_factors]
 
     def fidelities(self, f_pair_avg: float, waits: list[float]) -> list[float]:
+        """Werner parameters [F_0, F_1, ..., F_n] after each swap level,
+        with memory decay.  F_0 is the freshly heralded elementary link;
+        level k applies the gate/readout depolarization and the decay over
+        ``waits[k-1]`` (:meth:`waiting_times`) before squaring the Werner
+        parameter's linear factor:
+
+            F_k = F_gate * F_readout^2 * (1/4 + (F_{k-1} - 1/4) e^{-gamma_s T_k}) * F_{k-1}
+
+        F_0 lies in [-1/3, 1], the gate factor in [0, 1] and the decayed
+        value between F_{k-1} and 1/4, so F_k >= min(0, F_{k-1}/4): F_1,
+        ..., F_n lie in [-1/12, 1] and no level needs a check."""
         f = elementary_link_fidelity(f_pair_avg, self.node.caps_fidelity)
         levels = [f]
         for wait in waits:
@@ -154,85 +170,9 @@ class _Chain:
         return rate_hz, pairs, t0, waits, self.fidelities(agg.f_pair_avg, waits)
 
 
-def rate(cfg: RepeaterConfig, agg: FlybyAggregates) -> float:
-    """Pass-averaged end-to-end pair rate of a single (non-multiplexed) chain:
-    R_s * eta_s * P0 * eta_caps * eta_d^e * P_swap.
-    """
-    return _Chain(cfg).rate(agg.p0)
-
-
-def rate_multiplexed(cfg: RepeaterConfig, agg: FlybyAggregates) -> float:
-    """Multiplexed rate: N_mux parallel source channels, each paying the
-    demultiplexer once per end of the elementary link."""
-    return _Chain(cfg).rate_multiplexed(agg.p0)
-
-
-def rate_direct(cfg: RepeaterConfig, agg: FlybyAggregates) -> float:
-    """Rate of the repeaterless reference: the same satellite sends both
-    photons of each pair straight down to the end points, no memories, no
-    swapping, at the direct-transmission source rate."""
-    return _Chain(cfg, 0).rate_direct(agg.p0)
-
-
 def pairs_per_flyby(rate_hz: float, t_fb_s: float) -> float:
     """Expected distributed pairs accumulated over one pass."""
     return rate_hz * t_fb_s
-
-
-def herald_probability(cfg: RepeaterConfig, p0: float) -> float:
-    """Per-slot probability that one elementary link heralds,
-    demux^2 * eta_s * P0 * eta_caps * eta_d^e: T0 is the slot duration divided
-    by it, and the Monte Carlo draws from it (time-resolved: at the
-    instantaneous transmission in place of P0)."""
-    return _Chain(cfg).herald_probability(p0)
-
-
-def elementary_time(cfg: RepeaterConfig, agg: FlybyAggregates) -> float:
-    """Mean time for one multiplexed elementary link to herald, T0: the slot
-    duration divided by the per-slot herald probability."""
-    return _Chain(cfg).elementary_time(agg.p0)
-
-
-def _wait_factor(level: int) -> float:
-    if level < 1:
-        raise ValueError("swap levels are counted from 1")
-    return 0.5 * 1.5 ** (level - 1)
-
-
-def waiting_time(level: int, t0_s: float) -> float:
-    """The paper's heuristic storage time at swap level ``level`` (1-based):
-    (1/2) * (3/2)^(level-1) * T0, the rule of Sangouard et al., Rev. Mod.
-    Phys. 83, 33 (2011).
-
-    It is not the mean time a link waits for its partner.  With exponential
-    heralding times of mean T0, a level-k sub-chain completes at the latest
-    of its m = 2^(k-1) leaves, and the exact mean gap between two sibling
-    sub-chains is 2 * (H_2m - H_m) * T0 (H_j the j-th harmonic number):
-    T0, 7/6 T0 and 1.2690 T0 at levels 1-3, levelling off towards
-    2 ln 2 T0.  The recursion keeps the rule as the paper's model.
-    """
-    return _wait_factor(level) * t0_s
-
-
-def final_fidelity(
-    cfg: RepeaterConfig, agg: FlybyAggregates, *, t0_s: float | None = None
-) -> list[float]:
-    """Werner parameter after each swap level, including memory decay.
-
-    Returns [F_0, F_1, ..., F_n]: F_0 is the freshly heralded elementary link;
-    each level applies the gate/readout depolarization and the waiting-time
-    decay before squaring the Werner parameter's linear factor:
-
-        F_k = F_gate * F_readout^2 * (1/4 + (F_{k-1} - 1/4) e^{-gamma_s T_k}) * F_{k-1}
-
-    ``t0_s`` is T0 (:func:`elementary_time`) where the caller has it already.
-    F_0 lies in [-1/3, 1], the gate factor in [0, 1] and the decayed value
-    between F_{k-1} and 1/4, so F_k >= min(0, F_{k-1}/4): F_1, ..., F_n lie
-    in [-1/12, 1] and no level needs a check.
-    """
-    chain = _Chain(cfg)
-    t0 = chain.elementary_time(agg.p0) if t0_s is None else t0_s
-    return chain.fidelities(agg.f_pair_avg, chain.waiting_times(t0))
 
 
 @dataclass(frozen=True)
@@ -266,7 +206,7 @@ def evaluate_with_aggregates(
     """Same as :func:`evaluate` but reusing precomputed pass averages (the
     aggregates depend only on geometry, channel, and source fidelity, so sweeps
     over nesting depth can share them)."""
-    rate_hz, pairs, t0, waits, levels = _Chain(cfg).evaluate(agg)
+    rate_hz, pairs, t0, waits, levels = Chain(cfg).evaluate(agg)
     return RepeaterResult(rate_hz, pairs, tuple(levels), tuple(waits), t0, agg)
 
 
@@ -277,8 +217,9 @@ class SweepColumns:
     or that of the :class:`NoResultError` that stopped the entry:
     ``no_visibility`` and ``zero_transmission`` leave its ``aggregates``
     None, ``zero_herald_rate`` only its chain columns, the last four.  Depth
-    0 is the direct-transmission reference: its rate is :func:`rate_direct`'s
-    and, having no chain, it has no T0 and no fidelity levels."""
+    0 is the direct-transmission reference: its rate is
+    :meth:`Chain.rate_direct`'s and, having no chain, it has no T0 and no
+    fidelity levels."""
 
     n_levels: int
     link_length_m: list[float]
@@ -337,7 +278,7 @@ def distance_sweep(
             passes[link] = agg.status if isinstance(agg, NoResultError) else agg
     sweep = []
     for n, links in zip(depths, link_columns):
-        chain, entries = _Chain(cfg_template, n), []
+        chain, entries = Chain(cfg_template, n), []
         for agg in map(passes.__getitem__, links):
             if isinstance(agg, str):
                 entries.append((agg, None, None, None, None, None))

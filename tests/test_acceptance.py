@@ -14,7 +14,14 @@ import numpy as np
 from scipy.optimize import bisect, brentq
 
 from satrep.config import load_scenario
-from satrep.flyby import FlybyProfile, build_profile, converged_aggregates
+from satrep.flyby import (
+    CONVERGENCE_RTOL,
+    GAUSS_NODES,
+    FlybyProfile,
+    _gauss_legendre,
+    build_profile,
+    converged_aggregates,
+)
 from satrep.mc_oracle import McConfig, compare_report, simulate_chain
 from satrep.node import (
     CavityParams,
@@ -269,6 +276,25 @@ def test_criterion_07():
         f"average {fbar_rel:.2e} (both vs < 1e-6); half-sine average vs 2/pi "
         f"off by {sine_rel:.2e}",
     )
+
+
+def test_gauss_ladder_refinement():
+    # Criterion 07's refinement check on the rule the outputs use: the
+    # baseline's converged aggregates against the finest Gauss-Legendre rule
+    # of the ladder, and a half-sine mean under the 64-node rule.
+    cfg = load_scenario(None).repeater
+    geom, channel, fidelity = cfg.geometry, cfg.channel, cfg.source.pair_fidelity
+    agg = converged_aggregates(geom, channel, fidelity)
+    fractions, weights = _gauss_legendre(GAUSS_NODES[-1])
+    finest = build_profile(geom, channel, fidelity, fractions=fractions)
+    p0 = weights @ finest.eta2_tr
+    fbar = weights @ (finest.f_pair * finest.eta2_tr) / p0
+    assert abs(agg.p0 - p0) / p0 < CONVERGENCE_RTOL
+    assert abs(agg.f_pair_avg - fbar) / fbar < CONVERGENCE_RTOL
+
+    fractions, weights = _gauss_legendre(64)
+    sine_mean = weights @ np.sin(math.pi * fractions)
+    assert abs(sine_mean - 2.0 / math.pi) < 1e-12
 
 
 def test_criterion_08():

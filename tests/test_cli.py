@@ -19,7 +19,7 @@ from satrep.config import (
     load_scenario,
     sweepable_keys,
 )
-from satrep.repeater import distance_sweep, pairs_per_flyby, rate_direct
+from satrep.repeater import Chain, distance_sweep, pairs_per_flyby
 
 
 def read_csv(path):
@@ -51,7 +51,7 @@ def expected_record(cfg, cols, i, l_total_m, max_level):
     rate = pairs = fidelity = None
     levels = ()
     if n_levels == 0 and agg is not None:
-        rate = rate_direct(cfg, agg)
+        rate = Chain(cfg).rate_direct(agg.p0)
         pairs, fidelity = pairs_per_flyby(rate, t_fb), f_pair
     elif cols.rate_hz[i] is not None:
         rate, pairs = cols.rate_hz[i], cols.pairs_per_flyby[i]
@@ -692,6 +692,66 @@ class TestCapsCurve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"satrep: error: {flag} must be finite" in captured.err
+
+
+# Counts that would ask numpy for terabytes (7.3 TiB each for the first three,
+# 80 GiB of leaf times for the 2^30-leaf chain), with the exit code and the
+# start of the message that must refuse them first.
+OVERSIZED_COUNTS = {
+    "caps-curve --points 1000000000000": (1, "satrep: error: --points must be at most"),
+    "flyby --samples 1000000000001 --output {out}": (
+        1, "satrep: error: --samples must be at most"
+    ),
+    "mc --trials 1000000000000": (
+        2, "satrep: model error: 1000000000000 trials of 4 leaves exceed"
+    ),
+    "mc --trials 10 --set repeater.nesting_levels=30": (
+        2, "satrep: model error: 10 trials of 1073741824 leaves exceed"
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def oversized_runs(tmp_path_factory):
+    """Exit code and stderr of each OVERSIZED_COUNTS command, all run in one
+    child process whose address space is capped at 3 GiB, so that a count
+    the CLI fails to refuse ends in a MemoryError there, not in an
+    allocation that takes the machine's memory."""
+    out = tmp_path_factory.mktemp("oversized") / "profile.csv"
+    code = (
+        "import contextlib, io, json, resource, sys\n"
+        "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        "cap = 3 << 30 if hard == resource.RLIM_INFINITY else min(3 << 30, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+        "from satrep.cli import main\n"
+        "runs = {}\n"
+        "for argv in json.load(sys.stdin):\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stderr(err):\n"
+        "        try:\n"
+        "            code = main(argv)\n"
+        "        except Exception as exc:\n"
+        "            code = f'raised {type(exc).__name__}'\n"
+        "    runs[' '.join(argv)] = (code, err.getvalue())\n"
+        "print(json.dumps(runs))\n"
+    )
+    argvs = [cmd.format(out=out).split() for cmd in OVERSIZED_COUNTS]
+    proc = subprocess.run(
+        [sys.executable, "-c", code], input=json.dumps(argvs),
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    assert not out.exists()
+    return {cmd: runs[cmd.format(out=out)] for cmd in OVERSIZED_COUNTS}
+
+
+@pytest.mark.parametrize("command", sorted(OVERSIZED_COUNTS))
+def test_oversized_count_is_refused_before_allocation(command, oversized_runs):
+    expected_code, message = OVERSIZED_COUNTS[command]
+    code, err = oversized_runs[command]
+    assert code == expected_code, err
+    assert err.startswith(message)
 
 
 def test_rates_runs_on_numpy_alone():

@@ -23,7 +23,7 @@ from satrep.mc_oracle import (
     simulate_link,
 )
 from satrep.node import werner_fidelity_decay
-from satrep.repeater import evaluate_with_aggregates, herald_probability, swap_probability
+from satrep.repeater import Chain, evaluate_with_aggregates
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +63,7 @@ def hazard_grid(profile, slot_s, p_scale):
 def chain_hazard(rep_cfg, agg):
     """The chain's pass profile and herald hazard, as simulate_chain builds them."""
     profile = build_profile(rep_cfg.geometry, rep_cfg.channel, rep_cfg.source.pair_fidelity)
-    p_scale = herald_probability(rep_cfg, agg.p0) / agg.p0
+    p_scale = Chain(rep_cfg).herald_probability(agg.p0) / agg.p0
     return profile, hazard_grid(profile, rep_cfg.slot_s, p_scale)
 
 
@@ -297,6 +297,18 @@ class TestConstantP:
         with pytest.raises(ValueError):
             simulate_chain(McConfig(trials=10, seed=0), flat, baseline_agg)
 
+    @pytest.mark.parametrize(
+        "time_model, block", [("constant-p", _BLOCK_TRIALS), ("time-resolved", 0)]
+    )
+    def test_refuses_more_leaf_times_than_the_cap(
+        self, baseline_cfg, baseline_agg, time_model, block
+    ):
+        # One trial past the cap, counting the constant-p block; refused
+        # before anything is allocated or drawn.
+        trials = int(mc_oracle._MAX_LEAF_TIMES) // baseline_cfg.n_links - block + 1
+        with pytest.raises(ValueError, match="leaf times"):
+            simulate_chain(McConfig(trials, 0, time_model), baseline_cfg, baseline_agg)
+
 
 class TestTimeResolved:
     def test_sits_below_constant_p_but_completes(self, baseline_cfg, baseline_agg, analytic):
@@ -521,7 +533,7 @@ class TestAgainstPerLeafSampler:
     @staticmethod
     def run_both(rep_cfg, agg, trials):
         profile, hazard = chain_hazard(rep_cfg, agg)
-        p_swap = swap_probability(rep_cfg.n_levels, rep_cfg.gate_efficiency)
+        p_swap = Chain(rep_cfg).swap
         args = (profile, hazard, rep_cfg.n_links, rep_cfg.slot_s, p_swap)
         new = [_time_resolved_trial(_block_rng(i, 701), *args) for i in range(trials)]
         old = [reference_time_resolved_trial(_block_rng(i, 702), *args) for i in range(trials)]

@@ -11,18 +11,12 @@ from satrep.config import load_scenario
 from satrep.flyby import FlybyAggregates, QuadratureError, converged_aggregates
 from satrep.orbit import OrbitGeometry
 from satrep.repeater import (
+    Chain,
     RepeaterConfig,
     distance_sweep,
-    elementary_time,
     evaluate,
     evaluate_with_aggregates,
-    final_fidelity,
     pairs_per_flyby,
-    rate,
-    rate_direct,
-    rate_multiplexed,
-    swap_probability,
-    waiting_time,
 )
 
 
@@ -60,24 +54,35 @@ FROZEN_RUNS = {
 }
 
 
-class TestSwapProbability:
-    def test_frozen_values(self):
-        assert swap_probability(0) == 1.0
-        assert swap_probability(1) == pytest.approx(2.0 / 3.0, rel=1e-15)
-        assert swap_probability(3, 0.995) == pytest.approx(0.291874037037037, rel=1e-14)
+def swap_of(cfg, n_levels, gate_efficiency=1.0):
+    return Chain(dataclasses.replace(cfg, gate_efficiency=gate_efficiency), n_levels).swap
 
-    def test_gate_efficiency_enters_per_level(self):
-        assert swap_probability(4, 0.9) == pytest.approx(
-            swap_probability(4) * 0.9**4, rel=1e-14
+
+def fidelity_levels(cfg, agg, t0_s):
+    chain = Chain(cfg)
+    return chain.fidelities(agg.f_pair_avg, chain.waiting_times(t0_s))
+
+
+class TestSwapProbability:
+    def test_frozen_values(self, baseline_cfg):
+        assert swap_of(baseline_cfg, 0) == 1.0
+        assert swap_of(baseline_cfg, 1) == pytest.approx(2.0 / 3.0, rel=1e-15)
+        assert swap_of(baseline_cfg, 3, 0.995) == pytest.approx(
+            0.291874037037037, rel=1e-14
         )
 
-    def test_rejections(self):
-        with pytest.raises(ValueError):
-            swap_probability(-1)
-        with pytest.raises(ValueError):
-            swap_probability(2, 0.0)
-        with pytest.raises(ValueError):
-            swap_probability(2, 1.1)
+    def test_gate_efficiency_enters_per_level(self, baseline_cfg):
+        assert swap_of(baseline_cfg, 4, 0.9) == pytest.approx(
+            swap_of(baseline_cfg, 4) * 0.9**4, rel=1e-14
+        )
+
+    def test_rejections(self, baseline_cfg):
+        # The gate efficiency is checked by RepeaterConfig (TestEvaluate); a
+        # depth passed apart from the config is checked here.
+        with pytest.raises(ValueError, match="nesting depth"):
+            Chain(baseline_cfg, -1)
+        with pytest.raises(ValueError, match="nesting depth"):
+            distance_sweep(baseline_cfg, [1.0e7], levels=[-1])
 
 
 class TestRateComposition:
@@ -89,13 +94,14 @@ class TestRateComposition:
             * baseline_agg.p0
             * cfg.node.caps_success_probability
             * cfg.node.detection_efficiency**cfg.detector_exponent
-            * swap_probability(cfg.n_levels, cfg.gate_efficiency)
+            * ((2.0 / 3.0) * cfg.gate_efficiency) ** cfg.n_levels
         )
-        assert rate(cfg, baseline_agg) == expected
+        assert Chain(cfg).rate(baseline_agg.p0) == expected
 
     def test_multiplexing_scales_by_channels_and_demux(self, baseline_cfg, baseline_agg):
-        single = rate(baseline_cfg, baseline_agg)
-        muxed = rate_multiplexed(baseline_cfg, baseline_agg)
+        chain = Chain(baseline_cfg)
+        single = chain.rate(baseline_agg.p0)
+        muxed = chain.rate_multiplexed(baseline_agg.p0)
         assert muxed == (
             baseline_cfg.source.multiplexing_channels
             * baseline_cfg.source.demux_efficiency**2
@@ -106,8 +112,8 @@ class TestRateComposition:
         cfg1 = config_for(baseline.repeater, 1.0e7, 2, detector_exponent=1)
         cfg2 = config_for(baseline.repeater, 1.0e7, 2, detector_exponent=2)
         agg = converged_aggregates(cfg1.geometry, cfg1.channel, cfg1.source.pair_fidelity)
-        assert rate(cfg2, agg) == pytest.approx(
-            rate(cfg1, agg) * cfg1.node.detection_efficiency, rel=1e-15
+        assert Chain(cfg2).rate(agg.p0) == pytest.approx(
+            Chain(cfg1).rate(agg.p0) * cfg1.node.detection_efficiency, rel=1e-15
         )
 
     def test_direct_transmission_frozen(self, baseline):
@@ -116,26 +122,29 @@ class TestRateComposition:
             geometry=dataclasses.replace(baseline.repeater.geometry, link_length_m=2.0e6),
         )
         agg = converged_aggregates(cfg.geometry, cfg.channel, cfg.source.pair_fidelity)
-        assert rate_direct(cfg, agg) == pytest.approx(2351.4584212640534, rel=1e-8)
+        assert Chain(cfg).rate_direct(agg.p0) == pytest.approx(
+            2351.4584212640534, rel=1e-8
+        )
 
 
 class TestFidelityRecursion:
     def test_depth_zero_is_elementary_link(self, baseline, baseline_agg):
         cfg = dataclasses.replace(baseline.repeater, n_levels=0)
-        levels = final_fidelity(cfg, baseline_agg)
+        levels = Chain(cfg).evaluate(baseline_agg)[4]
         assert len(levels) == 1
         expected = (4.0 * baseline_agg.f_pair_avg * cfg.node.caps_fidelity - 1.0) / 3.0
         assert levels[0] == pytest.approx(expected, rel=1e-15)
 
     def test_each_level_decreases_fidelity(self, baseline_cfg, baseline_agg):
-        levels = final_fidelity(baseline_cfg, baseline_agg)
+        levels = Chain(baseline_cfg).evaluate(baseline_agg)[4]
         assert len(levels) == baseline_cfg.n_levels + 1
         assert all(b < a for a, b in zip(levels, levels[1:]))
 
     def test_recursion_matches_hand_rolled_step(self, baseline_cfg, baseline_agg):
         cfg = baseline_cfg
-        levels = final_fidelity(cfg, baseline_agg)
-        t0 = elementary_time(cfg, baseline_agg)
+        chain = Chain(cfg)
+        levels = chain.evaluate(baseline_agg)[4]
+        t0 = chain.elementary_time(baseline_agg.p0)
         gamma_s = cfg.node.spin_decoherence_rate_hz
         gate = cfg.node.rydberg_gate_fidelity * cfg.node.readout_fidelity**2
         f = levels[0]
@@ -144,15 +153,14 @@ class TestFidelityRecursion:
             f = gate * (0.25 + (f - 0.25) * math.exp(-gamma_s * t_k)) * f
             assert levels[k] == pytest.approx(f, rel=1e-14)
 
-    def test_waiting_time_halves_t0_at_level_one(self):
-        assert waiting_time(1, 0.5) == 0.25
-        assert waiting_time(3, 1.0) == pytest.approx(0.5 * 2.25, rel=1e-15)
-        with pytest.raises(ValueError):
-            waiting_time(0, 1.0)
+    def test_waiting_time_halves_t0_at_level_one(self, baseline_cfg):
+        chain = Chain(baseline_cfg, 3)
+        assert chain.waiting_times(0.5)[0] == 0.25
+        assert chain.waiting_times(1.0)[2] == pytest.approx(0.5 * 2.25, rel=1e-15)
 
 
 class TestFidelityBound:
-    # The bound final_fidelity's docstring derives, which lets it skip any
+    # The bound Chain.fidelities's docstring derives, which lets it skip any
     # per-level check.
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(
@@ -176,7 +184,7 @@ class TestFidelityBound:
         )
         cfg = dataclasses.replace(baseline_cfg, node=node, n_levels=depth)
         agg = FlybyAggregates(p0=0.5, f_pair_avg=f_pair, flyby_duration_s=100.0)
-        levels = final_fidelity(cfg, agg, t0_s=t0_s)
+        levels = fidelity_levels(cfg, agg, t0_s)
         assert len(levels) == depth + 1
         assert -1.0 / 3.0 <= levels[0] <= 1.0
         assert all(-1.0 / 12.0 <= f <= 1.0 for f in levels[1:])
@@ -192,7 +200,7 @@ class TestFidelityBound:
         )
         cfg = dataclasses.replace(baseline_cfg, node=node, n_levels=1)
         agg = FlybyAggregates(p0=0.5, f_pair_avg=0.5, flyby_duration_s=100.0)
-        assert final_fidelity(cfg, agg, t0_s=1.0) == [-1.0 / 3.0, -1.0 / 12.0]
+        assert fidelity_levels(cfg, agg, 1.0) == [-1.0 / 3.0, -1.0 / 12.0]
 
 
 class TestEvaluate:
@@ -233,12 +241,11 @@ class TestEvaluate:
             dataclasses.replace(baseline_cfg, n_levels=-1)
         with pytest.raises(ValueError):
             dataclasses.replace(baseline_cfg, gate_efficiency=0.0)
+        with pytest.raises(ValueError):
+            dataclasses.replace(baseline_cfg, gate_efficiency=1.1)
 
     def test_links_and_distance_properties(self, baseline_cfg):
         assert baseline_cfg.n_links == 2**baseline_cfg.n_levels
-        assert baseline_cfg.total_distance_m == (
-            baseline_cfg.n_links * baseline_cfg.geometry.link_length_m
-        )
 
 
 class TestDistanceSweep:
@@ -383,7 +390,7 @@ class TestDistanceSweep:
         self, overrides, chain_statuses, direct_statuses
     ):
         # Bit for bit: each chain entry is evaluate_with_aggregates of the
-        # entry's own pass, each direct entry rate_direct of it, and a pass
+        # entry's own pass, each direct entry Chain.rate_direct of it, and a pass
         # without aggregates is classified as converging it alone does.
         cfg = load_scenario(None, overrides).repeater
         distances = [2.0e6, 1.0e7, 2.0e7, 8.0e7]
@@ -408,7 +415,7 @@ class TestDistanceSweep:
                     assert status == exc.value.status
                     assert entry == (None, None, None, None)
                 elif cols.n_levels == 0:
-                    rate_hz = rate_direct(cfg, agg)
+                    rate_hz = Chain(cfg).rate_direct(agg.p0)
                     assert status == "ok"
                     assert entry == (
                         rate_hz, pairs_per_flyby(rate_hz, agg.flyby_duration_s), None, None

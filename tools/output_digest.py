@@ -12,12 +12,13 @@ call per command, in a temporary directory, writing no bytecode.
 lists the commands whose records differ and exits 1 if any do, 0 if none.
 
 The commands: ``flyby``, ``rates``, ``sensitivity`` and both ``mc`` time
-models at and around the defaults; one sweep per row status (``ok``,
-``no_visibility``, ``zero_transmission`` both ways, ``zero_herald_rate``); a
-node-key sweep whose later values reuse cached statuses; a node-key and an
-aggregate-key sweep read from a scenario file (the bundled baseline with
-:data:`CFG_EDIT` applied); a 1,000-point altitude grid; a few exit 1 and 2
-cases; and the first :data:`BENCH_OPS`
+models at and around the defaults; ``rates`` and a constant-p ``mc`` with
+the repeater section's gate efficiency and detector exponent changed; one
+sweep per row status (``ok``, ``no_visibility``, ``zero_transmission`` both
+ways, ``zero_herald_rate``); a node-key sweep whose later values reuse
+cached statuses; a node-key and an aggregate-key sweep read from a scenario
+file (the bundled baseline with :data:`CFG_EDIT` applied); a 1,000-point
+altitude grid; a few exit 1 and 2 cases; and the first :data:`BENCH_OPS`
 operations of the benchmark's ``sweep`` stream for each of
 :data:`BENCH_SEEDS`, taken from ``perfbench/workloads.py``, which is only
 read.  Standard library only.
@@ -48,6 +49,9 @@ OUT, DUMP = "{out}", "{dump}"
 CFG = "{cfg}"
 CFG_EDIT = ("altitude_m = 1.5e6", "altitude_m = 1.2e6")
 SWEEP_LINKS = ("--links", "4,8,16", "--with-direct")
+REPEATER_SET = (
+    "--set", "repeater.gate_efficiency=0.9", "--set", "repeater.detector_exponent=2",
+)
 
 
 def _grid(lo: float, hi: float, count: int) -> str:
@@ -96,6 +100,10 @@ def commands() -> list[list[str]]:
         ["mc", "--trials", "3000", "--seed", "7", "--set", "repeater.nesting_levels=3"],
         ["mc", "--trials", "6", "--seed", "7", "--set", "mc.time_model=time-resolved",
          "--dump-trials", DUMP],
+        # The repeater section off its defaults, which no other command sets.
+        ["rates", "--links", "2,4,8", "--with-direct", *REPEATER_SET],
+        ["mc", "--trials", "3000", "--seed", "5", *REPEATER_SET,
+         "--set", "node.readout_fidelity=0.99", "--dump-trials", DUMP],
         # One sweep per row status.
         ["rates", "--distances-km", "80000", "--links", "4", "--with-direct"],
         ["rates", "--set", "channel.receiver_radius_m=1e-300", *far],
