@@ -11,6 +11,9 @@ no network, no hidden state), emitting CSV or JSON:
 
 Every CSV starts with a ``#`` comment line holding the fully resolved
 parameter set as JSON, so an output file identifies its own provenance.
+CSV cells are joined with commas and never quoted: each is a ``repr``
+float, an int, a fixed token (``true``/``false``, a status) or a sweepable
+config key, none of which can hold a comma, a quote or a newline.
 Files are written atomically (temp file in the target directory, then rename).
 
 Exit codes: 0 success; 1 usage or configuration error; 2 a well-formed
@@ -22,9 +25,7 @@ point the model has no result for is a row whose ``status`` names the cause.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import os
@@ -216,13 +217,10 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _csv_text(scenario: Scenario, header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    buf.write("# " + json.dumps(scenario.flat_dict()) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _csv_text(scenario: Scenario, header: list[str], rows: list[str]) -> str:
+    """The provenance line, the header and ``rows``, each already joined."""
+    provenance = "# " + json.dumps(scenario.flat_dict())
+    return "\n".join([provenance, ",".join(header), *rows, ""])
 
 
 def _parse_floats(text: str, flag: str) -> list[float]:
@@ -264,17 +262,11 @@ def _cmd_flyby(args) -> int:
     )
     agg = converged_aggregates(cfg.geometry, cfg.channel, cfg.source.pair_fidelity)
     header = ["t_s", "d_m", "zenith_rad", "eta_tr", "eta2_tr", "f_pair"]
-    rows = [
-        [
-            repr(float(profile.times_s[i])),
-            repr(float(profile.slant_m[i])),
-            repr(float(profile.zenith_rad[i])),
-            repr(float(profile.eta_tr[i])),
-            repr(float(profile.eta2_tr[i])),
-            repr(float(profile.f_pair[i])),
-        ]
-        for i in range(profile.n_samples)
-    ]
+    columns = (
+        profile.times_s, profile.slant_m, profile.zenith_rad,
+        profile.eta_tr, profile.eta2_tr, profile.f_pair,
+    )
+    rows = [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
     _atomic_write(args.output, _csv_text(scenario, header, rows))
     print(f"T_FB_s = {agg.flyby_duration_s!r}")
     print(f"P0 = {agg.p0!r}")
@@ -288,20 +280,22 @@ class _SweepWriter:
     ``with_direct``, the direct-transmission reference as depth 0.  The
     sweeps share one aggregates cache, and each cell that several rows share
     (a distance, a depth's link length, a pass's T_FB_s, P0 and F_pair_avg)
-    is formatted once per run.  Floats are written with ``repr``, blank where
-    the entry has none."""
+    is formatted once per run, as are the blank level cells.  Floats are
+    written with ``repr``, blank where the entry has none."""
 
     def __init__(self, distances_m: list[float], levels: list[int], with_direct: bool):
         self.distances_m = distances_m
         self.depths = levels + [0] if with_direct else levels
         self.width = max(levels, default=0) + 1
+        self.no_levels = "," * self.width
         self.totals = [repr(d / 1e3) for d in distances_m]
         self.cache: dict = {}
         self.links: dict[int, list[str]] = {}
         self.passes: dict = {}
 
-    def rows(self, scenario: Scenario, lead: list[str]) -> list[list[str]]:
-        """The rows of ``scenario``'s sweep, each after the ``lead`` cells."""
+    def rows(self, scenario: Scenario, lead: str) -> list[str]:
+        """The rows of ``scenario``'s sweep, each after the ``lead`` text (its
+        cells, each followed by a comma)."""
         cfg = scenario.repeater
         h_km = repr(cfg.geometry.altitude_m / 1e3)
         rows = []
@@ -315,25 +309,29 @@ class _SweepWriter:
             )
             for total, link_km, visible, status, agg, rate, pairs, levels in entries:
                 if agg is None:
-                    cells = ["" if visible else "0.0", "", ""]
+                    cells = ",," if visible else "0.0,,"
                 else:
                     cells = self.passes.get(agg)
                     if cells is None:
-                        cells = self.passes[agg] = [
-                            repr(agg.flyby_duration_s), repr(agg.p0), repr(agg.f_pair_avg)
-                        ]
-                row = [*lead, total, str(n), h_km, link_km, *cells]
-                fidelities = [] if levels is None else [repr(f) for f in levels]
+                        cells = self.passes[agg] = (
+                            f"{agg.flyby_duration_s!r},{agg.p0!r},{agg.f_pair_avg!r}"
+                        )
+                tail = self.no_levels
                 if rate is None:
-                    row += ["", "", ""]
-                else:
+                    chain = ",,"
+                elif levels is None:
                     # Direct rows have no levels: unlike repeater rows, whose
                     # fidelity_final is the Werner parameter, theirs is the
                     # Bell-state fidelity F_pair_avg.
-                    final = fidelities[-1] if fidelities else cells[2]
-                    row += [repr(rate), repr(pairs), final]
-                row += ["true" if visible else "false", status, *fidelities]
-                rows.append(row + [""] * (self.width - len(fidelities)))
+                    chain = f"{rate!r},{pairs!r},{cells.rpartition(',')[2]}"
+                else:
+                    fidelities = [repr(f) for f in levels]
+                    chain = f"{rate!r},{pairs!r},{fidelities[-1]}"
+                    tail = "," + ",".join(fidelities) + "," * (self.width - len(levels))
+                flag = "true" if visible else "false"
+                rows.append(
+                    f"{lead}{total},{n},{h_km},{link_km},{cells},{chain},{flag},{status}{tail}"
+                )
         return rows
 
 
@@ -345,7 +343,7 @@ def _cmd_rates(args) -> int:
     scenario = _load(args)
     distances = [d * 1e3 for d in _parse_floats(args.distances_km, "--distances-km")]
     levels = _parse_links(args.links)
-    rows = _SweepWriter(distances, levels, args.with_direct).rows(scenario, [])
+    rows = _SweepWriter(distances, levels, args.with_direct).rows(scenario, "")
     _emit(args, _csv_text(scenario, _header(levels, []), rows))
     return 0
 
@@ -365,9 +363,9 @@ def _cmd_sensitivity(args) -> int:
     variants = tuple(f"{args.param}={tok}" for tok in tokens)
     scenarios = load_scenarios(args.config, args.overrides or (), variants)
     base, writer = next(scenarios), _SweepWriter(distances, levels, args.with_direct)
-    rows: list[list[str]] = []
+    rows: list[str] = []
     for tok, scenario in zip(tokens, scenarios):
-        rows += writer.rows(scenario, [args.param, repr(float(tok))])
+        rows += writer.rows(scenario, f"{args.param},{float(tok)!r},")
     _emit(args, _csv_text(base, _header(levels, ["param", "value"]), rows))
     return 0
 
@@ -391,7 +389,7 @@ def _cmd_mc(args) -> int:
     _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     if args.dump_trials is not None:
         rows = [
-            [i, repr(float(pairs)), "" if math.isnan(fid) else repr(float(fid))]
+            f"{i},{float(pairs)!r}," + ("" if math.isnan(fid) else repr(float(fid)))
             for i, (pairs, fid) in enumerate(
                 zip(estimates.pairs_samples, estimates.fidelity_samples)
             )
@@ -415,7 +413,7 @@ def _cmd_caps_curve(args) -> int:
     grid = np.linspace(args.cin_min, args.cin_max, args.points)
     eta = caps_success(grid)
     header = ["c_in", "eta_caps"]
-    rows = [[repr(float(c)), repr(float(e))] for c, e in zip(grid, eta)]
+    rows = [f"{c!r},{e!r}" for c, e in zip(grid.tolist(), eta.tolist())]
     _emit(args, _csv_text(scenario, header, rows))
     return 0
 

@@ -73,6 +73,11 @@ class RepeaterConfig:
         return 1.0 / (self.source.multiplexing_channels * self.source.repetition_rate_hz)
 
 
+# Deepest chain: its 2^n links still convert to a float (to split a distance),
+# as does each waiting factor (3/2)^(k-1) / 2.
+_MAX_LEVELS = 1023
+
+
 class Chain:
     """Each chain formula of one config at one depth (default: the config's).
     ``swap`` = ((2/3) * P_gate)^n is the probability that all 2^n - 1 swaps
@@ -82,8 +87,8 @@ class Chain:
 
     def __init__(self, cfg: RepeaterConfig, n_levels: int | None = None) -> None:
         n_levels = cfg.n_levels if n_levels is None else n_levels
-        if n_levels < 0:
-            raise ValueError("nesting depth must be >= 0")
+        if not 0 <= n_levels <= _MAX_LEVELS:
+            raise ValueError(f"nesting depth must lie in [0, {_MAX_LEVELS}], got {n_levels}")
         source, node = cfg.source, cfg.node
         mux, eta_s = source.multiplexing_channels, source.emission_efficiency
         demux2 = source.demux_efficiency**2
@@ -262,6 +267,7 @@ def distance_sweep(
     geom, channel = cfg_template.geometry, cfg_template.channel
     fidelity = cfg_template.source.pair_fidelity
     depths = (cfg_template.n_levels,) if levels is None else levels
+    chains = [Chain(cfg_template, n) for n in depths]
     if depths and not all(l_total > 0 for l_total in l_totals_m):
         raise ValueError("total distance must be positive")
     link_columns = [[l_total / 2**n for l_total in l_totals_m] for n in depths]
@@ -277,8 +283,8 @@ def distance_sweep(
         for link, agg in zip(missing, converged_aggregates(batch, channel, fidelity)):
             passes[link] = agg.status if isinstance(agg, NoResultError) else agg
     sweep = []
-    for n, links in zip(depths, link_columns):
-        chain, entries = Chain(cfg_template, n), []
+    for n, chain, links in zip(depths, chains, link_columns):
+        entries = []
         for agg in map(passes.__getitem__, links):
             if isinstance(agg, str):
                 entries.append((agg, None, None, None, None, None))

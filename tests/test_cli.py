@@ -694,6 +694,89 @@ class TestCapsCurve:
         assert f"satrep: error: {flag} must be finite" in captured.err
 
 
+FAR = ["--distances-km", "2000,10000,80000", "--links", "4,8", "--with-direct"]
+# Every CSV writer, with the row statuses each sweep must hold: together the
+# two sensitivity runs hold all four.
+CSV_WRITERS = {
+    "flyby": (["flyby", "--samples", "101"], None),
+    "rates": (["rates", "--links", "2,4,8", "--with-direct"], None),
+    "sensitivity-node-key": (
+        ["sensitivity", "--param", "node.caps_success_probability", "--values", "0,1",
+         *FAR],
+        {"ok", "no_visibility", "zero_herald_rate"},
+    ),
+    "sensitivity-aggregate-key": (
+        ["sensitivity", "--param", "channel.coupling_efficiency", "--values", "1e-300,1",
+         *FAR],
+        {"ok", "no_visibility", "zero_transmission"},
+    ),
+    "caps-curve": (["caps-curve", "--points", "11"], None),
+    "mc-const-dump": (["mc", "--trials", "50", "--seed", "2"], None),
+    # Some trials complete no pair here, so their fidelity cells are blank.
+    "mc-timed-dump": (
+        ["mc", "--trials", "3", "--seed", "2", "--set", "mc.time_model=time-resolved",
+         "--set", "node.caps_success_probability=1e-4"],
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(CSV_WRITERS))
+def test_csv_cells_need_no_quoting(writer, tmp_path, capsys):
+    # The CLI joins cells with commas and never quotes one.  That is valid CSV
+    # only while no cell holds a comma, a quote or a newline and no row is a
+    # single empty cell: then csv.writer writes back exactly what csv.reader
+    # parses, and every row has the header's width.  The provenance line is a
+    # comment, not CSV, and is kept as it is.
+    argv, statuses = CSV_WRITERS[writer]
+    out = tmp_path / "out.csv"
+    flag = "--dump-trials" if argv[0] == "mc" else "--output"
+    assert main([*argv, flag, str(out)]) in (0, 3)
+    capsys.readouterr()
+    text = out.read_text()
+    provenance, _, table = text.partition("\n")
+    header, *rows = csv.reader(io.StringIO(table))
+    assert rows and all(len(row) == len(header) for row in rows)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    assert provenance + "\n" + buf.getvalue() == text
+    if statuses is not None:
+        assert {row[header.index("status")] for row in rows} == statuses
+    if writer == "mc-timed-dump":
+        assert "" in {row[2] for row in rows}
+
+
+class TestDeepChains:
+    # 2^n links convert to a float only up to n = 1,023, so a deeper chain is
+    # refused as a model error naming its depth, on every path that builds one.
+    @pytest.mark.parametrize(
+        "argv, depth",
+        [
+            (["mc", "--trials", "1", "--set", "repeater.nesting_levels=2000"], 2000),
+            (["rates", "--links", str(2**2000), "--distances-km", "10000"], 2000),
+            (["rates", "--links", str(2**1024), "--distances-km", "10000",
+              "--with-direct"], 1024),
+            (["sensitivity", "--param", "node.caps_fidelity", "--values", "0.9",
+              "--links", str(2**1024), "--distances-km", "10000"], 1024),
+        ],
+    )
+    def test_too_deep_chain_is_model_error(self, argv, depth, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"satrep: model error: nesting depth must lie in [0, 1023], got {depth}\n"
+        )
+
+    def test_deepest_chain_runs(self, capsys):
+        argv = ["rates", "--links", str(2**1023), "--distances-km", "10000"]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        header, rows = split_stdout_csv(text)
+        assert [row[header.index("n_levels")] for row in rows] == ["1023"]
+        assert len(header) == len(rows[0]) and non_finite_numbers(text) == []
+
+
 # Counts that would ask numpy for terabytes (7.3 TiB each for the first three,
 # 80 GiB of leaf times for the 2^30-leaf chain), with the exit code and the
 # start of the message that must refuse them first.

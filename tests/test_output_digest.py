@@ -36,11 +36,13 @@ def test_commands_cover_the_benchmark_stream_and_every_subcommand(digest_tool):
     bench = len(digest_tool.BENCH_SEEDS) * digest_tool.BENCH_OPS
     assert len(cmds) == len({" ".join(c) for c in cmds})  # no command twice
     assert all(c[0] == "sensitivity" for c in cmds[-bench:])
-    assert {c[0] for c in cmds} == {"flyby", "rates", "sensitivity", "mc"}
+    assert {c[0] for c in cmds} == {
+        "flyby", "rates", "sensitivity", "mc", "caps-curve",
+    }
     # Per-trial dumps of both time models.
     dumps = [c for c in cmds if "--dump-trials" in c]
     assert [("mc.time_model=time-resolved" in c) for c in dumps] == [True, False]
-    assert len(cmds) == 147
+    assert len(cmds) == 149
     # One node-key and one aggregate-key sweep read the scenario file.
     assert [c[c.index("--param") + 1] for c in cmds if digest_tool.CFG in c] == [
         "node.spin_decoherence_rate_hz", "channel.beam_waist_m",

@@ -11,10 +11,10 @@ call per command, in a temporary directory, writing no bytecode.
 ``--compare`` takes two checkouts or two recorded digests (or one of each),
 lists the commands whose records differ and exits 1 if any do, 0 if none.
 
-The commands: ``flyby``, ``rates``, ``sensitivity`` and both ``mc`` time
-models at and around the defaults; ``rates`` and a constant-p ``mc`` with
-the repeater section's gate efficiency and detector exponent changed; one
-sweep per row status (``ok``, ``no_visibility``, ``zero_transmission`` both
+The commands: ``flyby``, ``rates``, ``sensitivity``, both ``mc`` time
+models and ``caps-curve`` at and around the defaults; ``rates`` and a
+constant-p ``mc`` with the repeater section's gate efficiency and detector
+exponent changed; one sweep per row status (``ok``, ``no_visibility``, ``zero_transmission`` both
 ways, ``zero_herald_rate``); a node-key sweep whose later values reuse
 cached statuses; a node-key and an aggregate-key sweep read from a scenario
 file (the bundled baseline with :data:`CFG_EDIT` applied); a 1,000-point
@@ -100,6 +100,9 @@ def commands() -> list[list[str]]:
         ["mc", "--trials", "3000", "--seed", "7", "--set", "repeater.nesting_levels=3"],
         ["mc", "--trials", "6", "--seed", "7", "--set", "mc.time_model=time-resolved",
          "--dump-trials", DUMP],
+        ["caps-curve"],
+        ["caps-curve", "--cin-min", "1", "--cin-max", "50", "--points", "7",
+         "--output", OUT],
         # The repeater section off its defaults, which no other command sets.
         ["rates", "--links", "2,4,8", "--with-direct", *REPEATER_SET],
         ["mc", "--trials", "3000", "--seed", "5", *REPEATER_SET,
