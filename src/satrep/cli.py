@@ -100,7 +100,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser(
         "flyby", parents=[common], help="single-pass transmission/fidelity profile"
     )
-    p.add_argument("--samples", type=int, default=2001, help="CSV profile grid points (odd)")
+    p.add_argument("--samples", type=int, default=2001, help="CSV profile grid points")
     p.set_defaults(func=_cmd_flyby, output_required=True)
 
     p = sub.add_parser(
@@ -253,8 +253,8 @@ def _parse_links(text: str) -> list[int]:
 def _cmd_flyby(args) -> int:
     scenario = _load(args)
     cfg = scenario.repeater
-    if args.samples < 3 or args.samples % 2 == 0:
-        raise UsageError("--samples must be an odd integer >= 3")
+    if args.samples < 3:
+        raise UsageError("--samples must be an integer >= 3")
     if args.samples > _MAX_GRID_POINTS:
         raise UsageError(f"--samples must be at most {_MAX_GRID_POINTS}")
     profile = build_profile(

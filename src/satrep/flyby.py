@@ -18,11 +18,12 @@ one profile per rule, up to 1,024 nodes (six rules) before
 :class:`QuadratureError`.  Most passes agree at 64 nodes; grazing passes
 with a thin atmosphere and a narrow beam need up to 256.
 
-A distance sweep converges its passes in one call: passes that differ only
-in link length are sampled together as (passes x nodes) arrays, each
-leaving the batch at its own converged rule, and one pass is a batch of
-one.  Each pass mean is a row of a matrix product, summed in another order
-than one dot product per pass, so the values differ from per-pass dot
+A distance sweep converges its passes in one call: one pass shape and a
+column of link lengths, whose visibility :func:`~satrep.orbit.pass_timing`
+classifies first.  The visible passes are sampled together as (passes x
+nodes) arrays, each leaving the batch at its own converged rule; one pass
+is a batch of one.  Each pass mean is a row of a matrix product, summed in
+another order than one dot product per pass, so the values differ from per-pass dot
 products in the last bits: by at most 1.3e-14 relative over the 8,680 rows
 of the sweeps checked, with every status unchanged.
 
@@ -34,7 +35,6 @@ reference.
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,18 +128,17 @@ def build_profile(
 ) -> FlybyProfile:
     """Sample d(t), theta(t), eta_tr(t), eta_tr^2(t) and F_pair(t) over one flyby.
 
-    By default on ``n_samples`` uniform points, which must be odd (composite
-    Simpson needs an even interval count); with ``fractions`` (values in
-    [0, 1]) at t = fractions * T_FB instead, and ``n_samples`` is unused.
-    Such a profile is for quadrature only, not a time series: its times keep
-    the order of ``fractions``.  ``timing`` defaults to ``pass_timing(geom)``,
-    and a geometry with no joint-visibility window raises
-    :class:`NoVisibilityError`.  A given timing must be visible; with
+    By default on ``n_samples`` (>= 3) uniform points; with ``fractions``
+    (values in [0, 1]) at t = fractions * T_FB instead, and ``n_samples`` is
+    unused.  Such a profile is for quadrature only, not a time series: its
+    times keep the order of ``fractions``.  ``timing`` defaults to
+    ``pass_timing(geom)``, and a geometry with no joint-visibility window
+    raises :class:`NoVisibilityError`.  A given timing must be visible; with
     ``fractions``, a batch timing (column arrays, see
     :class:`~satrep.orbit.PassTiming`) samples all its passes at once.
     """
-    if fractions is None and (n_samples < 3 or n_samples % 2 == 0):
-        raise ValueError(f"n_samples must be odd and >= 3, got {n_samples}")
+    if fractions is None and n_samples < 3:
+        raise ValueError(f"n_samples must be >= 3, got {n_samples}")
     if timing is None:
         timing = pass_timing(geom)
         if not timing.visible:
@@ -209,46 +208,36 @@ def _settled(history: np.ndarray, rtol: float) -> np.ndarray:
 
 
 def converged_aggregates(
-    geometry: OrbitGeometry | Sequence[OrbitGeometry],
+    geometry: OrbitGeometry,
     params: ChannelParams,
     source_fidelity: float,
     rtol: float = CONVERGENCE_RTOL,
-) -> FlybyAggregates | list[FlybyAggregates | NoResultError]:
+    link_lengths_m=None,
+) -> FlybyAggregates | list[FlybyAggregates | str]:
     """Compute the flyby aggregates by Gauss-Legendre quadrature, doubling
     the node count from the 32/64 pair of :data:`GAUSS_NODES` until P0 and
     F_pair_avg both move by less than ``rtol`` between successive rules, and
     return the finer rule's values.
 
-    ``geometry`` is one pass, or a sequence of passes that differ only in
-    link length.  The passes are sampled together, one profile of (passes,
-    nodes) arrays per rule set, and each leaves the batch at its own
-    converged rule.  For a sequence the result is a list holding, per pass,
-    its :class:`FlybyAggregates` or the :class:`NoResultError` that stopped
-    it: :class:`NoVisibilityError`, or ``zero_transmission`` when the
+    Without ``link_lengths_m`` this is the one pass ``geometry``, which
+    raises :class:`NoVisibilityError`, or ``zero_transmission`` when the
     transmission is 0 at a node or the two-photon transmission averages to
-    0.  For one pass that error is raised.  Any other error is raised for
-    the whole batch, including :class:`QuadratureError` when a pass is still
-    unconverged past the last rule; its message names the pass's link length
-    and gives its (nodes, P0, F_pair_avg) history.
+    0.  With it, the passes of ``geometry``'s shape at those link lengths
+    (not ``geometry``'s), sampled together, one profile of (passes, nodes)
+    arrays per rule set, each leaving the batch at its own converged rule:
+    a list of, per link, its :class:`FlybyAggregates` or that status.  Any
+    other error is raised for the whole batch, including
+    :class:`QuadratureError` when a pass is still unconverged past the last
+    rule; its message names the pass's link length and gives its (nodes,
+    P0, F_pair_avg) history.
     """
-    single = isinstance(geometry, OrbitGeometry)
-    geoms = [geometry] if single else list(geometry)
-    shared = {
-        (g.altitude_m, g.earth_radius_m, g.mu_m3_per_s2, g.max_zenith_rad) for g in geoms
-    }
-    if len(shared) > 1:
-        raise ValueError("a batch of passes may differ only in link length")
-    timings = [pass_timing(g) for g in geoms]
-    results: list = [
-        None if t.visible else NoVisibilityError(g) for g, t in zip(geoms, timings)
-    ]
-    # The passes still converging: their indices, (t0, cos(L0 / 2 R_E))
-    # rows and, per rule so far, P0 and F_pair_avg as a (2, passes, rules)
-    # history.
-    rows = [i for i, t in enumerate(timings) if t.visible]
-    passes = np.array(
-        [(timings[i].t0_s, timings[i].cos_half_angle) for i in rows]
-    ).reshape(len(rows), 2)
+    links = [geometry.link_length_m] if link_lengths_m is None else list(link_lengths_m)
+    timing = pass_timing(geometry, links)
+    durations = timing.flyby_duration_s[:, 0].tolist()
+    results: list = ["no_visibility"] * len(links)
+    # The passes still converging: their indices and, per rule so far, P0
+    # and F_pair_avg as a (2, passes, rules) history.
+    rows = [i for i, t_fb in enumerate(durations) if t_fb > 0.0]
     history = None
     nodes = GAUSS_NODES
     for counts in (nodes[:2], *((n,) for n in nodes[2:])):
@@ -256,8 +245,8 @@ def converged_aggregates(
             break
         fractions, weights = _rules(counts)
         profile = build_profile(
-            geoms[0], params, source_fidelity, fractions=fractions,
-            timing=PassTiming(passes[:, :1], passes[:, 1:]),
+            geometry, params, source_fidelity, fractions=fractions,
+            timing=PassTiming(timing.t0_s[rows], timing.cos_half_angle[rows]),
         )
         eta2 = profile.eta2_tr
         # The weights sum to 1, so each product is a pass mean: P0, then the
@@ -276,32 +265,31 @@ def converged_aggregates(
         outcomes = zip(rows, dark.tolist(), settled.tolist())
         for k, (row, no_light, done) in enumerate(outcomes):
             if no_light:
-                results[row] = NoResultError(
-                    "zero_transmission",
-                    "pass-averaged pair fidelity undefined: zero transmission at "
-                    f"link length {geoms[row].link_length_m} m",
-                )
+                results[row] = "zero_transmission"
             elif done:
                 results[row] = FlybyAggregates(
                     p0=float(p0[k, -1]),
                     f_pair_avg=float(fbar[k, -1]),
-                    flyby_duration_s=timings[row].flyby_duration_s,
+                    flyby_duration_s=durations[row],
                 )
             else:
                 pending.append(k)
         rows = [rows[k] for k in pending]
-        if not rows:
-            break
-        passes, history = passes[pending], history[:, pending]
+        history = history[:, pending]
     if rows:
         trail = list(zip(nodes, history[0, 0].tolist(), history[1, 0].tolist()))
         raise QuadratureError(
             f"flyby aggregates did not converge to {rtol} within {nodes[-1]} "
-            f"Gauss-Legendre nodes at link length {geoms[rows[0]].link_length_m} m; "
+            f"Gauss-Legendre nodes at link length {links[rows[0]]} m; "
             f"history (nodes, P0, F_pair_avg): {trail}"
         )
-    if not single:
+    if link_lengths_m is not None:
         return results
-    if isinstance(results[0], NoResultError):
-        raise results[0]
+    if results[0] == "no_visibility":
+        raise NoVisibilityError(geometry)
+    if results[0] == "zero_transmission":
+        raise NoResultError(
+            "zero_transmission", "pass-averaged pair fidelity undefined: zero "
+            f"transmission at link length {geometry.link_length_m} m"
+        )
     return results[0]

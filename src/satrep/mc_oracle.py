@@ -240,7 +240,7 @@ def simulate_chain(
     block = _BLOCK_TRIALS if cfg.time_model == "constant-p" else 0
     if not (cfg.trials + block) * n_leaves <= _MAX_LEAF_TIMES:
         raise ValueError(
-            f"{cfg.trials} trials of {n_leaves} leaves exceed the Monte Carlo's "
+            f"{cfg.trials} trials of 2^{rep_cfg.n_levels} leaves exceed the Monte Carlo's "
             f"{_MAX_LEAF_TIMES:.0e} leaf times"
         )
     slot_s = rep_cfg.slot_s

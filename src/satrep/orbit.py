@@ -9,8 +9,8 @@ the satellite is simultaneously visible from both stations (zenith angle below
 instant the satellite enters visibility, ``t = t0`` the closest approach.
 
 All functions are pure and accept numpy arrays in the time/distance arguments;
-a :class:`PassTiming` of column arrays batches passes that differ only in link
-length.
+:func:`pass_timing` also takes one pass shape and a column of link lengths, and
+its :class:`PassTiming` of column arrays batches those passes.
 """
 
 from __future__ import annotations
@@ -111,18 +111,27 @@ def angular_speed(geom: OrbitGeometry) -> float:
 
 def half_flyby_time(geom: OrbitGeometry) -> float:
     """Half of the joint-visibility window (s); 0 when the stations never both see
-    the satellite below ``theta_max``.
+    the satellite below ``theta_max``."""
+    return _timing(geom, geom.link_length_m)[0]
+
+
+def _timing(geom: OrbitGeometry, link_m: float) -> tuple[float, float]:
+    """t0 (:func:`half_flyby_time`) and cos(L0 / 2 R_E) of ``geom``'s pass
+    shape at link length ``link_m``, in ``math`` arithmetic.
 
     Closed form: the satellite sits at zenith angle ``theta_max`` (from each
     station) when the central angle from the stations' midpoint equals the value
     whose cosine appears below; dividing by the angular speed gives the time from
     closest approach back to the visibility edge.
     """
+    if link_m < 0:
+        raise ValueError(f"link length must be >= 0, got {link_m}")
     r_e = geom.earth_radius_m
-    if geom.link_length_m >= math.pi * r_e:
+    cos_half = math.cos(link_m / (2.0 * r_e))
+    if link_m >= math.pi * r_e:
         # Stations half a great circle apart or more: never jointly visible.
         # The cosine below turns positive again past 3 pi R_E.
-        return 0.0
+        return 0.0, cos_half
     h = geom.altitude_m
     cos_tm = math.cos(geom.max_zenith_rad)
     try:
@@ -133,25 +142,26 @@ def half_flyby_time(geom: OrbitGeometry) -> float:
         raise ValueError(
             f"pass geometry overflows double precision (Earth radius {r_e:.3g} m)"
         ) from exc
-    denom = geom.orbit_radius_m * _cos_half_angle(geom)
+    denom = geom.orbit_radius_m * cos_half
     if denom <= 0.0:
-        return 0.0  # L0 within rounding of pi R_E
+        return 0.0, cos_half  # L0 within rounding of pi R_E
     arg = numer / denom
     if arg > 1.0:
-        return 0.0
+        return 0.0, cos_half
     if arg < -1.0:
         # Unreachable for positive altitude/radius; guard against silent nonsense.
         raise RuntimeError(f"visibility cosine {arg} < -1; inputs are inconsistent")
-    return math.acos(arg) / angular_speed(geom)
+    return math.acos(arg) / angular_speed(geom), cos_half
 
 
-def _cos_half_angle(geom: OrbitGeometry) -> float:
-    return math.cos(geom.link_length_m / (2.0 * geom.earth_radius_m))
-
-
-def pass_timing(geom: OrbitGeometry) -> PassTiming:
-    """The pass's t0 (hence T_FB) and cos(L0 / 2 R_E)."""
-    return PassTiming(t0_s=half_flyby_time(geom), cos_half_angle=_cos_half_angle(geom))
+def pass_timing(geom: OrbitGeometry, link_lengths_m=None) -> PassTiming:
+    """The pass's t0 (hence T_FB) and cos(L0 / 2 R_E); with ``link_lengths_m``,
+    those of ``geom``'s pass shape at each link length (not ``geom``'s), as
+    (passes, 1) columns with the bits each pass has alone."""
+    if link_lengths_m is None:
+        return PassTiming(*_timing(geom, geom.link_length_m))
+    columns = np.array([_timing(geom, link) for link in link_lengths_m]).reshape(-1, 2)
+    return PassTiming(columns[:, :1], columns[:, 1:])
 
 
 def slant_distance(geom: OrbitGeometry, timing: PassTiming, t_s):

@@ -12,7 +12,6 @@ chain formula once, for the evaluations, the sweeps and the Monte Carlo.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from .channel import ChannelParams, NoResultError
@@ -258,10 +257,10 @@ def distance_sweep(
     from link length to the pass's converged aggregates, or to the status
     of the :class:`NoResultError` that stopped it; pass the same dict to
     sweeps that differ only in node-side parameters to skip their
-    quadrature and their classification.  Only the passes missing from it
-    get a geometry, and they are converged in one batch.  A
-    :class:`NoResultError` ends only its entry, any other error the sweep,
-    and is not cached.
+    quadrature and their classification.  The link lengths missing from it
+    are converged in one batch, as a column of the template's pass shape.
+    A :class:`NoResultError` ends only its entry, any other error the
+    sweep, and is not cached.
     """
     cache = {} if cache is None else cache
     geom, channel = cfg_template.geometry, cfg_template.channel
@@ -279,9 +278,8 @@ def distance_sweep(
         )
     )
     if missing:
-        batch = [dataclasses.replace(geom, link_length_m=link) for link in missing]
-        for link, agg in zip(missing, converged_aggregates(batch, channel, fidelity)):
-            passes[link] = agg.status if isinstance(agg, NoResultError) else agg
+        batch = converged_aggregates(geom, channel, fidelity, link_lengths_m=missing)
+        passes.update(zip(missing, batch))
     sweep = []
     for n, chain, links in zip(depths, chains, link_columns):
         entries = []

@@ -189,8 +189,10 @@ class TestFlyby:
         assert main(["flyby", "--samples", "101", "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_even_samples_rejected(self):
-        assert main(["flyby", "--samples", "100", "--output", "/dev/null"]) == 1
+    def test_even_samples_write_that_many_rows(self, tmp_path):
+        out = tmp_path / "profile.csv"
+        assert main(["flyby", "--samples", "2000", "--output", str(out)]) == 0
+        assert len(read_csv(out)[2]) == 2000
 
     def test_no_visibility_is_model_error(self, tmp_path):
         code = main(
@@ -786,10 +788,13 @@ OVERSIZED_COUNTS = {
         1, "satrep: error: --samples must be at most"
     ),
     "mc --trials 1000000000000": (
-        2, "satrep: model error: 1000000000000 trials of 4 leaves exceed"
+        2, "satrep: model error: 1000000000000 trials of 2^2 leaves exceed"
     ),
     "mc --trials 10 --set repeater.nesting_levels=30": (
-        2, "satrep: model error: 10 trials of 1073741824 leaves exceed"
+        2, "satrep: model error: 10 trials of 2^30 leaves exceed"
+    ),
+    "mc --trials 1 --set repeater.nesting_levels=1023": (
+        2, "satrep: model error: 1 trials of 2^1023 leaves exceed"
     ),
 }
 

@@ -42,7 +42,7 @@ def test_commands_cover_the_benchmark_stream_and_every_subcommand(digest_tool):
     # Per-trial dumps of both time models.
     dumps = [c for c in cmds if "--dump-trials" in c]
     assert [("mc.time_model=time-resolved" in c) for c in dumps] == [True, False]
-    assert len(cmds) == 149
+    assert len(cmds) == 151
     # One node-key and one aggregate-key sweep read the scenario file.
     assert [c[c.index("--param") + 1] for c in cmds if digest_tool.CFG in c] == [
         "node.spin_decoherence_rate_hz", "channel.beam_waist_m",

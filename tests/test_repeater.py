@@ -289,8 +289,19 @@ class TestDistanceSweep:
         assert point.aggregates[0] is not None and point.fidelity_per_level[0] is None
 
     def test_cache_is_shared_across_node_parameters(self, baseline_cfg, monkeypatch):
+        geometries = []
+        post_init = OrbitGeometry.__post_init__
+
+        def counted_geometry(geom):
+            geometries.append(geom)
+            post_init(geom)
+
+        monkeypatch.setattr(OrbitGeometry, "__post_init__", counted_geometry)
         cache = {}
         first = distance_sweep(baseline_cfg, [1.0e7, 8.0e7], cache, levels=[2, 3])
+        # The missing passes are converged as link lengths of the template's
+        # pass shape, with no geometry of their own.
+        assert geometries == []
         assert [
             (cols.n_levels, link * 2**cols.n_levels)
             for cols in first
@@ -321,17 +332,9 @@ class TestDistanceSweep:
         monkeypatch.setattr(repeater, "converged_aggregates", counted)
         node = dataclasses.replace(baseline_cfg.node, caps_fidelity=0.95)
         cfg = dataclasses.replace(baseline_cfg, node=node)
-        geometries = []
-        post_init = OrbitGeometry.__post_init__
-
-        def counted_geometry(geom):
-            geometries.append(geom)
-            post_init(geom)
-
-        monkeypatch.setattr(OrbitGeometry, "__post_init__", counted_geometry)
         second = distance_sweep(cfg, [1.0e7, 8.0e7], cache, levels=[2, 3])
         assert calls == []  # neither quadrature nor re-classification
-        assert geometries == []  # nor a geometry for any cached pass
+        assert geometries == []
         assert [p.status for p in second] == [p.status for p in first]
         assert second[0].aggregates[0] is first[0].aggregates[0]
         assert second[0].fidelity_per_level[0][-1] < first[0].fidelity_per_level[0][-1]

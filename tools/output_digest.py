@@ -18,10 +18,11 @@ exponent changed; one sweep per row status (``ok``, ``no_visibility``, ``zero_tr
 ways, ``zero_herald_rate``); a node-key sweep whose later values reuse
 cached statuses; a node-key and an aggregate-key sweep read from a scenario
 file (the bundled baseline with :data:`CFG_EDIT` applied); a 1,000-point
-altitude grid; a few exit 1 and 2 cases; and the first :data:`BENCH_OPS`
-operations of the benchmark's ``sweep`` stream for each of
-:data:`BENCH_SEEDS`, taken from ``perfbench/workloads.py``, which is only
-read.  Standard library only.
+altitude grid; a few exit 1 and 2 cases, among them both raises of a
+single pass's ``converged_aggregates`` in ``mc``; and the first
+:data:`BENCH_OPS` operations of the benchmark's ``sweep`` stream for each
+of :data:`BENCH_SEEDS`, taken from ``perfbench/workloads.py``, which is
+only read.  Standard library only.
 """
 
 from __future__ import annotations
@@ -128,6 +129,10 @@ def commands() -> list[list[str]]:
         ["rates", "--set", "source.pair_fidelity=0.1"],
         ["rates", "--links", "3"],
         ["flyby", "--set", "orbit.altitude_m=1e3", "--output", OUT],
+        # The single-pass converged_aggregates raises, zero_transmission and
+        # no_visibility, after the scenario loads.
+        ["mc", "--trials", "3", "--set", "channel.receiver_radius_m=1e-300"],
+        ["mc", "--trials", "3", "--set", "orbit.altitude_m=1e3"],
     ]
     return cmds + _bench_ops()
 
