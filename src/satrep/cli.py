@@ -25,6 +25,7 @@ point the model has no result for is a row whose ``status`` names the cause.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -198,22 +199,25 @@ def _emit(args, text: str) -> None:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file that is then renamed
+    over it; the temp file is removed if either step fails, and an
+    ``OSError`` (an existing directory at ``path``, a full disk) is a
+    :class:`UsageError`."""
     target = Path(path)
+    tmp = None
     try:
         fd, tmp = tempfile.mkstemp(
             dir=str(target.parent) or ".", prefix=target.name + ".", suffix=".tmp"
         )
-    except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc}") from exc
-    try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise UsageError(f"cannot write {path}: {exc}") from exc
         raise
 
 
@@ -380,9 +384,7 @@ def _cmd_mc(args) -> int:
     cfg = scenario.repeater
     agg = converged_aggregates(cfg.geometry, cfg.channel, cfg.source.pair_fidelity)
     analytic = evaluate_with_aggregates(cfg, agg)
-    estimates = simulate_chain(
-        scenario.mc, cfg, agg, keep_samples=args.dump_trials is not None
-    )
+    estimates = simulate_chain(scenario.mc, cfg, agg)
     report = compare_report(analytic, estimates)
     payload = report.to_dict()
     payload["parameters"] = scenario.flat_dict()

@@ -16,7 +16,11 @@ that matters for the memory-loading success probability, which can be given
 directly (``node.caps_success_probability``) or derived from
 ``node.internal_cooperativity`` — a user-set cooperativity replaces the
 default probability, while setting both lets the explicit probability win
-(with a warning from the node layer).
+(with a warning from the node layer).  The resolved parameter set records
+the probability the node used: under a cooperativity alone that is the
+derived value, not the 0.75 default (earlier versions recorded the default),
+so a run from that provenance sets both keys in agreement and gives the same
+result without a warning.
 """
 
 from __future__ import annotations
@@ -204,7 +208,7 @@ def load_scenarios(
         )
         try:
             text = Path(path).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         try:
             parser.read_string(text, source=str(path))
@@ -273,13 +277,16 @@ def _assemble(
         gate_efficiency=v("repeater", "gate_efficiency"),
         detector_exponent=v("repeater", "detector_exponent"),
     )
-    resolved = tuple(
-        (f"{section}.{key}", values[(section, key)])
+    resolved = {
+        f"{section}.{key}": values[(section, key)]
         for section, keys in _SCHEMA.items()
         for key in keys
         if (section, key) in values
-    )
-    return Scenario(repeater=repeater, mc=mc, resolved=resolved)
+    }
+    # The probability the node used, which a cooperativity that replaced the
+    # default derived: a run from this provenance sets both keys, in agreement.
+    resolved["node.caps_success_probability"] = node.caps_success_probability
+    return Scenario(repeater=repeater, mc=mc, resolved=tuple(resolved.items()))
 
 
 def default_scenario() -> Scenario:

@@ -25,6 +25,11 @@ so trial i depends only on (i, seed) and a run is a prefix of any longer run;
 a time-resolved block is one trial, which draws one wait per leaf for its
 first swap cascade and then one maximum of 2^n waits per later cascade.  The
 in-block draw order is fixed and documented in :func:`simulate_chain`.
+
+Comparison: :func:`compare_report` scores each quantity in one row of one
+table, against the fixed bands :data:`Z_MAX`, :data:`FIDELITY_RTOL` and
+:data:`GAP_RTOL`, and keeps the :class:`ChainEstimates` it scored, whose
+per-trial samples every run returns.
 """
 
 from __future__ import annotations
@@ -44,11 +49,21 @@ __all__ = [
     "McConfig",
     "McEstimate",
     "McReport",
-    "McTolerances",
     "compare_report",
     "simulate_chain",
     "simulate_link",
 ]
+
+# Pass/fail bands of compare_report: |z| for quantities whose estimator mean
+# equals the analytic value by construction, relative error for quantities
+# where the analytic formula is itself an approximation.  GAP_RTOL bands the
+# waiting gaps against the (3/2)^(k-1)/2 * T0 rule, whose real deviation from
+# the exact mean gap 2 (H_2^k - H_2^(k-1)) T0, relative to the rule, is 100%,
+# 56% and 13% at levels 1-3 and 21%, 46% and 64% at levels 4-6; a 15% band
+# therefore fails levels 1 and 2.
+Z_MAX = 3.0
+FIDELITY_RTOL = 0.01
+GAP_RTOL = 0.15
 
 _TIME_MODELS = ("constant-p", "time-resolved")
 _BLOCK_TRIALS = 1024  # constant-p trials per random stream
@@ -122,10 +137,13 @@ class McEstimate:
         return McEstimate(mean=float(mean), std_err=float(std / math.sqrt(n)), n=n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainEstimates:
     """Distributional estimates from one simulate_chain run, plus enough
-    config echo to check comparisons against the matching analytic result."""
+    config echo to check comparisons against the matching analytic result.
+    ``pairs_samples`` and ``fidelity_samples`` hold one entry per trial, in
+    trial order; a trial whose first cascade never completed has a NaN
+    fidelity.  Equality is identity, since arrays do not compare to a bool."""
 
     n_levels: int
     trials: int
@@ -138,8 +156,8 @@ class ChainEstimates:
     link_time: McEstimate
     gap_by_level: tuple[McEstimate, ...]
     completed_fraction: float
-    pairs_samples: np.ndarray | None = field(default=None, repr=False)
-    fidelity_samples: np.ndarray | None = field(default=None, repr=False)
+    pairs_samples: np.ndarray = field(repr=False)
+    fidelity_samples: np.ndarray = field(repr=False)
 
 
 def _block_rng(block: int, seed: int) -> np.random.Generator:
@@ -191,8 +209,6 @@ def simulate_chain(
     cfg: McConfig,
     rep_cfg: RepeaterConfig,
     agg: FlybyAggregates,
-    profile: FlybyProfile | None = None,
-    keep_samples: bool = False,
 ) -> ChainEstimates:
     """Simulate ``cfg.trials`` independent flybys of a 2^n-link chain.
 
@@ -223,7 +239,8 @@ def simulate_chain(
       3. one binomial draw: the successful swap cascades among those held
          inside the pass, each succeeding with the swap-cascade probability.
     A trial whose first cascade does not finish inside the pass stops after
-    step 1.
+    step 1.  The pass profile is built from ``rep_cfg``; aggregates of a
+    pass of another duration raise ValueError.
 
     Each cascade consumes all 2^n held links and every leaf restarts; because
     slot attempts are independent, the next cascade ends where the hazard
@@ -269,10 +286,9 @@ def simulate_chain(
             leaf_times[start:stop] = leaf[: stop - start]
             pairs_samples[start:stop] = successes[: stop - start].sum(axis=1) / n_leaves
     else:
-        if profile is None:
-            profile = build_profile(
-                rep_cfg.geometry, rep_cfg.channel, rep_cfg.source.pair_fidelity
-            )
+        profile = build_profile(
+            rep_cfg.geometry, rep_cfg.channel, rep_cfg.source.pair_fidelity
+        )
         if not math.isclose(profile.flyby_duration_s, t_fb, rel_tol=1e-9):
             raise ValueError("profile and aggregates describe different passes")
         q = np.clip(p_attempt / agg.p0 * profile.eta2_tr, 0.0, 1.0 - 1e-15)
@@ -300,8 +316,8 @@ def simulate_chain(
         link_time=McEstimate.from_samples(leaf_times[done, 0]),
         gap_by_level=tuple(McEstimate.from_samples(g.ravel()) for g in gaps),
         completed_fraction=completed.size / cfg.trials,
-        pairs_samples=pairs_samples if keep_samples else None,
-        fidelity_samples=fidelity_samples if keep_samples else None,
+        pairs_samples=pairs_samples,
+        fidelity_samples=fidelity_samples,
     )
 
 
@@ -436,27 +452,6 @@ def _walk_cascades(
 
 
 @dataclass(frozen=True)
-class McTolerances:
-    """Pass/fail bands for the comparison report: |z| for quantities whose
-    estimator mean equals the analytic value by construction, relative error
-    for quantities where the analytic formula is itself an approximation.
-
-    ``gap_rtol`` bands the waiting gaps against the (3/2)^(k-1)/2 * T0 rule,
-    whose real deviation from the exact mean gap 2 (H_2^k - H_2^(k-1)) T0,
-    relative to the rule, is 100%, 56% and 13% at levels 1-3 and 21%, 46%
-    and 64% at levels 4-6; the default 15% therefore fails levels 1 and 2.
-    """
-
-    z_max: float = 3.0
-    fidelity_rtol: float = 0.01
-    gap_rtol: float = 0.15
-
-    def __post_init__(self) -> None:
-        if self.z_max < 0 or self.fidelity_rtol < 0 or self.gap_rtol < 0:
-            raise ValueError("tolerances must be >= 0")
-
-
-@dataclass(frozen=True)
 class McEntry:
     quantity: str
     analytic: float
@@ -468,15 +463,11 @@ class McEntry:
 
 @dataclass(frozen=True)
 class McReport:
-    """Machine-readable comparison between analytic and Monte Carlo results."""
+    """Machine-readable comparison between analytic and Monte Carlo results:
+    one row per quantity, and the Monte Carlo run the rows score."""
 
-    n_levels: int
-    trials: int
-    seed: int
-    time_model: str
-    completed_fraction: float
-    tolerances: McTolerances
     entries: tuple[McEntry, ...]
+    estimates: ChainEstimates
 
     @property
     def all_pass(self) -> bool:
@@ -486,141 +477,78 @@ class McReport:
         """JSON-ready mapping, NaN/inf mapped to None (JSON has no
         representation for them; the pass flags already encode the
         verdict)."""
+        mc = self.estimates
+        entries = []
+        for e in self.entries:
+            row = {"quantity": e.quantity, "pass": e.passed}
+            for key in ("analytic", "mc_mean", "mc_stderr", "z"):
+                value = getattr(e, key)
+                row[key] = value if math.isfinite(value) else None
+            entries.append(row)
         return {
-            "n_levels": self.n_levels,
-            "trials": self.trials,
-            "seed": self.seed,
-            "time_model": self.time_model,
-            "completed_fraction": self.completed_fraction,
+            "n_levels": mc.n_levels,
+            "trials": mc.trials,
+            "seed": mc.seed,
+            "time_model": mc.time_model,
+            "completed_fraction": mc.completed_fraction,
             "tolerances": {
-                "z_max": self.tolerances.z_max,
-                "fidelity_rtol": self.tolerances.fidelity_rtol,
-                "gap_rtol": self.tolerances.gap_rtol,
+                "z_max": Z_MAX, "fidelity_rtol": FIDELITY_RTOL, "gap_rtol": GAP_RTOL
             },
-            "entries": [
-                {
-                    "quantity": e.quantity,
-                    "analytic": _json_number(e.analytic),
-                    "mc_mean": _json_number(e.mc_mean),
-                    "mc_stderr": _json_number(e.mc_stderr),
-                    "z": _json_number(e.z),
-                    "pass": e.passed,
-                }
-                for e in self.entries
-            ],
+            "entries": entries,
             "all_pass": self.all_pass,
         }
 
 
-def _json_number(x: float) -> float | None:
-    return x if math.isfinite(x) else None
-
-
-def _z_score(analytic: float, mc: McEstimate) -> float:
+def _entry(name: str, analytic: float, mc: McEstimate, rtol: float | None) -> McEntry:
+    """One report row.  It passes when |z| <= :data:`Z_MAX`, or, given a
+    relative band ``rtol``, when the Monte Carlo mean lies within ``rtol``
+    of a nonzero analytic value; the z-score is reported either way."""
     diff = mc.mean - analytic
     if math.isnan(diff) or math.isnan(mc.std_err):
-        return math.nan
-    if mc.std_err == 0.0:
-        return 0.0 if diff == 0.0 else math.inf
-    return diff / mc.std_err
+        z = math.nan
+    elif mc.std_err == 0.0:
+        z = 0.0 if diff == 0.0 else math.inf
+    else:
+        z = diff / mc.std_err
+    if rtol is None:
+        passed = abs(z) <= Z_MAX
+    else:
+        passed = analytic != 0.0 and abs(diff) <= rtol * abs(analytic)
+    return McEntry(name, analytic, mc.mean, mc.std_err, z, passed)
 
 
-def _z_entry(name: str, analytic: float, mc: McEstimate, z_max: float) -> McEntry:
-    z = _z_score(analytic, mc)
-    return McEntry(
-        quantity=name,
-        analytic=analytic,
-        mc_mean=mc.mean,
-        mc_stderr=mc.std_err,
-        z=z,
-        passed=(not math.isnan(z)) and abs(z) <= z_max,
-    )
-
-
-def _relative_entry(name: str, analytic: float, mc: McEstimate, rtol: float) -> McEntry:
-    z = _z_score(analytic, mc)
-    ok = (
-        not math.isnan(mc.mean)
-        and analytic != 0.0
-        and abs(mc.mean - analytic) <= rtol * abs(analytic)
-    )
-    return McEntry(
-        quantity=name,
-        analytic=analytic,
-        mc_mean=mc.mean,
-        mc_stderr=mc.std_err,
-        z=z,
-        passed=ok,
-    )
-
-
-def compare_report(
-    analytic: RepeaterResult,
-    mc: ChainEstimates,
-    tolerances: McTolerances | None = None,
-) -> McReport:
+def compare_report(analytic: RepeaterResult, mc: ChainEstimates) -> McReport:
     """Line up Monte Carlo estimates against the analytic recursion.
 
     Bands: pairs-per-flyby and elementary link time are compared by z-score
     (their estimators were built so the means coincide); final fidelity by
     z-score when gamma_s = 0 (the sample is then deterministic) and by
-    relative error otherwise; waiting gaps by relative error against the
-    (3/2)^(k-1)/2 rule, which is a literature heuristic rather than the exact
-    expected order-statistic gap 2 (H_2^k - H_2^(k-1)) T0.  Relative to the
-    rule, the exact gap is 100%, 56% and 13% higher at levels 1-3, so at the
-    default 15% band the level-1 and level-2 rows fail and ``satrep mc``
-    exits 3 at the baseline.  With zero tolerances every stochastic quantity
-    fails; the report states the verdict, it does not fudge it.
+    relative error :data:`FIDELITY_RTOL` otherwise; waiting gaps by relative
+    error :data:`GAP_RTOL` against the (3/2)^(k-1)/2 rule, which fails
+    levels 1 and 2, so ``satrep mc`` exits 3 at the baseline.  The report
+    states the verdict, it does not fudge it.
 
     Raises ValueError when the analytic result and the MC run describe
     different chains (depth or pass duration mismatch).
     """
-    if tolerances is None:
-        tolerances = McTolerances()
     if len(analytic.waiting_time_per_level) != mc.n_levels:
         raise ValueError("analytic result and MC run have different depths")
     if not math.isclose(
         analytic.aggregates.flyby_duration_s, mc.t_fb_s, rel_tol=1e-9
     ):
         raise ValueError("analytic result and MC run describe different passes")
-    entries = [
-        _z_entry("pairs_per_flyby", analytic.pairs_per_flyby, mc.pairs, tolerances.z_max)
+    rows = [
+        ("pairs_per_flyby", analytic.pairs_per_flyby, mc.pairs, None),
+        (
+            "fidelity_final",
+            analytic.fidelity_final,
+            mc.fidelity,
+            None if mc.gamma_s_hz == 0.0 else FIDELITY_RTOL,
+        ),
+        ("elementary_time_s", analytic.elementary_time_s, mc.link_time, None),
     ]
-    if mc.gamma_s_hz == 0.0:
-        entries.append(
-            _z_entry(
-                "fidelity_final", analytic.fidelity_final, mc.fidelity, tolerances.z_max
-            )
-        )
-    else:
-        entries.append(
-            _relative_entry(
-                "fidelity_final",
-                analytic.fidelity_final,
-                mc.fidelity,
-                tolerances.fidelity_rtol,
-            )
-        )
-    entries.append(
-        _z_entry(
-            "elementary_time_s", analytic.elementary_time_s, mc.link_time, tolerances.z_max
-        )
-    )
-    for level, gap in enumerate(mc.gap_by_level, start=1):
-        entries.append(
-            _relative_entry(
-                f"waiting_gap_level_{level}",
-                analytic.waiting_time_per_level[level - 1],
-                gap,
-                tolerances.gap_rtol,
-            )
-        )
-    return McReport(
-        n_levels=mc.n_levels,
-        trials=mc.trials,
-        seed=mc.seed,
-        time_model=mc.time_model,
-        completed_fraction=mc.completed_fraction,
-        tolerances=tolerances,
-        entries=tuple(entries),
-    )
+    for level, (rule, gap) in enumerate(
+        zip(analytic.waiting_time_per_level, mc.gap_by_level), start=1
+    ):
+        rows.append((f"waiting_gap_level_{level}", rule, gap, GAP_RTOL))
+    return McReport(tuple(_entry(*row) for row in rows), mc)

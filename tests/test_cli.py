@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import subprocess
@@ -9,8 +10,6 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from satrep.cli import main
 from satrep.config import (
@@ -19,6 +18,7 @@ from satrep.config import (
     load_scenario,
     sweepable_keys,
 )
+from satrep.node import caps_success
 from satrep.repeater import Chain, distance_sweep, pairs_per_flyby
 
 
@@ -161,6 +161,30 @@ class TestTopLevel:
         )
         assert code == 1
         assert "cannot write" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["caps-curve", "--points", "3", "--output", "{dir}"],
+            ["mc", "--trials", "5", "--seed", "1", "--dump-trials", "{dir}"],
+        ],
+    )
+    def test_directory_as_output_is_usage_error(self, argv, tmp_path, capsys):
+        # The rename onto an existing directory fails; the temp file goes.
+        target = tmp_path / "out"
+        target.mkdir()
+        assert main([str(target) if a == "{dir}" else a for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"satrep: error: cannot write {target}:")
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert list(target.iterdir()) == []
+
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("[orbit]\n# h\xf6he\naltitude_m = 1.2e6\n".encode("latin-1"))
+        assert main(["rates", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("satrep: config error: cannot read")
 
 
 class TestFlyby:
@@ -474,6 +498,20 @@ class TestSensitivity:
         rates = {row[header.index("rate_hz")] for row in rows}
         assert len(rates) == (1 if with_file else 2)
 
+    def test_cooperativity_provenance_reruns_identically(self, capsys):
+        # The provenance holds the probability the cooperativity implied, so
+        # setting every key it records reproduces the run, with no warning.
+        grid = ["--distances-km", "10000", "--links", "4"]
+        assert main(["rates", "--set", "node.internal_cooperativity=10", *grid]) == 0
+        first = capsys.readouterr().out
+        params = json.loads(first.splitlines()[0][2:])
+        assert params["node.caps_success_probability"] == caps_success(10.0)
+        sets = [a for k, v in params.items() for a in ("--set", f"{k}={v}")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["rates", *sets, *grid]) == 0
+        assert capsys.readouterr().out == first
+
 
 class TestMc:
     def test_baseline_comparison_fails_on_gap_heuristic(self, capsys):
@@ -604,13 +642,33 @@ class TestRepeatedCalls:
 
 
 EXTREME_VALUES = ("0", "1e-300", "-1e-300", "1e300", "-1e300", "-1")
+SMALL_SWEEP = ["--distances-km", "10000", "--links", "4"]
 EXTREME_COMMANDS = {
+    "caps-curve": ["caps-curve", "--points", "3"],
+    "flyby": ["flyby", "--samples", "11"],  # the test adds --output
     "rates": ["rates", "--with-direct", "--links", "2,4,8"],
+    "sensitivity": [
+        "sensitivity", "--param", "node.caps_fidelity", "--values", "0.9,0.99", *SMALL_SWEEP
+    ],
     "mc-const": ["mc", "--trials", "2", "--seed", "1"],
     "mc-timed": [
         "mc", "--trials", "2", "--seed", "1", "--set", "mc.time_model=time-resolved",
     ],
 }
+# Number flags, each given one of EXTREME_VALUES as --flag=value.
+EXTREME_FLAGS = [
+    (["rates", "--links", "4"], "--distances-km"),
+    (["sensitivity", "--param", "node.caps_fidelity", "--values", "0.9", "--links", "4"],
+     "--distances-km"),
+    (["sensitivity", "--param", "node.caps_fidelity", *SMALL_SWEEP], "--values"),
+    (["sensitivity", "--param", "orbit.altitude_m", *SMALL_SWEEP], "--values"),
+    (["caps-curve", "--points", "3"], "--cin-min"),
+    (["caps-curve", "--points", "3"], "--cin-max"),
+    (["caps-curve"], "--points"),
+    (["flyby"], "--samples"),
+    (["mc", "--seed", "1"], "--trials"),
+    (["rates", "--distances-km", "10000"], "--links"),
+]
 
 
 def non_finite_numbers(text):
@@ -642,25 +700,40 @@ def non_finite_numbers(text):
     return found
 
 
+def assert_typed_exit(argv, output=None):
+    """Run ``argv``: it must end in a typed exit code, never in a traceback,
+    and on success print only finite numbers (to ``output``, a path, if
+    given; stdout then holds ``name = number`` lines)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv if output is None else [*argv, "--output", str(output)])
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 0 and output is None:
+        assert non_finite_numbers(out.getvalue()) == [], argv
+    elif code == 0:
+        assert non_finite_numbers(output.read_text()) == [], argv
+        printed = [float(line.partition(" = ")[2]) for line in out.getvalue().splitlines()]
+        assert all(math.isfinite(x) for x in printed), argv
+
+
 class TestExtremeInputs:
-    # Each sweepable key at 0, +-1e-300, +-1e300 or -1 ends in a typed exit
-    # code with finite numbers, never in a traceback.  Hypothesis draws no
-    # case twice, so 504 examples cover every key, value and command (28 x 6
-    # x 3 today) in about 1 s.
-    @settings(max_examples=504, deadline=None, derandomize=True, database=None)
-    @given(
-        key=st.sampled_from(sweepable_keys()),
-        value=st.sampled_from(EXTREME_VALUES),
-        command=st.sampled_from(sorted(EXTREME_COMMANDS)),
-    )
-    def test_extreme_value_ends_in_typed_exit(self, key, value, command):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(EXTREME_COMMANDS[command] + ["--set", f"{key}={value}"])
-        assert code in (0, 1, 2, 3)
-        assert "Traceback" not in err.getvalue()
-        if code == 0:
-            assert non_finite_numbers(out.getvalue()) == []
+    # Each sweepable key at 0, +-1e-300, +-1e300 or -1, and each number flag
+    # at those values, ends in a typed exit code with finite numbers, never
+    # in a traceback: every key, value and command (28 x 6 x 6 today) and
+    # every flag and value (10 x 6).
+    def test_extreme_value_ends_in_typed_exit(self, tmp_path):
+        output = tmp_path / "out.csv"
+        cases = itertools.product(sorted(EXTREME_COMMANDS), sweepable_keys(), EXTREME_VALUES)
+        for command, key, value in cases:
+            argv = EXTREME_COMMANDS[command] + ["--set", f"{key}={value}"]
+            assert_typed_exit(argv, output if command == "flyby" else None)
+
+    @pytest.mark.parametrize("value", EXTREME_VALUES)
+    @pytest.mark.parametrize("argv, flag", EXTREME_FLAGS)
+    def test_extreme_flag_value_ends_in_typed_exit(self, argv, flag, value, tmp_path):
+        output = tmp_path / "out.csv" if argv[0] == "flyby" else None
+        assert_typed_exit([*argv, f"{flag}={value}"], output)
 
 
 class TestCapsCurve:

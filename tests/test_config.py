@@ -75,6 +75,12 @@ class TestFileParsing:
         with pytest.raises(ConfigError, match="cannot read"):
             load_scenario(tmp_path / "nope.cfg")
 
+    def test_non_utf8_file_is_config_error(self, tmp_path):
+        path = tmp_path / "scenario.cfg"
+        path.write_bytes(b"[orbit]\naltitude_m = 1.2e6 \xff\n")
+        with pytest.raises(ConfigError, match="cannot read config file .*utf-8"):
+            load_scenario(path)
+
     def test_malformed_ini_is_config_error(self, tmp_path):
         path = write_cfg(tmp_path, "orbit]\naltitude_m 1e6\n")
         with pytest.raises(ConfigError, match="malformed"):
@@ -139,6 +145,10 @@ class TestCapsResolution:
             caps_success(96.5), rel=1e-15
         )
         assert s.repeater.node.caps_success_probability == pytest.approx(0.75, abs=1e-5)
+        # The provenance records the probability the node used.
+        resolved = s.flat_dict()
+        assert resolved["node.caps_success_probability"] == caps_success(96.5)
+        assert resolved["node.internal_cooperativity"] == 96.5
 
     def test_both_set_explicit_wins_with_warning(self):
         with pytest.warns(UserWarning, match="overrides"):

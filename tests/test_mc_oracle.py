@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 import satrep.mc_oracle as mc_oracle
-from satrep.flyby import build_profile
+from satrep.flyby import build_profile, converged_aggregates
 from satrep.mc_oracle import (
     _BLOCK_TRIALS,
     ChainEstimates,
     McConfig,
     McEstimate,
-    McTolerances,
     _block_rng,
     _merge_tree,
     _time_resolved_trial,
@@ -271,9 +270,7 @@ class TestConstantP:
         assert 1.6 < ratio < 2.4
 
     def test_keep_samples_are_trial_aligned(self, baseline_cfg, baseline_agg):
-        mc = simulate_chain(
-            McConfig(trials=64, seed=6), baseline_cfg, baseline_agg, keep_samples=True
-        )
+        mc = simulate_chain(McConfig(trials=64, seed=6), baseline_cfg, baseline_agg)
         assert mc.pairs_samples.shape == (64,)
         assert np.all(np.isfinite(mc.pairs_samples))
         assert mc.fidelity_samples.shape == (64,)
@@ -281,9 +278,7 @@ class TestConstantP:
     def test_runs_are_prefixes_of_longer_runs(self, baseline_cfg, baseline_agg):
         sizes = (_BLOCK_TRIALS - 1, _BLOCK_TRIALS, _BLOCK_TRIALS + 1, 2 * _BLOCK_TRIALS + 3)
         runs = [
-            simulate_chain(
-                McConfig(trials=n, seed=9), baseline_cfg, baseline_agg, keep_samples=True
-            )
+            simulate_chain(McConfig(trials=n, seed=9), baseline_cfg, baseline_agg)
             for n in sizes
         ]
         longest = runs[-1]
@@ -333,7 +328,6 @@ class TestTimeResolved:
                 McConfig(trials=n, seed=9, time_model="time-resolved"),
                 baseline_cfg,
                 baseline_agg,
-                keep_samples=True,
             )
             for n in (5, 8)
         )
@@ -346,7 +340,6 @@ class TestTimeResolved:
             McConfig(trials=40, seed=2, time_model="time-resolved"),
             slow,
             baseline_agg,
-            keep_samples=True,
         )
         n_nan = int(np.isnan(mc.fidelity_samples).sum())
         assert 0 < mc.completed_fraction < 1.0
@@ -398,17 +391,18 @@ class TestTimeResolved:
         with pytest.raises(ValueError, match="heralds over its"):
             _time_resolved_trial(_block_rng(0, 99), profile, hazard, n_leaves, 1e-9, 1.0)
 
-    def test_mismatched_profile_is_rejected(self, baseline, baseline_cfg, baseline_agg):
-        from satrep.flyby import build_profile
-
-        other_geom = dataclasses.replace(baseline.repeater.geometry, link_length_m=2.0e6)
-        wrong = build_profile(other_geom, baseline.repeater.channel, 0.998, n_samples=201)
+    def test_mismatched_profile_is_rejected(self, baseline_cfg):
+        # The aggregates of a 2,000 km link against the profile the baseline
+        # config builds for its 2,500 km link.
+        other_geom = dataclasses.replace(baseline_cfg.geometry, link_length_m=2.0e6)
+        wrong = converged_aggregates(
+            other_geom, baseline_cfg.channel, baseline_cfg.source.pair_fidelity
+        )
         with pytest.raises(ValueError, match="different passes"):
             simulate_chain(
                 McConfig(trials=5, seed=0, time_model="time-resolved"),
                 baseline_cfg,
-                baseline_agg,
-                profile=wrong,
+                wrong,
             )
 
 
@@ -568,11 +562,17 @@ class TestCompareReport:
         with pytest.raises(ValueError, match="different passes"):
             compare_report(analytic, tampered)
 
-    def test_zero_tolerances_fail_stochastic_rows(self, baseline_cfg, baseline_agg, analytic):
+    def test_zero_tolerances_fail_stochastic_rows(
+        self, baseline_cfg, baseline_agg, analytic, monkeypatch
+    ):
+        for band in ("Z_MAX", "FIDELITY_RTOL", "GAP_RTOL"):
+            monkeypatch.setattr(mc_oracle, band, 0.0)
         mc = simulate_chain(McConfig(trials=200, seed=8), baseline_cfg, baseline_agg)
-        strict = McTolerances(z_max=0.0, fidelity_rtol=0.0, gap_rtol=0.0)
-        report = compare_report(analytic, mc, tolerances=strict)
+        report = compare_report(analytic, mc)
         assert not report.all_pass
+        assert report.to_dict()["tolerances"] == {
+            "z_max": 0.0, "fidelity_rtol": 0.0, "gap_rtol": 0.0
+        }
         by_name = {e.quantity: e for e in report.entries}
         assert not by_name["pairs_per_flyby"].passed
 
@@ -611,4 +611,5 @@ def test_chain_estimates_echo_config(baseline_cfg, baseline_agg):
     assert mc.time_model == "constant-p"
     assert mc.t_fb_s == baseline_agg.flyby_duration_s
     assert mc.gamma_s_hz == baseline_cfg.node.spin_decoherence_rate_hz
-    assert mc.pairs_samples is None
+    assert mc.pairs_samples.shape == mc.fidelity_samples.shape == (25,)
+    assert McEstimate.from_samples(mc.pairs_samples) == mc.pairs
