@@ -388,7 +388,9 @@ def _cmd_mc(args) -> int:
     report = compare_report(analytic, estimates)
     payload = report.to_dict()
     payload["parameters"] = scenario.flat_dict()
-    _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # The dump is written first, so a dump that cannot be written leaves no
+    # report behind.
     if args.dump_trials is not None:
         rows = [
             f"{i},{float(pairs)!r}," + ("" if math.isnan(fid) else repr(float(fid)))
@@ -398,6 +400,7 @@ def _cmd_mc(args) -> int:
         ]
         header = ["trial", "pairs", "fidelity"]
         _atomic_write(args.dump_trials, _csv_text(scenario, header, rows))
+    _emit(args, text)
     return 0 if report.all_pass else 3
 
 

@@ -4,23 +4,19 @@ A scenario bundles everything one run needs: pass geometry, optical channel,
 source, memory node, chain layout, and Monte Carlo settings.  Keys carry their
 units in the name (``altitude_m``, ``repetition_rate_hz``) so there is no unit
 inference anywhere.  Unknown sections or keys fail fast with the closest valid
-name suggested.  Every key has a default; the bundled ``table1.cfg`` resource
-spells out the same baseline explicitly and loading it reproduces the defaults
-exactly.
+name suggested.  The bundled ``table1.cfg`` resource spells out the baseline
+explicitly, and loading it alone reproduces the defaults exactly; under a set
+``node.internal_cooperativity`` its explicit probability still wins.
 
 Precedence: built-in defaults, then the config file, then ``--set`` style
 overrides, later wins.  The ``mc`` command's ``--trials`` and ``--seed`` act
 as ``--set mc.trials=`` and ``--set mc.seed=`` applied last, so they replace
-a file's value before it is validated.  The loader tracks which keys the user actually set:
-that matters for the memory-loading success probability, which can be given
-directly (``node.caps_success_probability``) or derived from
-``node.internal_cooperativity`` — a user-set cooperativity replaces the
-default probability, while setting both lets the explicit probability win
-(with a warning from the node layer).  The resolved parameter set records
-the probability the node used: under a cooperativity alone that is the
-derived value, not the 0.75 default (earlier versions recorded the default),
-so a run from that provenance sets both keys in agreement and gives the same
-result without a warning.
+a file's value before it is validated.  The memory-loading success
+probability can be given directly (``node.caps_success_probability``) or
+derived from ``node.internal_cooperativity``; neither key has a default, and
+:func:`_caps_probability` resolves the two.  The resolved parameter set
+records the probability the node used, so a run from that provenance sets
+both keys in agreement and gives the same result without a warning.
 """
 
 from __future__ import annotations
@@ -28,6 +24,7 @@ from __future__ import annotations
 import configparser
 import difflib
 import math
+import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from importlib import resources
@@ -35,7 +32,7 @@ from pathlib import Path
 
 from .channel import ChannelParams
 from .mc_oracle import McConfig
-from .node import NodeParams, SourceParams
+from .node import NodeParams, SourceParams, caps_success
 from .orbit import OrbitGeometry
 from .repeater import RepeaterConfig
 
@@ -90,7 +87,7 @@ _SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
         "direct_repetition_rate_hz": (float, 1.0e9),
     },
     "node": {
-        "caps_success_probability": (float, 0.75),
+        "caps_success_probability": (float, _MISSING),
         "internal_cooperativity": (float, _MISSING),
         "caps_fidelity": (float, 0.99),
         "rydberg_gate_fidelity": (float, 0.995),
@@ -200,7 +197,6 @@ def load_scenarios(
         for key, (_, default) in keys.items():
             if default is not _MISSING:
                 values[(section, key)] = default
-    user_set: set[tuple[str, str]] = set()
 
     if path is not None:
         parser = configparser.ConfigParser(
@@ -216,26 +212,50 @@ def load_scenarios(
             raise ConfigError(f"malformed config file {path}: {exc}") from exc
         for section in parser.sections():
             for key, raw in parser.items(section):
-                _set(values, user_set, section, key, raw)
+                _set(values, section, key, raw)
 
     for expr in overrides:
-        _set(values, user_set, *parse_override(expr))
-    yield _assemble(values, user_set)
+        _set(values, *parse_override(expr))
+    yield _assemble(values)
     for expr in variants:
-        variant, variant_set = dict(values), set(user_set)
-        _set(variant, variant_set, *parse_override(expr))
-        yield _assemble(variant, variant_set)
+        variant = dict(values)
+        _set(variant, *parse_override(expr))
+        yield _assemble(variant)
 
 
-def _set(values: dict, user_set: set, section: str, key: str, raw: str) -> None:
+def _set(values: dict, section: str, key: str, raw: str) -> None:
     _check_key(section, key)
     values[(section, key)] = _convert(section, key, raw)
-    user_set.add((section, key))
 
 
-def _assemble(
-    values: dict[tuple[str, str], object], user_set: set[tuple[str, str]]
-) -> Scenario:
+def _caps_probability(values: dict[tuple[str, str], object]) -> float:
+    """The memory-loading success probability: ``node.caps_success_probability``
+    if set, else the one a set ``node.internal_cooperativity`` implies, else
+    the baseline's 0.75.  With both set the probability wins, with a warning
+    when the two disagree."""
+    explicit = values.get(("node", "caps_success_probability"))
+    cooperativity = values.get(("node", "internal_cooperativity"))
+    if cooperativity is None:
+        # 0.75 is applied here, not as a schema default: a default would
+        # compete with a set cooperativity as a set probability does.
+        return 0.75 if explicit is None else explicit
+    implied = caps_success(cooperativity)
+    if explicit is not None and not math.isclose(
+        implied, explicit, rel_tol=1e-9, abs_tol=1e-12
+    ):
+        warnings.warn(
+            f"explicit caps success probability {explicit} overrides the value "
+            f"{implied:.6f} implied by internal cooperativity {cooperativity}",
+            stacklevel=2,
+        )
+    return implied if explicit is None else explicit
+
+
+def _assemble(values: dict[tuple[str, str], object]) -> Scenario:
+    # The node uses the resolved probability and the provenance records it,
+    # so a run from that provenance sets both node keys, in agreement.
+    values = {**values, ("node", "caps_success_probability"): _caps_probability(values)}
+
     def v(section: str, key: str):
         return values[(section, key)]
 
@@ -252,20 +272,13 @@ def _assemble(
     )
     channel = by_name(ChannelParams, "channel")
     source = by_name(SourceParams, "source")
-    cooperativity = values.get(("node", "internal_cooperativity"))
-    caps_explicit: float | None = v("node", "caps_success_probability")
-    if cooperativity is not None and ("node", "caps_success_probability") not in user_set:
-        # A user-chosen cooperativity replaces the *default* probability
-        # outright; only an explicitly set probability competes with it.
-        caps_explicit = None
     node = NodeParams(
         caps_fidelity=v("node", "caps_fidelity"),
         rydberg_gate_fidelity=v("node", "rydberg_gate_fidelity"),
         readout_fidelity=v("node", "readout_fidelity"),
         detection_efficiency=v("node", "detection_efficiency"),
         spin_decoherence_rate_hz=v("node", "spin_decoherence_rate_hz"),
-        caps_success_probability=caps_explicit,
-        internal_cooperativity=cooperativity,
+        caps_success_probability=v("node", "caps_success_probability"),
     )
     mc = by_name(McConfig, "mc")
     repeater = RepeaterConfig(
@@ -277,16 +290,13 @@ def _assemble(
         gate_efficiency=v("repeater", "gate_efficiency"),
         detector_exponent=v("repeater", "detector_exponent"),
     )
-    resolved = {
-        f"{section}.{key}": values[(section, key)]
+    resolved = tuple(
+        (f"{section}.{key}", values[(section, key)])
         for section, keys in _SCHEMA.items()
         for key in keys
         if (section, key) in values
-    }
-    # The probability the node used, which a cooperativity that replaced the
-    # default derived: a run from this provenance sets both keys, in agreement.
-    resolved["node.caps_success_probability"] = node.caps_success_probability
-    return Scenario(repeater=repeater, mc=mc, resolved=tuple(resolved.items()))
+    )
+    return Scenario(repeater=repeater, mc=mc, resolved=resolved)
 
 
 def default_scenario() -> Scenario:
@@ -307,7 +317,7 @@ def sweepable_keys() -> tuple[str, ...]:
 
 
 def bundled_baseline_text() -> str:
-    """Raw text of the packaged baseline config (identical to the defaults)."""
+    """Raw text of the packaged baseline config (alone, identical to the defaults)."""
     return (
         resources.files("satrep.data").joinpath("table1.cfg").read_text()
     )

@@ -198,26 +198,25 @@ def _rules(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return fractions, weights
 
 
-def _settled(history: np.ndarray, rtol: float) -> np.ndarray:
+def _settled(history: np.ndarray) -> np.ndarray:
     """Per pass, whether P0 and F_pair_avg (axis 0 of ``history``) both moved
-    by less than ``rtol`` between the last two rules (its last axis),
-    relative to the last."""
+    by less than :data:`CONVERGENCE_RTOL` between the last two rules (its
+    last axis), relative to the last."""
     prev, last = history[..., -2], history[..., -1]
     rel = np.abs(last - prev) / np.maximum(np.abs(last), _TINY)
-    return (rel < rtol).all(axis=0)
+    return (rel < CONVERGENCE_RTOL).all(axis=0)
 
 
 def converged_aggregates(
     geometry: OrbitGeometry,
     params: ChannelParams,
     source_fidelity: float,
-    rtol: float = CONVERGENCE_RTOL,
     link_lengths_m=None,
 ) -> FlybyAggregates | list[FlybyAggregates | str]:
     """Compute the flyby aggregates by Gauss-Legendre quadrature, doubling
     the node count from the 32/64 pair of :data:`GAUSS_NODES` until P0 and
-    F_pair_avg both move by less than ``rtol`` between successive rules, and
-    return the finer rule's values.
+    F_pair_avg both move by less than :data:`CONVERGENCE_RTOL` between
+    successive rules, and return the finer rule's values.
 
     Without ``link_lengths_m`` this is the one pass ``geometry``, which
     raises :class:`NoVisibilityError`, or ``zero_transmission`` when the
@@ -260,7 +259,7 @@ def converged_aggregates(
             fbar /= p0
         history = means if history is None else np.concatenate((history, means), axis=2)
         dark = np.isnan(fbar).any(axis=1)
-        settled = _settled(history, rtol)
+        settled = _settled(history)
         pending = []
         outcomes = zip(rows, dark.tolist(), settled.tolist())
         for k, (row, no_light, done) in enumerate(outcomes):
@@ -279,7 +278,7 @@ def converged_aggregates(
     if rows:
         trail = list(zip(nodes, history[0, 0].tolist(), history[1, 0].tolist()))
         raise QuadratureError(
-            f"flyby aggregates did not converge to {rtol} within {nodes[-1]} "
+            f"flyby aggregates did not converge to {CONVERGENCE_RTOL} within {nodes[-1]} "
             f"Gauss-Legendre nodes at link length {links[rows[0]]} m; "
             f"history (nodes, P0, F_pair_avg): {trail}"
         )

@@ -161,7 +161,9 @@ class ChainEstimates:
 
 
 def _block_rng(block: int, seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[block, seed]))
+    # As a list, a seed of 2^63 or more would become a float64 and collide.
+    key = np.array([block, seed], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def simulate_link(p_success, slot_s: float, rng: np.random.Generator, size=None):
@@ -198,7 +200,8 @@ def _merge_tree(
         gap = np.where(first, b - a, a - b)
         early = np.where(first, f[..., 0::2], f[..., 1::2])
         late = np.where(first, f[..., 1::2], f[..., 0::2])
-        decayed = 0.25 + (early - 0.25) * np.exp(-gamma_s * gap)
+        with np.errstate(over="ignore"):  # gamma_s * gap = inf decays fully
+            decayed = 0.25 + (early - 0.25) * np.exp(-gamma_s * gap)
         f = gate_factor * decayed * late
         t = np.maximum(a, b)
         gaps.append(gap)
@@ -249,7 +252,8 @@ def simulate_chain(
     the first completed cascade of each trial; trials whose first cascade
     does not finish before the pass ends contribute no fidelity sample, and
     ``completed_fraction`` records the fraction that did.  More than
-    :data:`_MAX_LEAF_TIMES` leaf times raise ValueError before any allocation.
+    :data:`_MAX_LEAF_TIMES` leaf times, or an attempt slot duration of 0 or
+    inf, raise ValueError before any allocation.
     """
     if rep_cfg.n_levels < 1:
         raise ValueError("chain simulation requires at least one swap level")
@@ -261,6 +265,10 @@ def simulate_chain(
             f"{_MAX_LEAF_TIMES:.0e} leaf times"
         )
     slot_s = rep_cfg.slot_s
+    if not 0.0 < slot_s < math.inf:
+        raise ValueError(
+            f"the attempt slot duration 1/(N_mux R_s) leaves double precision: {slot_s} s"
+        )
     t_fb = agg.flyby_duration_s
     chain = Chain(rep_cfg)
     p_attempt, p_swap = chain.herald_probability(agg.p0), chain.swap

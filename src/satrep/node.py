@@ -16,7 +16,6 @@ ordered {|00>, |01>, |10>, |11>}.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,21 +92,17 @@ class CavityParams:
 
 @dataclass(frozen=True)
 class NodeParams:
-    """Memory-node figures of merit.
-
-    The memory-loading success probability can be given directly
-    (``caps_success_probability``) or implied by the cavity's internal
-    cooperativity (``internal_cooperativity``); an explicitly given probability
-    wins over the implied one, with a warning recording the discrepancy.
-    """
+    """Memory-node figures of merit.  ``caps_success_probability`` is the
+    memory-loading success probability the chain uses; a scenario may give
+    it through the cavity's internal cooperativity instead (see
+    :mod:`satrep.config`)."""
 
     caps_fidelity: float
     rydberg_gate_fidelity: float
     readout_fidelity: float
     detection_efficiency: float
     spin_decoherence_rate_hz: float
-    caps_success_probability: float | None = None
-    internal_cooperativity: float | None = None
+    caps_success_probability: float
 
     def __post_init__(self) -> None:
         for name in ("caps_fidelity", "rydberg_gate_fidelity", "readout_fidelity"):
@@ -117,33 +112,8 @@ class NodeParams:
             raise ValueError("detection efficiency must lie in (0, 1]")
         if self.spin_decoherence_rate_hz < 0:
             raise ValueError("spin decoherence rate must be >= 0")
-        if self.caps_success_probability is None and self.internal_cooperativity is None:
-            raise ValueError(
-                "either caps_success_probability or internal_cooperativity required"
-            )
-        if self.internal_cooperativity is not None and self.internal_cooperativity < 0:
-            raise ValueError("internal cooperativity must be >= 0")
-        if self.caps_success_probability is None:
-            object.__setattr__(
-                self,
-                "caps_success_probability",
-                caps_success(self.internal_cooperativity),
-            )
-        else:
-            if not 0.0 <= self.caps_success_probability <= 1.0:
-                raise ValueError("caps success probability must lie in [0, 1]")
-            if self.internal_cooperativity is not None:
-                implied = caps_success(self.internal_cooperativity)
-                if not math.isclose(
-                    implied, self.caps_success_probability, rel_tol=1e-9, abs_tol=1e-12
-                ):
-                    warnings.warn(
-                        f"explicit caps success probability "
-                        f"{self.caps_success_probability} overrides the value "
-                        f"{implied:.6f} implied by internal cooperativity "
-                        f"{self.internal_cooperativity}",
-                        stacklevel=3,
-                    )
+        if not 0.0 <= self.caps_success_probability <= 1.0:
+            raise ValueError("caps success probability must lie in [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,7 +192,9 @@ def caps_success(c_in):
     c = np.asarray(c_in, dtype=float)
     if np.any(c < 0):
         raise ValueError("internal cooperativity must be >= 0")
-    s = np.sqrt(1.0 + 2.0 * c)
+    # Past c = 1e300 eta is 1.0 in double precision; capping c there keeps
+    # 1 + 2c from overflowing to inf, which would make eta NaN.
+    s = np.sqrt(1.0 + 2.0 * np.minimum(c, 1e300))
     out = 1.0 - 2.0 * s / (1.0 + c + s)
     return float(out) if np.isscalar(c_in) else out
 

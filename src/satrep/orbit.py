@@ -105,8 +105,15 @@ class PassTiming:
 
 
 def angular_speed(geom: OrbitGeometry) -> float:
-    """Orbital angular speed sqrt(mu / (h + R_E)^3) in rad/s."""
-    return math.sqrt(geom.mu_m3_per_s2 / geom.orbit_radius_m**3)
+    """Orbital angular speed sqrt(mu / (h + R_E)^3) in rad/s; a speed that
+    underflows to 0 raises ValueError."""
+    omega = math.sqrt(geom.mu_m3_per_s2 / geom.orbit_radius_m**3)
+    if omega == 0.0:
+        raise ValueError(
+            f"orbital angular speed underflows double precision (mu {geom.mu_m3_per_s2:.3g}"
+            f" m^3/s^2, orbit radius {geom.orbit_radius_m:.3g} m)"
+        )
+    return omega
 
 
 def half_flyby_time(geom: OrbitGeometry) -> float:

@@ -195,12 +195,10 @@ class RepeaterResult:
         return self.fidelity_per_level[-1]
 
 
-def evaluate(cfg: RepeaterConfig, *, rtol: float = 1e-6) -> RepeaterResult:
+def evaluate(cfg: RepeaterConfig) -> RepeaterResult:
     """Run the full analytic pipeline: converge the pass averages, then apply
     the rate and fidelity recursions."""
-    agg = converged_aggregates(
-        cfg.geometry, cfg.channel, cfg.source.pair_fidelity, rtol=rtol
-    )
+    agg = converged_aggregates(cfg.geometry, cfg.channel, cfg.source.pair_fidelity)
     return evaluate_with_aggregates(cfg, agg)
 
 

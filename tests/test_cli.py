@@ -167,14 +167,19 @@ class TestTopLevel:
         [
             ["caps-curve", "--points", "3", "--output", "{dir}"],
             ["mc", "--trials", "5", "--seed", "1", "--dump-trials", "{dir}"],
+            ["mc", "--trials", "5", "--seed", "1", "--output", "{file}",
+             "--dump-trials", "{dir}"],
         ],
     )
     def test_directory_as_output_is_usage_error(self, argv, tmp_path, capsys):
-        # The rename onto an existing directory fails; the temp file goes.
+        # The rename onto an existing directory fails; the temp file goes,
+        # and an mc report is neither printed nor written.
         target = tmp_path / "out"
         target.mkdir()
-        assert main([str(target) if a == "{dir}" else a for a in argv]) == 1
-        err = capsys.readouterr().err
+        paths = {"{dir}": str(target), "{file}": str(tmp_path / "report.json")}
+        assert main([paths.get(a, a) for a in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith(f"satrep: error: cannot write {target}:")
         assert "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
@@ -641,7 +646,7 @@ class TestRepeatedCalls:
         assert cli._build_parser.cache_info().misses == 1
 
 
-EXTREME_VALUES = ("0", "1e-300", "-1e-300", "1e300", "-1e300", "-1")
+EXTREME_VALUES = ("0", "1e-300", "-1e-300", "1e300", "-1e300", "-1", "1e308", "5e-324")
 SMALL_SWEEP = ["--distances-km", "10000", "--links", "4"]
 EXTREME_COMMANDS = {
     "caps-curve": ["caps-curve", "--points", "3"],

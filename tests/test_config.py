@@ -37,7 +37,7 @@ class TestDefaults:
         assert cfg.channel.aperture_interpretation == "literal"
         assert cfg.source.multiplexing_channels == 100
         assert cfg.node.caps_success_probability == 0.75
-        assert cfg.node.internal_cooperativity is None
+        assert "node.internal_cooperativity" not in s.flat_dict()
         assert cfg.n_levels == 2
         assert cfg.detector_exponent == 1
         assert s.mc.trials == 100_000 and s.mc.seed == 1
@@ -140,7 +140,9 @@ class TestOverrideSyntax:
 class TestCapsResolution:
     def test_cooperativity_alone_derives_probability(self):
         s = load_scenario(None, overrides=("node.internal_cooperativity=96.5",))
-        assert s.repeater.node.internal_cooperativity == 96.5
+        # The same node as the derived probability set alone.
+        derived = f"node.caps_success_probability={caps_success(96.5)!r}"
+        assert s.repeater.node == load_scenario(None, (derived,)).repeater.node
         assert s.repeater.node.caps_success_probability == pytest.approx(
             caps_success(96.5), rel=1e-15
         )

@@ -232,6 +232,16 @@ class TestConstantP:
         other = simulate_chain(McConfig(trials=500, seed=12), baseline_cfg, baseline_agg)
         assert other.pairs.mean != first.entries[0].mc_mean
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seeds", [(2**63, 2**63 + 1), (2**64 - 1, 0)])
+    def test_seeds_past_int64_keep_their_own_streams(self, baseline_cfg, baseline_agg, seeds):
+        # A Philox key given as a list holding an int >= 2^63 becomes float64.
+        a, b = (
+            simulate_chain(McConfig(trials=50, seed=seed), baseline_cfg, baseline_agg)
+            for seed in seeds
+        )
+        assert a.pairs.mean != b.pairs.mean and a.link_time.mean != b.link_time.mean
+
     def test_pairs_and_link_time_within_z_band(self, baseline_cfg, baseline_agg, analytic):
         mc = simulate_chain(McConfig(trials=5000, seed=1), baseline_cfg, baseline_agg)
         report = compare_report(analytic, mc)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from satrep.config import load_scenario
 from satrep.node import (
     CavityParams,
     NodeParams,
@@ -236,31 +238,37 @@ class TestDecoherence:
 
 
 class TestParamValidation:
+    # NodeParams takes the caps success probability as given; the scenario
+    # loader resolves it from the two node keys, so the rule is checked there.
     def test_node_requires_some_gate_specification(self):
-        with pytest.raises(ValueError):
-            node_params(caps_success_probability=None)
+        fields = dataclasses.asdict(node_params())
+        del fields["caps_success_probability"]
+        with pytest.raises(TypeError, match="caps_success_probability"):
+            NodeParams(**fields)
+        # A scenario that sets neither key gets the baseline probability.
+        assert load_scenario(None).repeater.node.caps_success_probability == 0.75
 
     def test_node_derives_success_from_cooperativity(self):
-        params = node_params(
-            caps_success_probability=None, internal_cooperativity=C_THREE_QUARTERS
-        )
-        assert params.caps_success_probability == pytest.approx(0.75, rel=1e-12)
+        s = load_scenario(None, (f"node.internal_cooperativity={C_THREE_QUARTERS!r}",))
+        assert s.repeater.node.caps_success_probability == pytest.approx(0.75, rel=1e-12)
 
     def test_node_explicit_probability_wins_with_warning(self):
         with pytest.warns(UserWarning, match="overrides"):
-            params = node_params(
-                caps_success_probability=0.5, internal_cooperativity=C_THREE_QUARTERS
-            )
-        assert params.caps_success_probability == 0.5
+            s = load_scenario(None, (
+                "node.caps_success_probability=0.5",
+                f"node.internal_cooperativity={C_THREE_QUARTERS!r}",
+            ))
+        assert s.repeater.node.caps_success_probability == 0.5
 
     def test_node_consistent_pair_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            params = node_params(
-                caps_success_probability=caps_success(200.0),
-                internal_cooperativity=200.0,
-            )
-        assert params.internal_cooperativity == 200.0
+            s = load_scenario(None, (
+                f"node.caps_success_probability={caps_success(200.0)!r}",
+                "node.internal_cooperativity=200.0",
+            ))
+        assert s.flat_dict()["node.internal_cooperativity"] == 200.0
+        assert s.repeater.node.caps_success_probability == caps_success(200.0)
 
     @pytest.mark.parametrize(
         "field,value",
