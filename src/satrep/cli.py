@@ -278,65 +278,63 @@ def _cmd_flyby(args) -> int:
     return 0
 
 
-class _SweepWriter:
+def _sweep_rows(
+    scenarios: list[Scenario], leads: list[str], distances_m: list[float],
+    levels: list[int], with_direct: bool,
+) -> list[str]:
     """CSV rows of one run's distance sweeps, in :func:`_header` order: per
-    scenario, the chain at each depth in ``levels``, then, with
-    ``with_direct``, the direct-transmission reference as depth 0.  The
-    sweeps share one aggregates cache, and each cell that several rows share
-    (a distance, a depth's link length, a pass's T_FB_s, P0 and F_pair_avg)
-    is formatted once per run, as are the blank level cells.  Floats are
-    written with ``repr``, blank where the entry has none."""
-
-    def __init__(self, distances_m: list[float], levels: list[int], with_direct: bool):
-        self.distances_m = distances_m
-        self.depths = levels + [0] if with_direct else levels
-        self.width = max(levels, default=0) + 1
-        self.no_levels = "," * self.width
-        self.totals = [repr(d / 1e3) for d in distances_m]
-        self.cache: dict = {}
-        self.links: dict[int, list[str]] = {}
-        self.passes: dict = {}
-
-    def rows(self, scenario: Scenario, lead: str) -> list[str]:
-        """The rows of ``scenario``'s sweep, each after the ``lead`` text (its
-        cells, each followed by a comma)."""
-        cfg = scenario.repeater
+    scenario, each row after that scenario's ``lead`` text (its cells, each
+    followed by a comma), the chain at each depth in ``levels``, then, with
+    ``with_direct``, the direct-transmission reference as depth 0.  One
+    :func:`distance_sweep` call converges every pass of the run, and each
+    cell that several rows share (a distance, a depth's link length, a
+    pass's T_FB_s, P0 and F_pair_avg) is formatted once, as are the blank
+    level cells.  Floats are written with ``repr``, blank where the entry
+    has none."""
+    depths = levels + [0] if with_direct else levels
+    width = max(levels, default=0) + 1
+    no_levels = "," * width
+    totals = [repr(d / 1e3) for d in distances_m]
+    links: dict[int, list[str]] = {}
+    passes: dict = {}
+    cfgs = [scenario.repeater for scenario in scenarios]
+    rows = []
+    for cfg, lead, sweep in zip(cfgs, leads, distance_sweep(cfgs, distances_m, depths)):
         h_km = repr(cfg.geometry.altitude_m / 1e3)
-        rows = []
-        for cols in distance_sweep(cfg, self.distances_m, self.cache, self.depths):
+        for cols in sweep:
             n = cols.n_levels
-            if n not in self.links:
-                self.links[n] = [repr(link / 1e3) for link in cols.link_length_m]
+            if n not in links:
+                links[n] = [repr(link / 1e3) for link in cols.link_length_m]
             entries = zip(
-                self.totals, self.links[n], cols.visible, cols.status, cols.aggregates,
+                totals, links[n], cols.visible, cols.status, cols.aggregates,
                 cols.rate_hz, cols.pairs_per_flyby, cols.fidelity_per_level,
             )
-            for total, link_km, visible, status, agg, rate, pairs, levels in entries:
+            for total, link_km, visible, status, agg, rate, pairs, fidelities in entries:
                 if agg is None:
                     cells = ",," if visible else "0.0,,"
                 else:
-                    cells = self.passes.get(agg)
+                    cells = passes.get(agg)
                     if cells is None:
-                        cells = self.passes[agg] = (
+                        cells = passes[agg] = (
                             f"{agg.flyby_duration_s!r},{agg.p0!r},{agg.f_pair_avg!r}"
                         )
-                tail = self.no_levels
+                tail = no_levels
                 if rate is None:
                     chain = ",,"
-                elif levels is None:
+                elif fidelities is None:
                     # Direct rows have no levels: unlike repeater rows, whose
                     # fidelity_final is the Werner parameter, theirs is the
                     # Bell-state fidelity F_pair_avg.
                     chain = f"{rate!r},{pairs!r},{cells.rpartition(',')[2]}"
                 else:
-                    fidelities = [repr(f) for f in levels]
-                    chain = f"{rate!r},{pairs!r},{fidelities[-1]}"
-                    tail = "," + ",".join(fidelities) + "," * (self.width - len(levels))
+                    texts = [repr(f) for f in fidelities]
+                    chain = f"{rate!r},{pairs!r},{texts[-1]}"
+                    tail = "," + ",".join(texts) + "," * (width - len(fidelities))
                 flag = "true" if visible else "false"
                 rows.append(
                     f"{lead}{total},{n},{h_km},{link_km},{cells},{chain},{flag},{status}{tail}"
                 )
-        return rows
+    return rows
 
 
 def _header(levels: list[int], lead: list[str]) -> list[str]:
@@ -347,7 +345,7 @@ def _cmd_rates(args) -> int:
     scenario = _load(args)
     distances = [d * 1e3 for d in _parse_floats(args.distances_km, "--distances-km")]
     levels = _parse_links(args.links)
-    rows = _SweepWriter(distances, levels, args.with_direct).rows(scenario, "")
+    rows = _sweep_rows([scenario], [""], distances, levels, args.with_direct)
     _emit(args, _csv_text(scenario, _header(levels, []), rows))
     return 0
 
@@ -365,11 +363,9 @@ def _cmd_sensitivity(args) -> int:
     levels = _parse_links(args.links)
 
     variants = tuple(f"{args.param}={tok}" for tok in tokens)
-    scenarios = load_scenarios(args.config, args.overrides or (), variants)
-    base, writer = next(scenarios), _SweepWriter(distances, levels, args.with_direct)
-    rows: list[str] = []
-    for tok, scenario in zip(tokens, scenarios):
-        rows += writer.rows(scenario, f"{args.param},{float(tok)!r},")
+    base, *scenarios = load_scenarios(args.config, args.overrides or (), variants)
+    leads = [f"{args.param},{float(tok)!r}," for tok in tokens]
+    rows = _sweep_rows(scenarios, leads, distances, levels, args.with_direct)
     _emit(args, _csv_text(base, _header(levels, ["param", "value"]), rows))
     return 0
 

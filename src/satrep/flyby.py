@@ -12,20 +12,30 @@ and the transmission-weighted average pair fidelity
 
 :func:`converged_aggregates` integrates both with Gauss-Legendre rules on
 the nodes t = (x + 1) T_FB / 2.  The integrands are analytic in t, so the
-rules converge exponentially: the 32- and 64-node rules are compared first
-(96 samples in one profile), and on disagreement the node count doubles,
-one profile per rule, up to 1,024 nodes (six rules) before
-:class:`QuadratureError`.  Most passes agree at 64 nodes; grazing passes
-with a thin atmosphere and a narrow beam need up to 256.
+rules converge exponentially: the 32- and 64-node rules are compared first,
+and on disagreement the node count doubles, one profile per rule, up to
+1,024 nodes (six rules) before :class:`QuadratureError`.  Most passes agree
+at 64 nodes; grazing passes with a thin atmosphere and a narrow beam need up
+to 256.  A pass is symmetric about closest approach (t -> T_FB - t leaves d,
+theta, eta and F_pair unchanged) and numpy's ``leggauss`` returns
+mirror-symmetric nodes and weights, so each rule samples only its first
+half of the nodes, with doubled weights: 48 samples per pass for the 32/64
+pair, not 96.  The mirrored samples are not bit-equal to the ones they
+stand for, so folding moved the last bits: P0 by at most 4.1e-14 relative
+and F_pair_avg by at most 6.8e-16 over the sweeps checked, with every
+status and exit code unchanged; the baseline pass's P0 went from
+1.820740403201363e-08 to 1.8207404032013632e-08 and its F_pair_avg from
+0.9934595182390793 to 0.9934595182390791.
 
-A distance sweep converges its passes in one call: one pass shape and a
-column of link lengths, whose visibility :func:`~satrep.orbit.pass_timing`
-classifies first.  The visible passes are sampled together as (passes x
-nodes) arrays, each leaving the batch at its own converged rule; one pass
-is a batch of one.  Each pass mean is a row of a matrix product, summed in
-another order than one dot product per pass, so the values differ from per-pass dot
-products in the last bits: by at most 1.3e-14 relative over the 8,680 rows
-of the sweeps checked, with every status unchanged.
+A sweep converges every pass of its run in one call: per pass a link
+length, and a pass shape, channel and source fidelity, whose visibility
+:func:`~satrep.orbit.pass_timing` classifies first.  The visible passes are
+sampled together as (passes x nodes) arrays, each stage once per distinct
+value of its own inputs (see :func:`build_profile`), and each pass leaves
+the batch at its own converged rule; one pass is a batch of one.  Each pass
+mean is a row sum of that pass's own samples, so a pass has the same bits
+in any batch, and no mean goes through BLAS, whose kernel depends on the
+batch's row count and the CPU.
 
 The uniform time grid of :func:`build_profile` is what the ``flyby`` CSV
 prints; the tests keep a composite Simpson rule on it as the quadrature
@@ -63,6 +73,10 @@ CONVERGENCE_RTOL = 1e-6
 # budget of 128 nodes fails on grazing passes (h = 200 km, max zenith 89.9
 # deg, zenith transmittance 0.5, 5 mm beam waist) that 256 nodes resolve.
 GAUSS_NODES = (32, 64, 128, 256, 512, 1024)
+# Most passes one batch samples at once: a sweep of many --values entries
+# converges its passes in batches of this size, so its arrays stay below
+# about 50 MB even if every pass needs 1,024 nodes.
+_BATCH_PASSES = 1024
 _TINY = np.finfo(float).tiny
 
 
@@ -118,9 +132,9 @@ class FlybyAggregates:
 
 
 def build_profile(
-    geom: OrbitGeometry,
-    params: ChannelParams,
-    source_fidelity: float,
+    geom: OrbitGeometry | list[OrbitGeometry],
+    params: ChannelParams | list[ChannelParams],
+    source_fidelity: float | list[float],
     n_samples: int = DEFAULT_SAMPLES,
     *,
     fractions: np.ndarray | None = None,
@@ -133,9 +147,15 @@ def build_profile(
     unused.  Such a profile is for quadrature only, not a time series: its
     times keep the order of ``fractions``.  ``timing`` defaults to
     ``pass_timing(geom)``, and a geometry with no joint-visibility window
-    raises :class:`NoVisibilityError`.  A given timing must be visible; with
-    ``fractions``, a batch timing (column arrays, see
-    :class:`~satrep.orbit.PassTiming`) samples all its passes at once.
+    raises :class:`NoVisibilityError`.  A given timing must be visible.
+
+    With ``fractions``, a batch timing (column arrays, see
+    :class:`~satrep.orbit.PassTiming`) samples all its passes at once, and
+    ``geom``, ``params`` and ``source_fidelity`` may each be one value for
+    every pass or a list of one per pass.  Each stage runs once per distinct
+    value of its own inputs: the orbit per pass shape (``geom`` but its link
+    length), the transmission per channel, the pair fidelity per (source
+    fidelity, channel).
     """
     if fractions is None and n_samples < 3:
         raise ValueError(f"n_samples must be >= 3, got {n_samples}")
@@ -147,13 +167,22 @@ def build_profile(
         times = np.linspace(0.0, timing.flyby_duration_s, n_samples)
     else:
         times = fractions * timing.flyby_duration_s
-    slant = slant_distance(geom, timing, times)
-    zenith = zenith_angle(geom, slant)
-    eta = single_photon_transmission(params, slant, zenith)
-    n_bar = mean_background_photons(params)
+    shapes = _distinct(geom, _shape)
+    slant = _each(
+        shapes,
+        lambda g, t0, cos_half, t: slant_distance(g, PassTiming(t0, cos_half), t),
+        timing.t0_s, timing.cos_half_angle, times,
+    )
+    zenith = _each(shapes, zenith_angle, slant)
+    channels = _distinct(params)
+    eta = _each(channels, single_photon_transmission, slant, zenith)
     # No pair fidelity where no photon arrives: NaN there, not an error, so
     # that one such pass does not stop a batch.
-    f_pair = pair_fidelity(source_fidelity, n_bar, np.where(eta > 0.0, eta, np.nan))
+    f_pair = _each(
+        _pairs(_distinct(source_fidelity), channels),
+        lambda pair, e: pair_fidelity(pair[0], mean_background_photons(pair[1]), e),
+        np.where(eta > 0.0, eta, np.nan),
+    )
     return FlybyProfile(
         times_s=times,
         slant_m=slant,
@@ -163,6 +192,62 @@ def build_profile(
         f_pair=f_pair,
         flyby_duration_s=timing.flyby_duration_s,
     )
+
+
+def _shape(geom: OrbitGeometry) -> tuple[float, ...]:
+    """The pass shape of a geometry: everything but its link length."""
+    return (geom.altitude_m, geom.earth_radius_m, geom.mu_m3_per_s2, geom.max_zenith_rad)
+
+
+def _distinct(values, key=None) -> tuple[list, np.ndarray | None]:
+    """The distinct values of ``values`` (one value for every pass, or a list
+    of one per pass) in order of first appearance, and per pass the index of
+    its own, None when one value serves every pass.  Values compare by
+    ``key`` (default: themselves), which runs once per object."""
+    if not isinstance(values, list):
+        return [values], None
+    distinct: list = []
+    labels, by_id, by_key = [], {}, {}
+    for value in values:
+        label = by_id.get(id(value))
+        if label is None:
+            label = by_key.setdefault(value if key is None else key(value), len(distinct))
+            if label == len(distinct):
+                distinct.append(value)
+            by_id[id(value)] = label
+        labels.append(label)
+    return distinct, None if len(distinct) == 1 else np.array(labels)
+
+
+def _pairs(first, second) -> tuple[list, np.ndarray | None]:
+    """The :func:`_distinct` result of the passes' (first, second) value
+    pairs, from the two :func:`_distinct` results."""
+    (values_a, labels_a), (values_b, labels_b) = first, second
+    if labels_a is None and labels_b is None:
+        return [(values_a[0], values_b[0])], None
+    codes = (0 if labels_a is None else labels_a) * len(values_b) + (
+        0 if labels_b is None else labels_b
+    )
+    used, labels = np.unique(codes, return_inverse=True)
+    pairs = [divmod(code, len(values_b)) for code in used.tolist()]
+    return [(values_a[a], values_b[b]) for a, b in pairs], labels
+
+
+def _each(distinct, fn, *arrays):
+    """``fn(value, *rows)`` once per value of a :func:`_distinct` result, with
+    the rows (axis 0) of ``arrays`` that are its passes', the results put
+    together in pass order."""
+    values, labels = distinct
+    if labels is None:
+        return fn(values[0], *arrays)
+    out = None
+    for label, value in enumerate(values):
+        rows = np.flatnonzero(labels == label)
+        part = fn(value, *(a[rows] for a in arrays))
+        if out is None:
+            out = np.empty(labels.shape + part.shape[1:])
+        out[rows] = part
+    return out
 
 
 @functools.cache
@@ -180,22 +265,31 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return fractions, weights
 
 
+def _folded(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point rule (n even) folded about the pass's midpoint: its n/2
+    fractions below 1/2, with their weights doubled.  A pass is symmetric
+    about closest approach (t -> T_FB - t leaves d, theta, eta and F_pair
+    unchanged) and leggauss returns mirror-symmetric nodes and weights, so
+    the folded rule gives the full rule's value up to the rounding of the
+    samples."""
+    fractions, weights = _gauss_legendre(n)
+    doubled = 2.0 * weights[: n // 2]
+    doubled.setflags(write=False)
+    return fractions[: n // 2], doubled
+
+
 @functools.cache
-def _rules(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The Gauss-Legendre rules with these node counts, sampled in one
-    profile: their fractions, concatenated, and a (samples, rules) weight
-    matrix whose column j holds rule j's weights on rule j's samples and 0
-    elsewhere.  Read-only, built once per ``counts``."""
-    rules = [_gauss_legendre(n) for n in counts]
+def _rules(counts: tuple[int, ...]) -> tuple[np.ndarray, tuple]:
+    """The folded rules with these node counts, sampled in one profile: their
+    fractions, concatenated, and per rule the slice of the samples that are
+    its own and its weights.  Read-only, built once per ``counts``."""
+    rules = [_folded(n) for n in counts]
     fractions = np.concatenate([f for f, _ in rules])
-    weights = np.zeros((fractions.size, len(counts)))
-    start = 0
-    for j, (_, w) in enumerate(rules):
-        weights[start : start + w.size, j] = w
-        start += w.size
     fractions.setflags(write=False)
-    weights.setflags(write=False)
-    return fractions, weights
+    ends = np.cumsum([w.size for _, w in rules]).tolist()
+    return fractions, tuple(
+        (slice(end - w.size, end), w) for end, (_, w) in zip(ends, rules)
+    )
 
 
 def _settled(history: np.ndarray) -> np.ndarray:
@@ -207,10 +301,16 @@ def _settled(history: np.ndarray) -> np.ndarray:
     return (rel < CONVERGENCE_RTOL).all(axis=0)
 
 
+def _take(values, rows):
+    """The entries ``rows`` of a list of one value per pass; one value for
+    every pass as it is."""
+    return [values[i] for i in rows] if isinstance(values, list) else values
+
+
 def converged_aggregates(
-    geometry: OrbitGeometry,
-    params: ChannelParams,
-    source_fidelity: float,
+    geometry: OrbitGeometry | list[OrbitGeometry],
+    params: ChannelParams | list[ChannelParams],
+    source_fidelity: float | list[float],
     link_lengths_m=None,
 ) -> FlybyAggregates | list[FlybyAggregates | str]:
     """Compute the flyby aggregates by Gauss-Legendre quadrature, doubling
@@ -221,56 +321,69 @@ def converged_aggregates(
     Without ``link_lengths_m`` this is the one pass ``geometry``, which
     raises :class:`NoVisibilityError`, or ``zero_transmission`` when the
     transmission is 0 at a node or the two-photon transmission averages to
-    0.  With it, the passes of ``geometry``'s shape at those link lengths
-    (not ``geometry``'s), sampled together, one profile of (passes, nodes)
-    arrays per rule set, each leaving the batch at its own converged rule:
-    a list of, per link, its :class:`FlybyAggregates` or that status.  Any
-    other error is raised for the whole batch, including
-    :class:`QuadratureError` when a pass is still unconverged past the last
-    rule; its message names the pass's link length and gives its (nodes,
-    P0, F_pair_avg) history.
+    0.  With it, the passes at those link lengths (not ``geometry``'s), of
+    which ``geometry``, ``params`` and ``source_fidelity`` may each be one
+    value for every pass or a list of one per pass.  They are sampled
+    together, one profile per rule set (see :func:`build_profile`), each
+    pass leaving the batch at its own converged rule: a list of, per pass,
+    its :class:`FlybyAggregates` or that status.  A pass's values do not
+    depend on the other passes of its batch, so a batch of more than
+    :data:`_BATCH_PASSES` passes is converged in batches of that size.  Any
+    other error is raised for the whole batch, including :class:`QuadratureError` when a pass is still
+    unconverged past the last rule; its message names the pass's link length
+    and gives its (nodes, P0, F_pair_avg) history.
     """
     links = [geometry.link_length_m] if link_lengths_m is None else list(link_lengths_m)
+    if len(links) > _BATCH_PASSES:
+        results = []
+        for start in range(0, len(links), _BATCH_PASSES):
+            part = range(start, min(start + _BATCH_PASSES, len(links)))
+            results += converged_aggregates(
+                _take(geometry, part), _take(params, part), _take(source_fidelity, part),
+                [links[i] for i in part],
+            )
+        return results
     timing = pass_timing(geometry, links)
     durations = timing.flyby_duration_s[:, 0].tolist()
     results: list = ["no_visibility"] * len(links)
-    # The passes still converging: their indices and, per rule so far, P0
-    # and F_pair_avg as a (2, passes, rules) history.
+    # The passes still converging and, per rule so far, their P0 and
+    # F_pair_avg as a (2, passes, rules) history.
     rows = [i for i, t_fb in enumerate(durations) if t_fb > 0.0]
     history = None
     nodes = GAUSS_NODES
     for counts in (nodes[:2], *((n,) for n in nodes[2:])):
         if not rows:
             break
-        fractions, weights = _rules(counts)
+        fractions, rules = _rules(counts)
         profile = build_profile(
-            geometry, params, source_fidelity, fractions=fractions,
+            _take(geometry, rows), _take(params, rows), _take(source_fidelity, rows),
+            fractions=fractions,
             timing=PassTiming(timing.t0_s[rows], timing.cos_half_angle[rows]),
         )
         eta2 = profile.eta2_tr
-        # The weights sum to 1, so each product is a pass mean: P0, then the
-        # weighted F_pair mean, divided by P0.  0/0 (eta^2 underflowing on
-        # every node) gives NaN, as a node with eta = 0 does.
-        means = (np.concatenate((eta2, profile.f_pair * eta2)) @ weights).reshape(
-            2, len(rows), len(counts)
-        )
+        # Each row sum is one pass's mean (the weights sum to 1) over its own
+        # samples alone: P0, then the weighted F_pair mean, divided by P0.
+        # 0/0 (eta^2 underflowing on every node) gives NaN, as a node with
+        # eta = 0 does.
+        both = np.concatenate((eta2, profile.f_pair * eta2))
+        means = np.empty((both.shape[0], len(rules)))
+        for j, (part, weights) in enumerate(rules):
+            means[:, j] = np.add.reduce(both[:, part] * weights, axis=1)
+        means = means.reshape(2, len(rows), len(rules))
         p0, fbar = means
         with np.errstate(invalid="ignore"):
             fbar /= p0
         history = means if history is None else np.concatenate((history, means), axis=2)
         dark = np.isnan(fbar).any(axis=1)
         settled = _settled(history)
+        p0_last, fbar_last = p0[:, -1].tolist(), fbar[:, -1].tolist()
         pending = []
         outcomes = zip(rows, dark.tolist(), settled.tolist())
         for k, (row, no_light, done) in enumerate(outcomes):
             if no_light:
                 results[row] = "zero_transmission"
             elif done:
-                results[row] = FlybyAggregates(
-                    p0=float(p0[k, -1]),
-                    f_pair_avg=float(fbar[k, -1]),
-                    flyby_duration_s=durations[row],
-                )
+                results[row] = FlybyAggregates(p0_last[k], fbar_last[k], durations[row])
             else:
                 pending.append(k)
         rows = [rows[k] for k in pending]

@@ -9,12 +9,13 @@ the satellite is simultaneously visible from both stations (zenith angle below
 instant the satellite enters visibility, ``t = t0`` the closest approach.
 
 All functions are pure and accept numpy arrays in the time/distance arguments;
-:func:`pass_timing` also takes one pass shape and a column of link lengths, and
-its :class:`PassTiming` of column arrays batches those passes.
+:func:`pass_timing` also takes a column of link lengths, under one pass shape or
+one per link, and its :class:`PassTiming` of column arrays batches those passes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -87,9 +88,8 @@ class PassTiming:
     (``T_FB = 2 t0``, 0 when never jointly visible) and ``cos(L0 / 2 R_E)``,
     the cosine of half the stations' central angle.
 
-    For a batch of passes that differ only in link length, both fields are
-    column arrays of shape (passes, 1), and :func:`slant_distance` broadcasts
-    over them.
+    For a batch of passes, both fields are column arrays of shape (passes,
+    1), and :func:`slant_distance` broadcasts over those of one pass shape.
     """
 
     t0_s: float
@@ -119,55 +119,83 @@ def angular_speed(geom: OrbitGeometry) -> float:
 def half_flyby_time(geom: OrbitGeometry) -> float:
     """Half of the joint-visibility window (s); 0 when the stations never both see
     the satellite below ``theta_max``."""
-    return _timing(geom, geom.link_length_m)[0]
+    return _timings(geom, [geom.link_length_m])[0][0]
 
 
-def _timing(geom: OrbitGeometry, link_m: float) -> tuple[float, float]:
+def _timings(geom: OrbitGeometry, links) -> tuple[list[float], list[float]]:
     """t0 (:func:`half_flyby_time`) and cos(L0 / 2 R_E) of ``geom``'s pass
-    shape at link length ``link_m``, in ``math`` arithmetic.
+    shape at each link length of ``links``, in ``math`` arithmetic.  The
+    shape's own terms are computed once, when a link first needs them, so a
+    link has the bits, and raises the errors, it has alone.
 
     Closed form: the satellite sits at zenith angle ``theta_max`` (from each
     station) when the central angle from the stations' midpoint equals the value
     whose cosine appears below; dividing by the angular speed gives the time from
     closest approach back to the visibility edge.
     """
-    if link_m < 0:
-        raise ValueError(f"link length must be >= 0, got {link_m}")
     r_e = geom.earth_radius_m
-    cos_half = math.cos(link_m / (2.0 * r_e))
-    if link_m >= math.pi * r_e:
-        # Stations half a great circle apart or more: never jointly visible.
-        # The cosine below turns positive again past 3 pi R_E.
-        return 0.0, cos_half
-    h = geom.altitude_m
-    cos_tm = math.cos(geom.max_zenith_rad)
-    try:
-        numer = r_e * (1.0 - cos_tm**2) + cos_tm * math.sqrt(
-            h * h + 2.0 * h * r_e + r_e**2 * cos_tm**2
-        )
-    except OverflowError as exc:
-        raise ValueError(
-            f"pass geometry overflows double precision (Earth radius {r_e:.3g} m)"
-        ) from exc
-    denom = geom.orbit_radius_m * cos_half
-    if denom <= 0.0:
-        return 0.0, cos_half  # L0 within rounding of pi R_E
-    arg = numer / denom
-    if arg > 1.0:
-        return 0.0, cos_half
-    if arg < -1.0:
-        # Unreachable for positive altitude/radius; guard against silent nonsense.
-        raise RuntimeError(f"visibility cosine {arg} < -1; inputs are inconsistent")
-    return math.acos(arg) / angular_speed(geom), cos_half
+    numer = omega = None
+    t0s, cosines = [], []
+    for link_m in links:
+        if link_m < 0:
+            raise ValueError(f"link length must be >= 0, got {link_m}")
+        cos_half = math.cos(link_m / (2.0 * r_e))
+        cosines.append(cos_half)
+        t0s.append(0.0)
+        if link_m >= math.pi * r_e:
+            # Stations half a great circle apart or more: never jointly visible.
+            # The cosine below turns positive again past 3 pi R_E.
+            continue
+        if numer is None:
+            h = geom.altitude_m
+            cos_tm = math.cos(geom.max_zenith_rad)
+            try:
+                numer = r_e * (1.0 - cos_tm**2) + cos_tm * math.sqrt(
+                    h * h + 2.0 * h * r_e + r_e**2 * cos_tm**2
+                )
+            except OverflowError as exc:
+                raise ValueError(
+                    f"pass geometry overflows double precision (Earth radius {r_e:.3g} m)"
+                ) from exc
+        denom = geom.orbit_radius_m * cos_half
+        if denom <= 0.0:
+            continue  # L0 within rounding of pi R_E
+        arg = numer / denom
+        if arg > 1.0:
+            continue
+        if arg < -1.0:
+            # Unreachable for positive altitude/radius; guard against silent nonsense.
+            raise RuntimeError(f"visibility cosine {arg} < -1; inputs are inconsistent")
+        if omega is None:
+            omega = angular_speed(geom)
+        t0s[-1] = math.acos(arg) / omega
+    return t0s, cosines
 
 
-def pass_timing(geom: OrbitGeometry, link_lengths_m=None) -> PassTiming:
+def pass_timing(
+    geom: OrbitGeometry | list[OrbitGeometry], link_lengths_m=None
+) -> PassTiming:
     """The pass's t0 (hence T_FB) and cos(L0 / 2 R_E); with ``link_lengths_m``,
-    those of ``geom``'s pass shape at each link length (not ``geom``'s), as
-    (passes, 1) columns with the bits each pass has alone."""
+    those of the pass shape of ``geom`` at each link length (not ``geom``'s),
+    as (passes, 1) columns with the bits each pass has alone.  There ``geom``
+    is one geometry for every pass or a list of one per pass."""
     if link_lengths_m is None:
-        return PassTiming(*_timing(geom, geom.link_length_m))
-    columns = np.array([_timing(geom, link) for link in link_lengths_m]).reshape(-1, 2)
+        (t0,), (cos_half,) = _timings(geom, [geom.link_length_m])
+        return PassTiming(t0, cos_half)
+    # Runs of passes that share one geometry object share its terms.
+    runs: list[tuple[OrbitGeometry, list[float]]] = []
+    geoms = geom if isinstance(geom, list) else itertools.repeat(geom)
+    for g, link in zip(geoms, link_lengths_m):
+        if runs and runs[-1][0] is g:
+            runs[-1][1].append(link)
+        else:
+            runs.append((g, [link]))
+    t0s, cosines = [], []
+    for g, links in runs:
+        t0, cos_half = _timings(g, links)
+        t0s += t0
+        cosines += cos_half
+    columns = np.array([t0s, cosines]).T
     return PassTiming(columns[:, :1], columns[:, 1:])
 
 

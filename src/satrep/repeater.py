@@ -6,8 +6,9 @@ swaps, n levels deep.  This module computes the analytic end-to-end quantities:
 distributed-pair rate with and without multiplexing, expected pairs during one
 satellite pass, the level-by-level fidelity recursion with memory-decay
 penalties, and distance sweeps that compute each nesting depth as columns over
-the total distances, reusing cached pass averages.  :class:`Chain` holds each
-chain formula once, for the evaluations, the sweeps and the Monte Carlo.
+the total distances, with every pass of a run's configs converged in one
+batch.  :class:`Chain` holds each chain formula once, for the evaluations, the
+sweeps and the Monte Carlo.
 """
 
 from __future__ import annotations
@@ -238,62 +239,76 @@ class SweepColumns:
 
 
 def distance_sweep(
-    cfg_template: RepeaterConfig,
+    cfgs: list[RepeaterConfig],
     l_totals_m: list[float],
-    cache: dict | None = None,
     levels: list[int] | None = None,
-) -> list[SweepColumns]:
-    """Evaluate the chain over a set of total ground distances.
+) -> list[list[SweepColumns]]:
+    """Evaluate the chains of a run's configs over a set of total ground
+    distances.
 
     Each total distance is split into 2^n equal elementary links, for each
-    nesting depth n in ``levels`` (default: the template's); the result
-    holds one :class:`SweepColumns` per depth, in that order.  Everything
-    but the link length is taken from the template; depth 0 (direct
-    transmission, no memories) stops at the pass aggregates.  ``cache`` maps
-    the scalars that define a pass apart from its link length (altitude,
-    Earth radius, mu, max zenith angle, channel, source fidelity) to a dict
-    from link length to the pass's converged aggregates, or to the status
-    of the :class:`NoResultError` that stopped it; pass the same dict to
-    sweeps that differ only in node-side parameters to skip their
-    quadrature and their classification.  The link lengths missing from it
-    are converged in one batch, as a column of the template's pass shape.
-    A :class:`NoResultError` ends only its entry, any other error the
-    sweep, and is not cached.
+    nesting depth n in ``levels`` (default: each config's own); the result
+    holds per config one :class:`SweepColumns` per depth, in that order.
+    Everything but the link length is taken from the config; depth 0
+    (direct transmission, no memories) stops at the pass aggregates.  A
+    pass is defined by its link length and the scalars that the config
+    gives it (altitude, Earth radius, mu, max zenith angle, channel, source
+    fidelity), so configs that differ only in node-side parameters share
+    their passes; every distinct pass of the run is converged in one batch.
+    A :class:`NoResultError` ends only its entry, any other error the sweep.
     """
-    cache = {} if cache is None else cache
-    geom, channel = cfg_template.geometry, cfg_template.channel
-    fidelity = cfg_template.source.pair_fidelity
-    depths = (cfg_template.n_levels,) if levels is None else levels
-    chains = [Chain(cfg_template, n) for n in depths]
-    if depths and not all(l_total > 0 for l_total in l_totals_m):
+    depths = [(cfg.n_levels,) if levels is None else tuple(levels) for cfg in cfgs]
+    chains = [[Chain(cfg, n) for n in row] for cfg, row in zip(cfgs, depths)]
+    if any(depths) and not all(l_total > 0 for l_total in l_totals_m):
         raise ValueError("total distance must be positive")
-    link_columns = [[l_total / 2**n for l_total in l_totals_m] for n in depths]
-    shape = (geom.altitude_m, geom.earth_radius_m, geom.mu_m3_per_s2, geom.max_zenith_rad)
-    passes = cache.setdefault((*shape, channel, fidelity), {})
-    missing = list(
-        dict.fromkeys(
-            link for column in link_columns for link in column if link not in passes
+    links_at = {
+        n: [l_total / 2**n for l_total in l_totals_m]
+        for n in dict.fromkeys(n for row in depths for n in row)
+    }
+    # Per pass key, each link length's converged aggregates or the status of
+    # the NoResultError that stopped it (None until the batch is converged).
+    passes: dict[tuple, dict[float, FlybyAggregates | str | None]] = {}
+    known_per_cfg, missing = [], []
+    for cfg, row in zip(cfgs, depths):
+        geom, channel, fidelity = cfg.geometry, cfg.channel, cfg.source.pair_fidelity
+        key = (
+            geom.altitude_m, geom.earth_radius_m, geom.mu_m3_per_s2,
+            geom.max_zenith_rad, channel, fidelity,
         )
-    )
+        known = passes.setdefault(key, {})
+        for n in row:
+            for link in links_at[n]:
+                if link not in known:
+                    known[link] = None
+                    missing.append((known, geom, channel, fidelity, link))
+        known_per_cfg.append(known)
     if missing:
-        batch = converged_aggregates(geom, channel, fidelity, link_lengths_m=missing)
-        passes.update(zip(missing, batch))
-    sweep = []
-    for n, chain, links in zip(depths, chains, link_columns):
-        entries = []
-        for agg in map(passes.__getitem__, links):
-            if isinstance(agg, str):
-                entries.append((agg, None, None, None, None, None))
-            elif not n:
-                rate_hz = chain.rate_direct(agg.p0)
-                pairs = pairs_per_flyby(rate_hz, agg.flyby_duration_s)
-                entries.append(("ok", agg, rate_hz, pairs, None, None))
-            else:
-                try:
-                    rate_hz, pairs, t0, _, fidelities = chain.evaluate(agg)
-                    entries.append(("ok", agg, rate_hz, pairs, t0, fidelities))
-                except NoResultError as exc:
-                    entries.append((exc.status, agg, None, None, None, None))
-        columns = [list(column) for column in zip(*entries)] or [[] for _ in range(6)]
-        sweep.append(SweepColumns(n, links, *columns))
-    return sweep
+        knowns, geoms, channels, fidelities, links = map(list, zip(*missing))
+        converged = converged_aggregates(geoms, channels, fidelities, links)
+        for known, link, result in zip(knowns, links, converged):
+            known[link] = result
+    return [
+        [_sweep_columns(n, chain, links_at[n], known) for n, chain in zip(row, chain_row)]
+        for row, chain_row, known in zip(depths, chains, known_per_cfg)
+    ]
+
+
+def _sweep_columns(n: int, chain: Chain, links: list[float], passes: dict) -> SweepColumns:
+    """The sweep columns of depth ``n`` over ``links``, whose passes ``passes``
+    holds."""
+    entries = []
+    for agg in map(passes.__getitem__, links):
+        if isinstance(agg, str):
+            entries.append((agg, None, None, None, None, None))
+        elif not n:
+            rate_hz = chain.rate_direct(agg.p0)
+            pairs = pairs_per_flyby(rate_hz, agg.flyby_duration_s)
+            entries.append(("ok", agg, rate_hz, pairs, None, None))
+        else:
+            try:
+                rate_hz, pairs, t0, _, fidelities = chain.evaluate(agg)
+                entries.append(("ok", agg, rate_hz, pairs, t0, fidelities))
+            except NoResultError as exc:
+                entries.append((exc.status, agg, None, None, None, None))
+    columns = [list(column) for column in zip(*entries)] or [[] for _ in range(6)]
+    return SweepColumns(n, links, *columns)

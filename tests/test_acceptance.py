@@ -422,7 +422,7 @@ def test_criterion_10():
             for value in (good, bad):
                 cfg = load_scenario(None, (f"{key}={value}",)).repeater
                 cfg = dataclasses.replace(cfg, n_levels=n)
-                sweeps.append(distance_sweep(cfg, DISTANCE_GRID_M))
+                sweeps.append(distance_sweep([cfg], DISTANCE_GRID_M)[0])
             (better,), (worse,) = sweeps
             pairs = zip(
                 better.visible, worse.visible,

@@ -308,6 +308,15 @@ class TestRates:
         assert main(args + ["--output", str(out)]) == 0
         assert out.read_text() == stdout_text
 
+    def test_row_does_not_depend_on_the_other_distances(self, capsys):
+        # A pass converged beside other passes has the bits it has alone.
+        rows = {}
+        for distances in ("10000", "10000,12500"):
+            assert main(["rates", "--links", "4", "--distances-km", distances]) == 0
+            rows[distances] = capsys.readouterr().out.splitlines()[2]
+        assert rows["10000"].startswith("10000.0,")
+        assert rows["10000,12500"] == rows["10000"]
+
 
 class TestSweepStatus:
     @staticmethod
@@ -373,7 +382,7 @@ class TestSweepStatus:
         )
         cfg = load_scenario(None, overrides).repeater
         distances = [2.0e6, 1.0e7, 4.0e7, 8.0e7]
-        sweep = distance_sweep(cfg, distances, levels=[2, 3, 0])
+        (sweep,) = distance_sweep([cfg], distances, levels=[2, 3, 0])
         points = [(cols, i, d) for cols in sweep for i, d in enumerate(distances)]
         assert [expected_record(cfg, *pt, 3) for pt in points] == records
         # The 80,000 km rows, direct one included, are out of sight.
@@ -451,6 +460,18 @@ class TestSensitivity:
              "--distances-km", "10000", "--links", "4"]
         )
         assert code == 1
+
+    def test_every_value_is_loaded_before_any_pass_converges(self, capsys):
+        # The first value's pass would fail the model (a NaN efficiency), but
+        # the second value is not a number, and every value is checked first.
+        code = main(
+            ["sensitivity", "--param", "channel.beam_waist_m", "--values", "1e-300,abc",
+             "--distances-km", "10000", "--links", "4"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "satrep: config error: value 'abc' for channel.beam_waist_m is not a number\n"
+        )
 
     def test_config_file_is_read_once(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "scenario.cfg"

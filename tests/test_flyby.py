@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from satrep import flyby
@@ -263,3 +265,132 @@ def test_gauss_rule_is_exact_for_polynomials_to_degree_2n_minus_1(n):
     assert math.fsum(weights) == pytest.approx(1.0, abs=1e-15)
     for k in range(2 * n):
         assert weights @ fractions**k == pytest.approx(1.0 / (k + 1), rel=1e-11)
+
+
+def test_gauss_rules_are_mirror_symmetric():
+    # The folded rules rest on this: numpy's leggauss symmetrizes its nodes
+    # and weights, so each rule is its own mirror image about the midpoint.
+    for n in flyby.GAUSS_NODES:
+        fractions, weights = flyby._gauss_legendre(n)
+        assert (fractions + fractions[::-1] == 1.0).all()
+        assert (weights == weights[::-1]).all()
+
+
+def test_folded_rules_agree_with_full_rules(channel, baseline_cfg, monkeypatch):
+    # Each folded rule samples half the nodes of the full rule; on a pass,
+    # which is symmetric about closest approach, the two agree to rounding:
+    # on the baseline pass, the grazing passes and the batch of
+    # test_batch_agrees_with_single_passes.
+    cfg = baseline_cfg
+    batch_params = dataclasses.replace(
+        channel, zenith_transmittance=0.5, beam_waist_m=0.005
+    )
+    batch_geom = OrbitGeometry(
+        altitude_m=2.0e5, link_length_m=1.0, max_zenith_rad=math.radians(89.9)
+    )
+
+    def everything():
+        baseline = converged_aggregates(cfg.geometry, cfg.channel, cfg.source.pair_fidelity)
+        grazing = [
+            converged_aggregates(
+                OrbitGeometry(
+                    altitude_m=h, link_length_m=l0, max_zenith_rad=math.radians(zenith_deg)
+                ),
+                dataclasses.replace(
+                    channel, zenith_transmittance=transmittance, beam_waist_m=waist
+                ),
+                0.998,
+            )
+            for h, zenith_deg, l0, transmittance, waist in sorted(GRAZING)
+        ]
+        batch = converged_aggregates(
+            batch_geom, batch_params, 0.998, link_lengths_m=BATCH_LINKS
+        )
+        return [baseline, *grazing, *batch]
+
+    folded = everything()
+    monkeypatch.setattr(flyby, "_folded", flyby._gauss_legendre)
+    monkeypatch.setattr(flyby, "_rules", flyby._rules.__wrapped__)
+    full = everything()
+    assert full != folded  # the full rules ran, and moved some last bits
+    for got, want in zip(folded, full):
+        if isinstance(want, str):
+            assert got == want
+            continue
+        assert got.flyby_duration_s == want.flyby_duration_s
+        assert got.p0 == pytest.approx(want.p0, rel=1e-13, abs=0.0)
+        assert got.f_pair_avg == pytest.approx(want.f_pair_avg, rel=1e-13, abs=0.0)
+
+
+# Pass parameters of the mixed batches below: link length, altitude, zenith
+# mask, channel (zenith transmittance, beam waist, receiver radius) and
+# source fidelity.  They take in visible and invisible passes, grazing ones
+# that need 256 nodes and ones whose transmission underflows to 0.
+MIXED_LINKS = st.one_of(
+    st.sampled_from([1.0e5, 3.0e5, 1.0e6, 2.5e6, 3.13e6, 2.1e7]),
+    st.floats(min_value=0.0, max_value=6.0e6),
+)
+MIXED_CHANNELS = [(0.5, 0.005, 1.0), (0.7, 0.1, 1.0), (0.9, 0.05, 0.5), (0.5, 0.005, 1e-300)]
+MIXED_PASS = st.tuples(
+    MIXED_LINKS,
+    st.sampled_from([2.0e5, 5.0e5, 1.5e6]),
+    st.sampled_from([60.0, 80.0, 89.9]),
+    st.sampled_from(range(len(MIXED_CHANNELS))),
+    st.sampled_from([0.998, 0.95, 1.0]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(passes=st.lists(MIXED_PASS, min_size=1, max_size=9))
+# One pass shape (60 deg mask at 200 km) whose passes are all invisible,
+# beside visible passes of other shapes, so its orbit stage has no pass to
+# sample.
+@example(passes=[
+    (2.5e6, 2.0e5, 60.0, 0, 0.998), (1.0e6, 1.5e6, 80.0, 1, 0.95),
+    (4.0e6, 2.0e5, 60.0, 2, 1.0), (1.0e5, 2.0e5, 89.9, 0, 0.998),
+])
+def test_pass_bits_do_not_depend_on_batch(passes, channel):
+    # Every pass's aggregates or status are those it has alone, bit for bit,
+    # whatever other shapes, channels and sources share its batch.  Each
+    # pass gets its own geometry and channel objects, so equal values are
+    # grouped by value.
+    geoms, channels, fidelities, links = [], [], [], []
+    for link, altitude, zenith_deg, variant, fidelity in passes:
+        transmittance, waist, radius = MIXED_CHANNELS[variant]
+        geoms.append(OrbitGeometry(
+            altitude_m=altitude, link_length_m=1.0, max_zenith_rad=math.radians(zenith_deg)
+        ))
+        channels.append(dataclasses.replace(
+            channel, zenith_transmittance=transmittance, beam_waist_m=waist,
+            receiver_radius_m=radius,
+        ))
+        fidelities.append(fidelity)
+        links.append(link)
+    batch = converged_aggregates(geoms, channels, fidelities, links)
+    backwards = converged_aggregates(geoms[::-1], channels[::-1], fidelities[::-1], links[::-1])
+    assert backwards[::-1] == batch
+    for i, got in enumerate(batch):
+        alone = converged_aggregates([geoms[i]], [channels[i]], [fidelities[i]], [links[i]])
+        assert [got] == alone
+        if isinstance(got, FlybyAggregates):
+            single = dataclasses.replace(geoms[i], link_length_m=links[i])
+            assert got == converged_aggregates(single, channels[i], fidelities[i])
+
+
+def test_large_batches_converge_in_bounded_parts(channel, monkeypatch):
+    # Past _BATCH_PASSES passes a batch is converged in parts of that size,
+    # which, since a pass's bits do not depend on its batch, changes nothing.
+    geom, params = make_geom(1.5e6, 1.0), [channel, dataclasses.replace(channel)] * 3
+    links = [1.0e6, 2.5e6, 2.1e7, 3.0e6, 5.0e5, 4.0e6]
+    whole = converged_aggregates(geom, params, 0.998, link_lengths_m=links)
+    calls = []
+    batch = flyby.converged_aggregates
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[3]))
+        return batch(*args, **kwargs)
+
+    monkeypatch.setattr(flyby, "converged_aggregates", counted)
+    monkeypatch.setattr(flyby, "_BATCH_PASSES", 4)
+    assert counted(geom, params, 0.998, links) == whole
+    assert calls == [6, 4, 2]

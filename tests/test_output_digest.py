@@ -42,7 +42,7 @@ def test_commands_cover_the_benchmark_stream_and_every_subcommand(digest_tool):
     # Per-trial dumps of both time models.
     dumps = [c for c in cmds if "--dump-trials" in c]
     assert [("mc.time_model=time-resolved" in c) for c in dumps] == [True, False]
-    assert len(cmds) == 151
+    assert len(cmds) == 153
     # One node-key and one aggregate-key sweep read the scenario file.
     assert [c[c.index("--param") + 1] for c in cmds if digest_tool.CFG in c] == [
         "node.spin_decoherence_rate_hz", "channel.beam_waist_m",
@@ -90,6 +90,21 @@ def test_compare_lists_differing_commands(digest_tool, tmp_path, capsys):
     moved = [dict(records[0]), dict(records[1], files={"{dump}": "d"})]
     changed.write_text(json.dumps({"commands": moved}))
     assert digest_tool.main(["--compare", str(same), str(same)]) == 0
-    assert capsys.readouterr().out == "0 of 2 commands differ\n"
+    assert capsys.readouterr().out == "0 of 2 commands differ; 0 exit codes changed\n"
     assert digest_tool.main(["--compare", str(same), str(changed)]) == 1
-    assert capsys.readouterr().out == "differs: mc\n1 of 2 commands differ\n"
+    assert capsys.readouterr().out == (
+        "differs: mc (file {dump})\n1 of 2 commands differ; 0 exit codes changed\n"
+    )
+    # Each differing part is named, and exit-code changes are counted.
+    other = [
+        dict(records[0], exit=2, stderr="e", files={"{out}": "f"}),
+        dict(records[1], argv=["caps-curve"]),
+    ]
+    changed.write_text(json.dumps({"commands": other}))
+    assert digest_tool.main(["--compare", str(same), str(changed)]) == 1
+    assert capsys.readouterr().out == (
+        "differs: rates (exit, stderr, file {out})\n"
+        "differs: mc (only in A)\n"
+        "differs: caps-curve (only in B)\n"
+        "3 of 3 commands differ; 1 exit codes changed\n"
+    )

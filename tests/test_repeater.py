@@ -82,7 +82,7 @@ class TestSwapProbability:
         with pytest.raises(ValueError, match="nesting depth"):
             Chain(baseline_cfg, -1)
         with pytest.raises(ValueError, match="nesting depth"):
-            distance_sweep(baseline_cfg, [1.0e7], levels=[-1])
+            distance_sweep([baseline_cfg], [1.0e7], levels=[-1])
 
 
 class TestRateComposition:
@@ -250,7 +250,7 @@ class TestEvaluate:
 
 class TestDistanceSweep:
     def test_rows_follow_visibility(self, baseline_cfg):
-        (points,) = distance_sweep(baseline_cfg, [1.0e7, 2.0e7, 8.0e7])
+        ((points,),) = distance_sweep([baseline_cfg], [1.0e7, 2.0e7, 8.0e7])
         assert points.visible == [True, True, False]
         assert points.status == ["ok", "ok", "no_visibility"]
         assert points.aggregates[2] is None
@@ -259,7 +259,7 @@ class TestDistanceSweep:
         assert points.link_length_m[1] == pytest.approx(5.0e6)
 
     def test_sweep_matches_single_evaluation(self, baseline, baseline_cfg):
-        (point,) = distance_sweep(baseline_cfg, [1.0e7])
+        ((point,),) = distance_sweep([baseline_cfg], [1.0e7])
         single = evaluate(config_for(baseline.repeater, 1.0e7, 2))
         assert point.pairs_per_flyby[0] == pytest.approx(
             single.pairs_per_flyby, rel=1e-12
@@ -268,14 +268,14 @@ class TestDistanceSweep:
     def test_zero_transmission_is_a_visible_status(self, baseline_cfg):
         channel = dataclasses.replace(baseline_cfg.channel, receiver_radius_m=1e-300)
         cfg = dataclasses.replace(baseline_cfg, channel=channel)
-        (point,) = distance_sweep(cfg, [1.0e7])
+        ((point,),) = distance_sweep([cfg], [1.0e7])
         assert (point.status[0], point.visible[0]) == ("zero_transmission", True)
         assert point.aggregates[0] is None and point.fidelity_per_level[0] is None
 
     def test_zero_herald_rate_keeps_aggregates(self, baseline_cfg):
         node = dataclasses.replace(baseline_cfg.node, caps_success_probability=0.0)
         cfg = dataclasses.replace(baseline_cfg, node=node)
-        (point,) = distance_sweep(cfg, [1.0e7])
+        ((point,),) = distance_sweep([cfg], [1.0e7])
         assert point.status[0] == "zero_herald_rate"
         assert point.aggregates[0] is not None and point.fidelity_per_level[0] is None
 
@@ -284,7 +284,7 @@ class TestDistanceSweep:
         # the chain's herald rate is zero.
         node = dataclasses.replace(baseline_cfg.node, caps_success_probability=0.0)
         cfg = dataclasses.replace(baseline_cfg, node=node)
-        (point,) = distance_sweep(cfg, [2.0e6], levels=[0])
+        ((point,),) = distance_sweep([cfg], [2.0e6], levels=[0])
         assert point.status[0] == "ok"
         assert point.aggregates[0] is not None and point.fidelity_per_level[0] is None
 
@@ -296,12 +296,17 @@ class TestDistanceSweep:
             geometries.append(geom)
             post_init(geom)
 
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return converged_aggregates(*args, **kwargs)
+
         monkeypatch.setattr(OrbitGeometry, "__post_init__", counted_geometry)
-        cache = {}
-        first = distance_sweep(baseline_cfg, [1.0e7, 8.0e7], cache, levels=[2, 3])
-        # The missing passes are converged as link lengths of the template's
-        # pass shape, with no geometry of their own.
-        assert geometries == []
+        monkeypatch.setattr(repeater, "converged_aggregates", counted)
+        node = dataclasses.replace(baseline_cfg.node, caps_fidelity=0.95)
+        cfg = dataclasses.replace(baseline_cfg, node=node)
+        first, second = distance_sweep([baseline_cfg, cfg], [1.0e7, 8.0e7], levels=[2, 3])
         assert [
             (cols.n_levels, link * 2**cols.n_levels)
             for cols in first
@@ -309,35 +314,55 @@ class TestDistanceSweep:
         ] == [
             (2, 1.0e7), (2, 8.0e7), (3, 1.0e7), (3, 8.0e7),
         ]
-        # Every pass is cached: the converged ones as their aggregates, the
-        # invisible ones (20,000 and 10,000 km links) as their status.
-        ((key, stored),) = cache.items()
-        geom = baseline_cfg.geometry
-        assert key == (
-            geom.altitude_m, geom.earth_radius_m, geom.mu_m3_per_s2,
-            geom.max_zenith_rad, baseline_cfg.channel, baseline_cfg.source.pair_fidelity,
-        )
-        assert stored == {
-            2.5e6: first[0].aggregates[0],
-            2.0e7: "no_visibility",
-            1.25e6: first[1].aggregates[0],
-            1.0e7: "no_visibility",
-        }
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return converged_aggregates(*args, **kwargs)
-
-        monkeypatch.setattr(repeater, "converged_aggregates", counted)
-        node = dataclasses.replace(baseline_cfg.node, caps_fidelity=0.95)
-        cfg = dataclasses.replace(baseline_cfg, node=node)
-        second = distance_sweep(cfg, [1.0e7, 8.0e7], cache, levels=[2, 3])
-        assert calls == []  # neither quadrature nor re-classification
+        # One batch holds each distinct pass once, the invisible ones (20,000
+        # and 10,000 km links) included, as link lengths of the first
+        # config's pass shape, with no geometry of their own; the second
+        # config, which differs only in a node parameter, adds none.
+        ((geoms, channels, fidelities, links),) = calls
         assert geometries == []
+        assert links == [2.5e6, 2.0e7, 1.25e6, 1.0e7]
+        assert all(g is baseline_cfg.geometry for g in geoms)
+        assert all(c is baseline_cfg.channel for c in channels)
+        assert fidelities == [baseline_cfg.source.pair_fidelity] * 4
         assert [p.status for p in second] == [p.status for p in first]
+        assert first[0].status == ["ok", "no_visibility"]
         assert second[0].aggregates[0] is first[0].aggregates[0]
         assert second[0].fidelity_per_level[0][-1] < first[0].fidelity_per_level[0][-1]
+
+    @pytest.mark.parametrize(
+        "key, values, orbit_calls, channel_calls, pair_calls",
+        [
+            ("orbit.altitude_m", ("1.2e6", "1.5e6", "1.8e6"), 3, 1, 1),
+            ("channel.beam_waist_m", ("0.04", "0.05", "0.06"), 1, 3, 3),
+            ("source.pair_fidelity", ("0.95", "0.97", "0.998"), 1, 1, 3),
+            ("node.caps_fidelity", ("0.95", "0.97", "0.99"), 1, 1, 1),
+        ],
+    )
+    def test_each_stage_runs_once_per_distinct_input(
+        self, key, values, orbit_calls, channel_calls, pair_calls, monkeypatch
+    ):
+        # One quadrature batch per run, whose passes all converge at 64
+        # nodes: the orbit runs once per pass shape, the transmission once
+        # per channel and the pair fidelity once per (source, channel).
+        calls = {"slant_distance": 0, "single_photon_transmission": 0, "pair_fidelity": 0}
+        for name in calls:
+            original = getattr(flyby, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(flyby, name, counted)
+        cfgs = [load_scenario(None, (f"{key}={value}",)).repeater for value in values]
+        sweeps = distance_sweep(cfgs, [5.0e6, 1.0e7, 8.0e7], levels=[2, 3])
+        assert [[cols.status for cols in sweep] for sweep in sweeps] == [
+            [["ok", "ok", "no_visibility"]] * 2
+        ] * 3
+        assert calls == {
+            "slant_distance": orbit_calls,
+            "single_photon_transmission": channel_calls,
+            "pair_fidelity": pair_calls,
+        }
 
     def test_quadrature_error_of_one_point_ends_the_sweep(self, baseline_cfg, monkeypatch):
         # 1,000 km links converge at 64 nodes and 20,000 km ones are never
@@ -349,12 +374,12 @@ class TestDistanceSweep:
             baseline_cfg.channel, zenith_transmittance=0.5, beam_waist_m=0.005
         )
         cfg = dataclasses.replace(baseline_cfg, geometry=geometry, channel=channel)
-        assert distance_sweep(cfg, [4.0e6, 8.0e7])[0].status == [
+        assert distance_sweep([cfg], [4.0e6, 8.0e7])[0][0].status == [
             "ok", "no_visibility",
         ]
         monkeypatch.setattr(flyby, "GAUSS_NODES", (32, 64))
         with pytest.raises(QuadratureError, match=r"at link length 100000\.0 m;"):
-            distance_sweep(cfg, [4.0e6, 4.0e5, 8.0e7])
+            distance_sweep([cfg], [4.0e6, 4.0e5, 8.0e7])
 
     # Non-default values for every factor of the chain formulas.
     NODE_AND_SOURCE = (
@@ -397,7 +422,7 @@ class TestDistanceSweep:
         # without aggregates is classified as converging it alone does.
         cfg = load_scenario(None, overrides).repeater
         distances = [2.0e6, 1.0e7, 2.0e7, 8.0e7]
-        sweep = distance_sweep(cfg, distances, levels=[0, 1, 2, 3, 4])
+        (sweep,) = distance_sweep([cfg], distances, levels=[0, 1, 2, 3, 4])
         assert [cols.n_levels for cols in sweep] == [0, 1, 2, 3, 4]
         seen = {True: set(), False: set()}
         for cols in sweep:
@@ -441,4 +466,4 @@ class TestDistanceSweep:
 
     def test_sweep_rejects_nonpositive_distance(self, baseline_cfg):
         with pytest.raises(ValueError):
-            distance_sweep(baseline_cfg, [1.0e7, 0.0])
+            distance_sweep([baseline_cfg], [1.0e7, 0.0])

@@ -9,14 +9,18 @@ and every file the command wrote.  A checkout is run in a fresh interpreter
 with its ``src`` first on ``PYTHONPATH``, one in-process ``satrep.cli.main``
 call per command, in a temporary directory, writing no bytecode.
 ``--compare`` takes two checkouts or two recorded digests (or one of each),
-lists the commands whose records differ and exits 1 if any do, 0 if none.
+lists the commands whose records differ, each with the parts that differ
+(exit code, stdout, stderr, which written file), ends with the number of
+exit codes that changed, and exits 1 if any command differs, 0 if none.
 
 The commands: ``flyby``, ``rates``, ``sensitivity``, both ``mc`` time
 models and ``caps-curve`` at and around the defaults; ``rates`` and a
 constant-p ``mc`` with the repeater section's gate efficiency and detector
-exponent changed; one sweep per row status (``ok``, ``no_visibility``, ``zero_transmission`` both
-ways, ``zero_herald_rate``); a node-key sweep whose later values reuse
-cached statuses; a node-key and an aggregate-key sweep read from a scenario
+exponent changed; one sweep per row status (``ok``, ``no_visibility``,
+``zero_transmission`` both ways, ``zero_herald_rate``) and two
+aggregate-key sweeps whose values give rows of several statuses; a
+node-key sweep whose later values share the first one's passes and
+statuses; a node-key and an aggregate-key sweep read from a scenario
 file (the bundled baseline with :data:`CFG_EDIT` applied); a 1,000-point
 altitude grid; a few exit 1 and 2 cases, among them both raises of a
 single pass's ``converged_aggregates`` in ``mc``; and the first
@@ -113,7 +117,11 @@ def commands() -> list[list[str]]:
         ["rates", "--set", "channel.receiver_radius_m=1e-300", *far],
         ["rates", "--set", "channel.coupling_efficiency=1e-300", *far],
         ["rates", "--set", "node.caps_success_probability=0", *far],
-        # Later values reuse the first one's aggregates and statuses.
+        # Rows of several statuses in one run: values that see no pass or no
+        # light beside values that do.
+        _sensitivity("orbit.altitude_m", "1e3,1.5e6", *far),
+        _sensitivity("channel.receiver_radius_m", "1e-300,1", *far),
+        # Later values share the first one's aggregates and statuses.
         _sensitivity("node.caps_success_probability", "0,0.5,1", *far),
         _sensitivity("node.caps_fidelity", "0.95,0.99", *far, "--output", OUT),
         # The scenario file is read once per run, not once per value.
@@ -199,14 +207,27 @@ def _load(arg: str) -> dict:
     return digest(path) if path.is_dir() else json.loads(path.read_text())
 
 
-def compare(a: dict, b: dict) -> list[str]:
+def compare(a: dict, b: dict) -> dict[str, list[str]]:
     """The commands, as argv strings, whose records differ or that only one
-    side ran."""
+    side ran, each with the parts that differ: ``exit``, ``stdout``,
+    ``stderr``, ``file <placeholder>`` per written file, or ``only in A`` /
+    ``only in B``."""
     def by_argv(d):
         return {" ".join(r["argv"]): r for r in d["commands"]}
 
     left, right = by_argv(a), by_argv(b)
-    return [cmd for cmd in {**left, **right} if left.get(cmd) != right.get(cmd)]
+    differ = {}
+    for cmd in {**left, **right}:
+        x, y = left.get(cmd), right.get(cmd)
+        if x is None or y is None:
+            parts = ["only in B" if x is None else "only in A"]
+        else:
+            parts = [part for part in ("exit", "stdout", "stderr") if x[part] != y[part]]
+            files = sorted({*x["files"], *y["files"]})
+            parts += [f"file {f}" for f in files if x["files"].get(f) != y["files"].get(f)]
+        if parts:
+            differ[cmd] = parts
+    return differ
 
 
 def main(argv=None) -> int:
@@ -225,9 +246,12 @@ def main(argv=None) -> int:
     if args.compare:
         a, b = (_load(x) for x in args.compare)
         differ = compare(a, b)
-        for cmd in differ:
-            print(f"differs: {cmd[:200]}")
-        print(f"{len(differ)} of {len(a['commands'])} commands differ")
+        for cmd, parts in differ.items():
+            print(f"differs: {cmd[:200]} ({', '.join(parts)})")
+        exits = sum("exit" in parts for parts in differ.values())
+        total = len({" ".join(r["argv"]) for d in (a, b) for r in d["commands"]})
+        print(f"{len(differ)} of {total} commands differ; "
+              f"{exits} exit codes changed")
         return 1 if differ else 0
     if args.checkout is None:
         parser.error("give a checkout, or --compare A B")
