@@ -32,7 +32,8 @@ length, and a pass shape, channel and source fidelity, whose visibility
 :func:`~satrep.orbit.pass_timing` classifies first.  The visible passes are
 sampled together as (passes x nodes) arrays, each stage once per distinct
 value of its own inputs (see :func:`build_profile`), and each pass leaves
-the batch at its own converged rule; one pass is a batch of one.  Each pass
+the batch at its own converged rule; one pass is a batch of one, and a
+call of more than 1,024 passes samples them 1,024 at a time.  Each pass
 mean is a row sum of that pass's own samples, so a pass has the same bits
 in any batch, and no mean goes through BLAS, whose kernel depends on the
 batch's row count and the CPU.
