@@ -14,7 +14,9 @@ command line (:mod:`satrep.cli`).
 
 from .channel import ChannelParams
 from .config import Scenario, default_scenario, load_scenario
-from .flyby import FlybyAggregates, FlybyProfile, build_profile, converged_aggregates
+from .flyby import (
+    FlybyAggregates, FlybyProfile, build_profile, converged_aggregates, pass_aggregates,
+)
 from .mc_oracle import McConfig, compare_report, simulate_chain
 from .node import CavityParams, NodeParams, SourceParams, caps_success
 from .orbit import OrbitGeometry, pass_timing
@@ -43,6 +45,7 @@ __all__ = [
     "distance_sweep",
     "evaluate",
     "load_scenario",
+    "pass_aggregates",
     "pass_timing",
     "simulate_chain",
 ]

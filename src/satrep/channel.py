@@ -31,7 +31,6 @@ __all__ = [
     "pointing_divergence",
     "pointing_eff",
     "single_photon_transmission",
-    "two_photon_transmission",
 ]
 
 _APERTURE_MODES = ("literal", "radius")
@@ -203,17 +202,6 @@ def single_photon_transmission(params: ChannelParams, distance_m, zenith_rad):
     )
     scalar = np.isscalar(distance_m) and np.isscalar(zenith_rad)
     return float(out) if scalar else out
-
-
-def two_photon_transmission(params: ChannelParams, d1_m, zenith1_rad, d2_m, zenith2_rad):
-    """Joint transmission of both photons of a pair, one to each station.
-
-    With the satellite over the midpoint both legs are identical and the result
-    is exactly ``single_photon_transmission(...)**2``.
-    """
-    eta1 = single_photon_transmission(params, d1_m, zenith1_rad)
-    eta2 = single_photon_transmission(params, d2_m, zenith2_rad)
-    return eta1 * eta2
 
 
 def mean_background_photons(params: ChannelParams) -> float:

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, Scenario, load_scenario, load_scenarios, sweepable_keys
-from .flyby import QuadratureError, build_profile, converged_aggregates
+from .flyby import QuadratureError, build_profile, pass_aggregates
 from .mc_oracle import compare_report, simulate_chain
 from .node import caps_success
 from .repeater import distance_sweep, evaluate_with_aggregates
@@ -46,9 +46,11 @@ __all__ = ["UsageError", "main"]
 
 _DEFAULT_DISTANCES_KM = "10000,12500,15000,17500,20000"
 _DEFAULT_LINKS = "4,8"
-# Most points --samples or --points may ask for, checked before any allocation:
-# the rows peak at about 870 and 360 bytes per point (tracemalloc), under 1 GB.
+# Most points --samples or --points may ask for, and most rows of a sweep,
+# checked before any allocation: a --samples point, a --points point and a
+# sweep row peak at about 870, 360 and 700 bytes (tracemalloc), under 1 GB.
 _MAX_GRID_POINTS = 10**6
+_MAX_ROWS = 10**6
 
 _SWEEP_COLUMNS = [
     "L_total_km",
@@ -237,6 +239,17 @@ def _parse_floats(text: str, flag: str) -> list[float]:
     return values
 
 
+def _check_rows(args, values: int, distances: list[float], levels: list[int]) -> None:
+    """Refuse a sweep of more than :data:`_MAX_ROWS` rows."""
+    depths = len(levels) + args.with_direct
+    rows = values * len(distances) * depths
+    if rows > _MAX_ROWS:
+        raise UsageError(
+            f"{values} x {len(distances)} x {depths} (values x distances x depths) "
+            f"= {rows} rows, more than {_MAX_ROWS}"
+        )
+
+
 def _parse_links(text: str) -> list[int]:
     try:
         counts = [int(tok) for tok in text.split(",") if tok.strip()]
@@ -261,10 +274,9 @@ def _cmd_flyby(args) -> int:
         raise UsageError("--samples must be an integer >= 3")
     if args.samples > _MAX_GRID_POINTS:
         raise UsageError(f"--samples must be at most {_MAX_GRID_POINTS}")
-    profile = build_profile(
-        cfg.geometry, cfg.channel, cfg.source.pair_fidelity, n_samples=args.samples
-    )
-    agg = converged_aggregates(cfg.geometry, cfg.channel, cfg.source.pair_fidelity)
+    one_pass = (cfg.geometry, cfg.channel, cfg.source.pair_fidelity)
+    profile = build_profile(*one_pass, n_samples=args.samples)
+    agg = pass_aggregates(*one_pass)
     header = ["t_s", "d_m", "zenith_rad", "eta_tr", "eta2_tr", "f_pair"]
     columns = (
         profile.times_s, profile.slant_m, profile.zenith_rad,
@@ -345,6 +357,7 @@ def _cmd_rates(args) -> int:
     scenario = _load(args)
     distances = [d * 1e3 for d in _parse_floats(args.distances_km, "--distances-km")]
     levels = _parse_links(args.links)
+    _check_rows(args, 1, distances, levels)
     rows = _sweep_rows([scenario], [""], distances, levels, args.with_direct)
     _emit(args, _csv_text(scenario, _header(levels, []), rows))
     return 0
@@ -361,6 +374,7 @@ def _cmd_sensitivity(args) -> int:
         raise UsageError("--values must list at least one value")
     distances = [d * 1e3 for d in _parse_floats(args.distances_km, "--distances-km")]
     levels = _parse_links(args.links)
+    _check_rows(args, len(tokens), distances, levels)
 
     variants = tuple(f"{args.param}={tok}" for tok in tokens)
     base, *scenarios = load_scenarios(args.config, args.overrides or (), variants)
@@ -378,7 +392,7 @@ def _cmd_mc(args) -> int:
     flags = {"mc.trials": args.trials, "mc.seed": args.seed}
     scenario = _load(args, *(f"{k}={v}" for k, v in flags.items() if v is not None))
     cfg = scenario.repeater
-    agg = converged_aggregates(cfg.geometry, cfg.channel, cfg.source.pair_fidelity)
+    agg = pass_aggregates(cfg.geometry, cfg.channel, cfg.source.pair_fidelity)
     analytic = evaluate_with_aggregates(cfg, agg)
     estimates = simulate_chain(scenario.mc, cfg, agg)
     report = compare_report(analytic, estimates)

@@ -20,23 +20,17 @@ to 256.  A pass is symmetric about closest approach (t -> T_FB - t leaves d,
 theta, eta and F_pair unchanged) and numpy's ``leggauss`` returns
 mirror-symmetric nodes and weights, so each rule samples only its first
 half of the nodes, with doubled weights: 48 samples per pass for the 32/64
-pair, not 96.  The mirrored samples are not bit-equal to the ones they
-stand for, so folding moved the last bits: P0 by at most 4.1e-14 relative
-and F_pair_avg by at most 6.8e-16 over the sweeps checked, with every
-status and exit code unchanged; the baseline pass's P0 went from
-1.820740403201363e-08 to 1.8207404032013632e-08 and its F_pair_avg from
-0.9934595182390793 to 0.9934595182390791.
+pair, not 96.
 
-A sweep converges every pass of its run in one call: per pass a link
-length, and a pass shape, channel and source fidelity, whose visibility
-:func:`~satrep.orbit.pass_timing` classifies first.  The visible passes are
-sampled together as (passes x nodes) arrays, each stage once per distinct
-value of its own inputs (see :func:`build_profile`), and each pass leaves
-the batch at its own converged rule; one pass is a batch of one, and a
-call of more than 1,024 passes samples them 1,024 at a time.  Each pass
-mean is a row sum of that pass's own samples, so a pass has the same bits
-in any batch, and no mean goes through BLAS, whose kernel depends on the
-batch's row count and the CPU.
+:func:`converged_aggregates` converges a batch of passes.  The visible
+ones, as :func:`~satrep.orbit.pass_timing` classifies them, are sampled
+together as (passes x nodes) arrays, each stage once per distinct value of
+its own inputs (see :func:`build_profile`), and each pass leaves the batch
+at its own converged rule; a call of more than 1,024 passes samples them
+1,024 at a time.  Each pass mean is a row sum of that pass's own samples,
+so a pass has the same bits in any batch, and no mean goes through BLAS,
+whose kernel depends on the batch's row count and the CPU.
+:func:`pass_aggregates` is the batch of one that raises for a status.
 
 The uniform time grid of :func:`build_profile` is what the ``flyby`` CSV
 prints; the tests keep a composite Simpson rule on it as the quadrature
@@ -66,6 +60,7 @@ __all__ = [
     "QuadratureError",
     "build_profile",
     "converged_aggregates",
+    "pass_aggregates",
 ]
 
 DEFAULT_SAMPLES = 2001
@@ -103,9 +98,10 @@ class FlybyProfile:
     built from given fractions of the pass such as Gauss-Legendre nodes,
     samples for quadrature only, which need not be ordered in time.
 
-    Arrays are aligned sample-by-sample; ``eta2_tr`` is exactly ``eta_tr**2``
-    and ``f_pair`` is the instantaneous pair fidelity with the scenario's
-    constant background photon number folded in (NaN where ``eta_tr`` is 0).
+    Arrays are aligned sample-by-sample; ``eta2_tr``, the two-photon
+    transmission, is exactly ``eta_tr**2`` (both legs are equal), and
+    ``f_pair`` is the instantaneous pair fidelity with the constant
+    background photon number folded in (NaN where ``eta_tr`` is 0).
     A profile of a batch of passes holds (passes, samples) arrays and a
     (passes, 1) column of durations.
     """
@@ -141,22 +137,20 @@ def build_profile(
     fractions: np.ndarray | None = None,
     timing: PassTiming | None = None,
 ) -> FlybyProfile:
-    """Sample d(t), theta(t), eta_tr(t), eta_tr^2(t) and F_pair(t) over one flyby.
+    """Sample d(t), theta(t), eta_tr(t), eta_tr^2(t) and F_pair(t) over a flyby.
 
-    By default on ``n_samples`` (>= 3) uniform points; with ``fractions``
-    (values in [0, 1]) at t = fractions * T_FB instead, and ``n_samples`` is
-    unused.  Such a profile is for quadrature only, not a time series: its
-    times keep the order of ``fractions``.  ``timing`` defaults to
-    ``pass_timing(geom)``, and a geometry with no joint-visibility window
-    raises :class:`NoVisibilityError`.  A given timing must be visible.
+    Without ``timing``, of the one pass ``geom`` with channel ``params`` and
+    source fidelity ``source_fidelity``: on ``n_samples`` (>= 3) uniform
+    points, or at t = fractions * T_FB for ``fractions`` in [0, 1], a
+    profile for quadrature only whose times keep their order.  A geometry
+    with no joint-visibility window raises :class:`NoVisibilityError`.
 
-    With ``fractions``, a batch timing (column arrays, see
-    :class:`~satrep.orbit.PassTiming`) samples all its passes at once, and
-    ``geom``, ``params`` and ``source_fidelity`` may each be one value for
-    every pass or a list of one per pass.  Each stage runs once per distinct
-    value of its own inputs: the orbit per pass shape (``geom`` but its link
-    length), the transmission per channel, the pair fidelity per (source
-    fidelity, channel).
+    With ``timing`` (column arrays from :func:`~satrep.orbit.pass_timing` of
+    a list), of a batch of visible passes at ``fractions``: ``geom``,
+    ``params`` and ``source_fidelity`` are lists of one entry per pass.
+    Each stage runs once per distinct value of its own inputs: the orbit per
+    pass shape (``geom`` but its link length), the transmission per channel,
+    the pair fidelity per (source fidelity, channel).
     """
     if fractions is None and n_samples < 3:
         raise ValueError(f"n_samples must be >= 3, got {n_samples}")
@@ -164,6 +158,7 @@ def build_profile(
         timing = pass_timing(geom)
         if not timing.visible:
             raise NoVisibilityError(geom)
+        geom, params, source_fidelity = [geom], [params], [source_fidelity]
     if fractions is None:
         times = np.linspace(0.0, timing.flyby_duration_s, n_samples)
     else:
@@ -200,13 +195,11 @@ def _shape(geom: OrbitGeometry) -> tuple[float, ...]:
     return (geom.altitude_m, geom.earth_radius_m, geom.mu_m3_per_s2, geom.max_zenith_rad)
 
 
-def _distinct(values, key=None) -> tuple[list, np.ndarray | None]:
-    """The distinct values of ``values`` (one value for every pass, or a list
-    of one per pass) in order of first appearance, and per pass the index of
-    its own, None when one value serves every pass.  Values compare by
-    ``key`` (default: themselves), which runs once per object."""
-    if not isinstance(values, list):
-        return [values], None
+def _distinct(values: list, key=None) -> tuple[list, np.ndarray | None]:
+    """The distinct values of ``values`` (one per pass) in order of first
+    appearance, and per pass the index of its own, None when one value
+    serves every pass.  Values compare by ``key`` (default: themselves),
+    which runs once per object."""
     distinct: list = []
     labels, by_id, by_key = [], {}, {}
     for value in values:
@@ -302,51 +295,37 @@ def _settled(history: np.ndarray) -> np.ndarray:
     return (rel < CONVERGENCE_RTOL).all(axis=0)
 
 
-def _take(values, rows):
-    """The entries ``rows`` of a list of one value per pass; one value for
-    every pass as it is."""
-    return [values[i] for i in rows] if isinstance(values, list) else values
-
-
 def converged_aggregates(
-    geometry: OrbitGeometry | list[OrbitGeometry],
-    params: ChannelParams | list[ChannelParams],
-    source_fidelity: float | list[float],
-    link_lengths_m=None,
-) -> FlybyAggregates | list[FlybyAggregates | str]:
-    """Compute the flyby aggregates by Gauss-Legendre quadrature, doubling
-    the node count from the 32/64 pair of :data:`GAUSS_NODES` until P0 and
-    F_pair_avg both move by less than :data:`CONVERGENCE_RTOL` between
-    successive rules, and return the finer rule's values.
+    geometries: list[OrbitGeometry],
+    params: list[ChannelParams],
+    source_fidelities: list[float],
+    link_lengths_m: list[float],
+) -> list[FlybyAggregates | str]:
+    """The flyby aggregates of a batch of passes, each from the first two
+    successive rules of :data:`GAUSS_NODES` that agree to :data:`CONVERGENCE_RTOL`.
 
-    Without ``link_lengths_m`` this is the one pass ``geometry``, which
-    raises :class:`NoVisibilityError`, or ``zero_transmission`` when the
-    transmission is 0 at a node or the two-photon transmission averages to
-    0.  With it, the passes at those link lengths (not ``geometry``'s), of
-    which ``geometry``, ``params`` and ``source_fidelity`` may each be one
-    value for every pass or a list of one per pass.  They are sampled
-    together, one profile per rule set (see :func:`build_profile`), each
-    pass leaving the batch at its own converged rule: a list of, per pass,
-    its :class:`FlybyAggregates` or that status.  A pass's values do not
-    depend on the other passes of its batch, so a batch of more than
-    :data:`_BATCH_PASSES` passes is converged in batches of that size.  Any
-    other error is raised for the whole batch, including :class:`QuadratureError` when a pass is still
-    unconverged past the last rule; its message names the pass's link length
-    and gives its (nodes, P0, F_pair_avg) history.
+    Pass i is the pass shape of ``geometries[i]`` at ``link_lengths_m[i]``
+    (not the geometry's own link length), with channel ``params[i]`` and
+    source fidelity ``source_fidelities[i]``.  Returns per pass its
+    :class:`FlybyAggregates`, with the bits it has alone, or its status:
+    ``no_visibility``, or ``zero_transmission`` when the transmission is 0
+    at a node or the two-photon transmission averages to 0.  Any other error
+    stops the whole batch, among them :class:`QuadratureError` for a pass
+    still unconverged past the last rule, naming its link length and giving
+    its (nodes, P0, F_pair_avg) history.
     """
-    links = [geometry.link_length_m] if link_lengths_m is None else list(link_lengths_m)
-    if len(links) > _BATCH_PASSES:
+    if len(link_lengths_m) > _BATCH_PASSES:
         results = []
-        for start in range(0, len(links), _BATCH_PASSES):
-            part = range(start, min(start + _BATCH_PASSES, len(links)))
+        for start in range(0, len(link_lengths_m), _BATCH_PASSES):
+            part = slice(start, start + _BATCH_PASSES)
             results += converged_aggregates(
-                _take(geometry, part), _take(params, part), _take(source_fidelity, part),
-                [links[i] for i in part],
+                geometries[part], params[part], source_fidelities[part],
+                link_lengths_m[part],
             )
         return results
-    timing = pass_timing(geometry, links)
+    timing = pass_timing(geometries, link_lengths_m)
     durations = timing.flyby_duration_s[:, 0].tolist()
-    results: list = ["no_visibility"] * len(links)
+    results: list = ["no_visibility"] * len(link_lengths_m)
     # The passes still converging and, per rule so far, their P0 and
     # F_pair_avg as a (2, passes, rules) history.
     rows = [i for i, t_fb in enumerate(durations) if t_fb > 0.0]
@@ -357,7 +336,7 @@ def converged_aggregates(
             break
         fractions, rules = _rules(counts)
         profile = build_profile(
-            _take(geometry, rows), _take(params, rows), _take(source_fidelity, rows),
+            *([batch[i] for i in rows] for batch in (geometries, params, source_fidelities)),
             fractions=fractions,
             timing=PassTiming(timing.t0_s[rows], timing.cos_half_angle[rows]),
         )
@@ -393,16 +372,26 @@ def converged_aggregates(
         trail = list(zip(nodes, history[0, 0].tolist(), history[1, 0].tolist()))
         raise QuadratureError(
             f"flyby aggregates did not converge to {CONVERGENCE_RTOL} within {nodes[-1]} "
-            f"Gauss-Legendre nodes at link length {links[rows[0]]} m; "
+            f"Gauss-Legendre nodes at link length {link_lengths_m[rows[0]]} m; "
             f"history (nodes, P0, F_pair_avg): {trail}"
         )
-    if link_lengths_m is not None:
-        return results
-    if results[0] == "no_visibility":
+    return results
+
+
+def pass_aggregates(
+    geometry: OrbitGeometry, params: ChannelParams, source_fidelity: float
+) -> FlybyAggregates:
+    """The aggregates of the one pass ``geometry``: the batch of one of
+    :func:`converged_aggregates`, whose statuses raise
+    :class:`NoVisibilityError` or ``NoResultError("zero_transmission")``."""
+    (result,) = converged_aggregates(
+        [geometry], [params], [source_fidelity], [geometry.link_length_m]
+    )
+    if result == "no_visibility":
         raise NoVisibilityError(geometry)
-    if results[0] == "zero_transmission":
+    if result == "zero_transmission":
         raise NoResultError(
             "zero_transmission", "pass-averaged pair fidelity undefined: zero "
             f"transmission at link length {geometry.link_length_m} m"
         )
-    return results[0]
+    return result

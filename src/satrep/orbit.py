@@ -9,13 +9,12 @@ the satellite is simultaneously visible from both stations (zenith angle below
 instant the satellite enters visibility, ``t = t0`` the closest approach.
 
 All functions are pure and accept numpy arrays in the time/distance arguments;
-:func:`pass_timing` also takes a column of link lengths, under one pass shape or
-one per link, and its :class:`PassTiming` of column arrays batches those passes.
+:func:`pass_timing` also takes a list of geometries and one link length per
+geometry, and its :class:`PassTiming` of column arrays batches those passes.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +27,6 @@ __all__ = [
     "OrbitGeometry",
     "PassTiming",
     "angular_speed",
-    "half_flyby_time",
     "pass_timing",
     "slant_distance",
     "zenith_angle",
@@ -116,14 +114,8 @@ def angular_speed(geom: OrbitGeometry) -> float:
     return omega
 
 
-def half_flyby_time(geom: OrbitGeometry) -> float:
-    """Half of the joint-visibility window (s); 0 when the stations never both see
-    the satellite below ``theta_max``."""
-    return _timings(geom, [geom.link_length_m])[0][0]
-
-
 def _timings(geom: OrbitGeometry, links) -> tuple[list[float], list[float]]:
-    """t0 (:func:`half_flyby_time`) and cos(L0 / 2 R_E) of ``geom``'s pass
+    """t0 (see :class:`PassTiming`) and cos(L0 / 2 R_E) of ``geom``'s pass
     shape at each link length of ``links``, in ``math`` arithmetic.  The
     shape's own terms are computed once, when a link first needs them, so a
     link has the bits, and raises the errors, it has alone.
@@ -173,19 +165,18 @@ def _timings(geom: OrbitGeometry, links) -> tuple[list[float], list[float]]:
 
 
 def pass_timing(
-    geom: OrbitGeometry | list[OrbitGeometry], link_lengths_m=None
+    geom: OrbitGeometry | list[OrbitGeometry], link_lengths_m: list[float] | None = None
 ) -> PassTiming:
-    """The pass's t0 (hence T_FB) and cos(L0 / 2 R_E); with ``link_lengths_m``,
-    those of the pass shape of ``geom`` at each link length (not ``geom``'s),
-    as (passes, 1) columns with the bits each pass has alone.  There ``geom``
-    is one geometry for every pass or a list of one per pass."""
+    """The pass's t0 (hence T_FB) and cos(L0 / 2 R_E); given a list of
+    geometries and ``link_lengths_m``, one per geometry, those of each
+    geometry's pass shape at its link length (not the geometry's own), as
+    (passes, 1) columns with the bits each pass has alone."""
     if link_lengths_m is None:
         (t0,), (cos_half,) = _timings(geom, [geom.link_length_m])
         return PassTiming(t0, cos_half)
     # Runs of passes that share one geometry object share its terms.
     runs: list[tuple[OrbitGeometry, list[float]]] = []
-    geoms = geom if isinstance(geom, list) else itertools.repeat(geom)
-    for g, link in zip(geoms, link_lengths_m):
+    for g, link in zip(geom, link_lengths_m):
         if runs and runs[-1][0] is g:
             runs[-1][1].append(link)
         else:

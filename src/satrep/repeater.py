@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .channel import ChannelParams, NoResultError
-from .flyby import FlybyAggregates, converged_aggregates
+from .flyby import FlybyAggregates, converged_aggregates, pass_aggregates
 from .node import (
     NodeParams,
     SourceParams,
@@ -199,7 +199,7 @@ class RepeaterResult:
 def evaluate(cfg: RepeaterConfig) -> RepeaterResult:
     """Run the full analytic pipeline: converge the pass averages, then apply
     the rate and fidelity recursions."""
-    agg = converged_aggregates(cfg.geometry, cfg.channel, cfg.source.pair_fidelity)
+    agg = pass_aggregates(cfg.geometry, cfg.channel, cfg.source.pair_fidelity)
     return evaluate_with_aggregates(cfg, agg)
 
 

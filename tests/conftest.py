@@ -1,7 +1,7 @@
 import pytest
 
 from satrep.config import default_scenario
-from satrep.flyby import converged_aggregates
+from satrep.flyby import pass_aggregates
 
 
 @pytest.fixture(scope="session")
@@ -19,6 +19,6 @@ def baseline_cfg(baseline):
 def baseline_agg(baseline_cfg):
     """Converged pass averages for the baseline; shared because the quadrature
     is the slowest analytic step and every downstream module consumes it."""
-    return converged_aggregates(
+    return pass_aggregates(
         baseline_cfg.geometry, baseline_cfg.channel, baseline_cfg.source.pair_fidelity
     )

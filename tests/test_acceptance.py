@@ -20,7 +20,7 @@ from satrep.flyby import (
     FlybyProfile,
     _gauss_legendre,
     build_profile,
-    converged_aggregates,
+    pass_aggregates,
 )
 from satrep.mc_oracle import McConfig, compare_report, simulate_chain
 from satrep.node import (
@@ -36,7 +36,6 @@ from satrep.node import (
 from satrep.orbit import (
     OrbitGeometry,
     angular_speed,
-    half_flyby_time,
     pass_timing,
     slant_distance,
     zenith_angle,
@@ -213,7 +212,7 @@ def test_criterion_06():
                     link_length_m=l0,
                     max_zenith_rad=math.radians(mask),
                 )
-                t0_closed = half_flyby_time(geom)
+                t0_closed = pass_timing(geom).t0_s
                 t0_oracle = _invert_pass_start(geom)
                 if t0_oracle == 0.0:
                     assert t0_closed == 0.0
@@ -284,7 +283,7 @@ def test_gauss_ladder_refinement():
     # of the ladder, and a half-sine mean under the 64-node rule.
     cfg = load_scenario(None).repeater
     geom, channel, fidelity = cfg.geometry, cfg.channel, cfg.source.pair_fidelity
-    agg = converged_aggregates(geom, channel, fidelity)
+    agg = pass_aggregates(geom, channel, fidelity)
     fractions, weights = _gauss_legendre(GAUSS_NODES[-1])
     finest = build_profile(geom, channel, fidelity, fractions=fractions)
     p0 = weights @ finest.eta2_tr
@@ -299,7 +298,7 @@ def test_gauss_ladder_refinement():
 
 def test_criterion_08():
     base = load_scenario(None).repeater
-    agg = converged_aggregates(base.geometry, base.channel, base.source.pair_fidelity)
+    agg = pass_aggregates(base.geometry, base.channel, base.source.pair_fidelity)
     details = []
     ok = True
 

@@ -15,7 +15,6 @@ from satrep.channel import (
     pointing_divergence,
     pointing_eff,
     single_photon_transmission,
-    two_photon_transmission,
 )
 
 
@@ -105,21 +104,6 @@ def test_single_photon_transmission_is_product_of_terms():
         * p.coupling_efficiency
     )
     assert single_photon_transmission(p, d, theta) == expected
-
-
-def test_two_photon_transmission_squares_symmetric_link():
-    p = params()
-    eta = single_photon_transmission(p, 1.8e6, 0.5)
-    assert two_photon_transmission(p, 1.8e6, 0.5, 1.8e6, 0.5) == eta * eta
-
-
-def test_two_photon_transmission_mixed_legs():
-    p = params()
-    got = two_photon_transmission(p, 1.8e6, 0.5, 2.2e6, 0.9)
-    expected = single_photon_transmission(p, 1.8e6, 0.5) * single_photon_transmission(
-        p, 2.2e6, 0.9
-    )
-    assert got == expected
 
 
 class TestBackgroundPhotons:

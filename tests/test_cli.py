@@ -761,6 +761,29 @@ class TestExtremeInputs:
         output = tmp_path / "out.csv" if argv[0] == "flyby" else None
         assert_typed_exit([*argv, f"{flag}={value}"], output)
 
+    # Just above the row cap: 1,001 x 1,000 x 1 and 1,000 x (1,000 + 1) rows.
+    # Every --values entry is invalid, so the cap is checked before any
+    # scenario value is built.
+    @pytest.mark.parametrize("argv", [
+        ["sensitivity", "--param", "node.caps_fidelity", "--values", ",".join(["x"] * 1001),
+         "--distances-km", ",".join(map(str, range(1, 1001))), "--links", "4"],
+        ["rates", "--distances-km", ",".join(map(str, range(1, 1001))),
+         "--links", ",".join(["4"] * 1000), "--with-direct"],
+    ], ids=["sensitivity", "rates"])
+    def test_oversized_sweep_ends_in_exit_1(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("satrep: error: ")
+        assert err.rstrip().endswith("= 1001000 rows, more than 1000000")
+
+    def test_row_cap_allows_the_cap_itself(self):
+        from satrep import cli
+
+        assert cli._MAX_ROWS == 10**6
+        args = cli._build_parser().parse_args(["rates"])
+        cli._check_rows(args, 1000, [1.0] * 1000, [2])
+
 
 class TestCapsCurve:
     def test_curve_starts_at_zero(self, capsys):
@@ -943,13 +966,22 @@ def test_oversized_count_is_refused_before_allocation(command, oversized_runs):
 
 def test_rates_runs_on_numpy_alone():
     # The runtime depends on numpy only: a fresh interpreter that runs a sweep
-    # must never import scipy (the tests use it as a reference only).
+    # must never import scipy (the tests use it as a reference only).  The
+    # cold start the benchmark times (the CLI's import and the default
+    # scenario) imports neither scipy nor numpy.polynomial, which only a
+    # pass's first quadrature rule needs.
     code = (
         "import sys\n"
-        "from satrep.cli import main\n"
-        "assert main(['rates']) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "import satrep.cli\n"
+        "from satrep.config import load_scenario\n"
+        "def loaded(*packages):\n"
+        "    return sorted(m for m in sys.modules if m.startswith(packages))\n"
+        "load_scenario(None)\n"
+        "print(loaded('scipy', 'numpy.polynomial'))\n"
+        "assert satrep.cli.main(['rates']) == 0\n"
+        "print(loaded('scipy'))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "[]"
     assert proc.stdout.splitlines()[-1] == "[]"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from satrep import flyby
-from satrep.channel import ChannelParams, NoResultError, two_photon_transmission
+from satrep.channel import ChannelParams, NoResultError, single_photon_transmission
 from satrep.constants import EARTH_RADIUS_M
 from satrep.flyby import (
     FlybyAggregates,
@@ -17,6 +17,7 @@ from satrep.flyby import (
     QuadratureError,
     build_profile,
     converged_aggregates,
+    pass_aggregates,
 )
 from satrep.orbit import OrbitGeometry, pass_timing, slant_distance, zenith_angle
 from simpson_reference import _simpson, average_pair_fidelity, average_two_photon
@@ -24,6 +25,13 @@ from simpson_reference import _simpson, average_pair_fidelity, average_two_photo
 
 def make_geom(h, l0):
     return OrbitGeometry(altitude_m=h, link_length_m=l0, max_zenith_rad=math.radians(80))
+
+
+def batch_of(geom, params, source_fidelity, links):
+    """The converged aggregates of ``geom``'s pass shape, channel ``params``
+    and ``source_fidelity`` at each link length of ``links``, in one batch."""
+    n = len(links)
+    return converged_aggregates([geom] * n, [params] * n, [source_fidelity] * n, list(links))
 
 
 def synthetic_profile(values, duration=10.0):
@@ -63,7 +71,7 @@ def channel(baseline_cfg):
 @pytest.mark.parametrize("h,l0", sorted(FROZEN))
 def test_converged_aggregates_frozen(h, l0, channel):
     t_fb, p0, fbar = FROZEN[(h, l0)]
-    agg = converged_aggregates(make_geom(h, l0), channel, 0.998)
+    agg = pass_aggregates(make_geom(h, l0), channel, 0.998)
     assert agg.flyby_duration_s == pytest.approx(t_fb, rel=1e-12)
     assert agg.p0 == pytest.approx(p0, rel=1e-8)
     assert agg.f_pair_avg == pytest.approx(fbar, rel=1e-8)
@@ -77,9 +85,8 @@ def test_profile_samples_compose_orbit_and_channel(channel):
     d_mid = slant_distance(geom, timing, profile.times_s[mid])
     theta_mid = zenith_angle(geom, d_mid)
     assert profile.slant_m[mid] == d_mid
-    assert profile.eta2_tr[mid] == two_photon_transmission(
-        channel, d_mid, theta_mid, d_mid, theta_mid
-    )
+    eta = single_photon_transmission(channel, d_mid, theta_mid)
+    assert profile.eta2_tr[mid] == eta * eta
 
 
 def test_profile_symmetric_and_peaked_at_midpass(channel):
@@ -174,7 +181,7 @@ def test_nonconvergent_integrand_raises_after_refinement_budget(channel, monkeyp
     # A 2/4-node schedule leaves no room to confirm convergence.
     monkeypatch.setattr(flyby, "GAUSS_NODES", (2, 4))
     with pytest.raises(QuadratureError, match=r"history \(nodes, P0, F_pair_avg\): \[\(2, "):
-        converged_aggregates(make_geom(1.5e6, 2.5e6), channel, 0.998)
+        pass_aggregates(make_geom(1.5e6, 2.5e6), channel, 0.998)
 
 
 # Grazing passes that need 256 Gauss nodes, frozen from composite Simpson
@@ -200,14 +207,14 @@ def test_grazing_pass_converges_within_budget(key, channel, monkeypatch):
         channel, zenith_transmittance=transmittance, beam_waist_m=waist
     )
     t_fb, p0, fbar = GRAZING[key]
-    agg = converged_aggregates(geom, params, 0.998)
+    agg = pass_aggregates(geom, params, 0.998)
     assert agg.flyby_duration_s == pytest.approx(t_fb, rel=1e-12)
     assert agg.p0 == pytest.approx(p0, rel=1e-8)
     assert agg.f_pair_avg == pytest.approx(fbar, rel=1e-8)
     # A 128-node budget is not enough for these passes.
     monkeypatch.setattr(flyby, "GAUSS_NODES", flyby.GAUSS_NODES[:3])
     with pytest.raises(QuadratureError):
-        converged_aggregates(geom, params, 0.998)
+        pass_aggregates(geom, params, 0.998)
 
 
 # Link lengths of one batch at the first grazing pass's altitude, zenith mask
@@ -240,13 +247,13 @@ def test_batch_agrees_with_single_passes(receiver_radius, channel):
     geom = OrbitGeometry(
         altitude_m=2.0e5, link_length_m=1.0, max_zenith_rad=math.radians(89.9)
     )
-    batch = converged_aggregates(geom, params, 0.998, link_lengths_m=BATCH_LINKS)
+    batch = batch_of(geom, params, 0.998, BATCH_LINKS)
     statuses = [got if isinstance(got, str) else "ok" for got in batch]
     assert statuses == BATCH_STATUSES[receiver_radius]
     for l0, got in zip(BATCH_LINKS, batch):
         single = dataclasses.replace(geom, link_length_m=l0)
         try:
-            want = converged_aggregates(single, params, 0.998)
+            want = pass_aggregates(single, params, 0.998)
         except NoResultError as exc:
             assert got == exc.status
             assert isinstance(exc, NoVisibilityError) == (got == "no_visibility")
@@ -290,9 +297,9 @@ def test_folded_rules_agree_with_full_rules(channel, baseline_cfg, monkeypatch):
     )
 
     def everything():
-        baseline = converged_aggregates(cfg.geometry, cfg.channel, cfg.source.pair_fidelity)
+        baseline = pass_aggregates(cfg.geometry, cfg.channel, cfg.source.pair_fidelity)
         grazing = [
-            converged_aggregates(
+            pass_aggregates(
                 OrbitGeometry(
                     altitude_m=h, link_length_m=l0, max_zenith_rad=math.radians(zenith_deg)
                 ),
@@ -303,9 +310,7 @@ def test_folded_rules_agree_with_full_rules(channel, baseline_cfg, monkeypatch):
             )
             for h, zenith_deg, l0, transmittance, waist in sorted(GRAZING)
         ]
-        batch = converged_aggregates(
-            batch_geom, batch_params, 0.998, link_lengths_m=BATCH_LINKS
-        )
+        batch = batch_of(batch_geom, batch_params, 0.998, BATCH_LINKS)
         return [baseline, *grazing, *batch]
 
     folded = everything()
@@ -374,7 +379,7 @@ def test_pass_bits_do_not_depend_on_batch(passes, channel):
         assert [got] == alone
         if isinstance(got, FlybyAggregates):
             single = dataclasses.replace(geoms[i], link_length_m=links[i])
-            assert got == converged_aggregates(single, channels[i], fidelities[i])
+            assert got == pass_aggregates(single, channels[i], fidelities[i])
 
 
 def test_large_batches_converge_in_bounded_parts(channel, monkeypatch):
@@ -382,7 +387,8 @@ def test_large_batches_converge_in_bounded_parts(channel, monkeypatch):
     # which, since a pass's bits do not depend on its batch, changes nothing.
     geom, params = make_geom(1.5e6, 1.0), [channel, dataclasses.replace(channel)] * 3
     links = [1.0e6, 2.5e6, 2.1e7, 3.0e6, 5.0e5, 4.0e6]
-    whole = converged_aggregates(geom, params, 0.998, link_lengths_m=links)
+    geoms, fidelities = [geom] * len(links), [0.998] * len(links)
+    whole = converged_aggregates(geoms, params, fidelities, links)
     calls = []
     batch = flyby.converged_aggregates
 
@@ -392,5 +398,5 @@ def test_large_batches_converge_in_bounded_parts(channel, monkeypatch):
 
     monkeypatch.setattr(flyby, "converged_aggregates", counted)
     monkeypatch.setattr(flyby, "_BATCH_PASSES", 4)
-    assert counted(geom, params, 0.998, links) == whole
+    assert counted(geoms, params, fidelities, links) == whole
     assert calls == [6, 4, 2]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import satrep.mc_oracle as mc_oracle
-from satrep.flyby import build_profile, converged_aggregates
+from satrep.flyby import build_profile, pass_aggregates
 from satrep.mc_oracle import (
     _BLOCK_TRIALS,
     ChainEstimates,
@@ -405,7 +405,7 @@ class TestTimeResolved:
         # The aggregates of a 2,000 km link against the profile the baseline
         # config builds for its 2,500 km link.
         other_geom = dataclasses.replace(baseline_cfg.geometry, link_length_m=2.0e6)
-        wrong = converged_aggregates(
+        wrong = pass_aggregates(
             other_geom, baseline_cfg.channel, baseline_cfg.source.pair_fidelity
         )
         with pytest.raises(ValueError, match="different passes"):

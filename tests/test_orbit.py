@@ -9,7 +9,6 @@ from satrep.orbit import (
     GeometryError,
     OrbitGeometry,
     angular_speed,
-    half_flyby_time,
     pass_timing,
     slant_distance,
     zenith_angle,
@@ -47,7 +46,7 @@ class TestHalfFlybyTime:
 
     @pytest.mark.parametrize("h,l0", sorted(CASES))
     def test_frozen_values(self, h, l0):
-        assert half_flyby_time(geom(h=h, l0=l0)) == pytest.approx(
+        assert pass_timing(geom(h=h, l0=l0)).t0_s == pytest.approx(
             self.CASES[(h, l0)], rel=1e-12
         )
 
@@ -65,7 +64,7 @@ class TestHalfFlybyTime:
 
     def test_no_window_beyond_quarter_circumference(self):
         g = geom(l0=math.pi * 6.378e6 * 1.01)
-        assert half_flyby_time(g) == 0.0
+        assert pass_timing(g).t0_s == 0.0
 
     def test_no_window_where_the_cosine_turns_positive_again(self):
         # cos(L0 / 2 R_E) > 0 again past 3 pi R_E (about 60,100 km).
@@ -73,19 +72,19 @@ class TestHalfFlybyTime:
 
     def test_batch_columns_hold_each_pass_bits(self):
         links = [2.0e6, 1.0e7, 8.0e7]
-        batch = pass_timing(geom(), links)
+        batch = pass_timing([geom()] * len(links), links)
         assert batch.t0_s.shape == batch.cos_half_angle.shape == (3, 1)
         for row, l0 in enumerate(links):
             alone = pass_timing(geom(l0=l0))
             assert batch.t0_s[row, 0] == alone.t0_s
             assert batch.cos_half_angle[row, 0] == alone.cos_half_angle
         with pytest.raises(ValueError, match="link length must be >= 0"):
-            pass_timing(geom(), [2.0e6, -1.0])
+            pass_timing([geom()] * 2, [2.0e6, -1.0])
 
     def test_lower_altitude_means_shorter_window(self):
-        assert half_flyby_time(geom(h=5.0e5, l0=2.0e6)) < half_flyby_time(
+        assert pass_timing(geom(h=5.0e5, l0=2.0e6)).t0_s < pass_timing(
             geom(h=1.5e6, l0=2.0e6)
-        )
+        ).t0_s
 
 
 class TestSlantDistance:

@@ -1,10 +1,12 @@
-"""``tools/output_digest.py``: its command list, its in-process runner and
-``--compare``.  Running the whole list against two checkouts is left to the
-tool itself; here one command runs against this checkout's ``src``."""
+"""``tools/output_digest.py``: its command list, its in-process runner,
+``--compare``, and this checkout's outputs against the committed digest
+``tests/data/output_digest.json``."""
 
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,6 +16,11 @@ from satrep.cli import main
 from satrep.config import bundled_baseline_text
 
 ROOT = Path(__file__).resolve().parents[1]
+DIGEST = ROOT / "tests" / "data" / "output_digest.json"
+# numpy's AVX-512 loops for exp, log, power, arccos and others differ from
+# glibc's in the last bit; with them off, its loops match on any x86-64 CPU.
+# The committed digest was recorded with this setting.
+NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "AVX512_ICL AVX512_SPR X86_V4"}
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +95,8 @@ def test_compare_lists_differing_commands(digest_tool, tmp_path, capsys):
     same, changed = tmp_path / "same.json", tmp_path / "changed.json"
     same.write_text(json.dumps({"commands": records}))
     moved = [dict(records[0]), dict(records[1], files={"{dump}": "d"})]
-    changed.write_text(json.dumps({"commands": moved}))
+    # The checkout and the versions are not compared.
+    changed.write_text(json.dumps({"checkout": "x", "numpy": "0", "commands": moved}))
     assert digest_tool.main(["--compare", str(same), str(same)]) == 0
     assert capsys.readouterr().out == "0 of 2 commands differ; 0 exit codes changed\n"
     assert digest_tool.main(["--compare", str(same), str(changed)]) == 1
@@ -107,4 +115,21 @@ def test_compare_lists_differing_commands(digest_tool, tmp_path, capsys):
         "differs: mc (only in A)\n"
         "differs: caps-curve (only in B)\n"
         "3 of 3 commands differ; 1 exit codes changed\n"
+    )
+
+
+def test_outputs_match_the_committed_digest():
+    """Every command of the tool prints the committed bytes and exit code.
+    A deliberate output change re-records the file (see the tool's usage)
+    with the same setting."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "output_digest.py"), "--compare",
+         str(DIGEST), str(ROOT)],
+        capture_output=True, text=True, env={**os.environ, **NO_AVX512}, check=False,
+    )
+    recorded = json.loads(DIGEST.read_text())
+    assert proc.returncode == 0, (
+        f"outputs differ from {DIGEST.name}, recorded with Python "
+        f"{recorded['python']} and numpy {recorded['numpy']}:\n"
+        f"{proc.stdout}{proc.stderr[-2000:]}"
     )

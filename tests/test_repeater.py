@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from satrep import flyby, repeater
 from satrep.channel import NoResultError
 from satrep.config import load_scenario
-from satrep.flyby import FlybyAggregates, QuadratureError, converged_aggregates
+from satrep.flyby import (
+    FlybyAggregates, QuadratureError, converged_aggregates, pass_aggregates,
+)
 from satrep.orbit import OrbitGeometry
 from satrep.repeater import (
     Chain,
@@ -111,7 +113,7 @@ class TestRateComposition:
     def test_detector_exponent_two_divides_by_eta_d(self, baseline, baseline_agg):
         cfg1 = config_for(baseline.repeater, 1.0e7, 2, detector_exponent=1)
         cfg2 = config_for(baseline.repeater, 1.0e7, 2, detector_exponent=2)
-        agg = converged_aggregates(cfg1.geometry, cfg1.channel, cfg1.source.pair_fidelity)
+        agg = pass_aggregates(cfg1.geometry, cfg1.channel, cfg1.source.pair_fidelity)
         assert Chain(cfg2).rate(agg.p0) == pytest.approx(
             Chain(cfg1).rate(agg.p0) * cfg1.node.detection_efficiency, rel=1e-15
         )
@@ -121,7 +123,7 @@ class TestRateComposition:
             baseline.repeater,
             geometry=dataclasses.replace(baseline.repeater.geometry, link_length_m=2.0e6),
         )
-        agg = converged_aggregates(cfg.geometry, cfg.channel, cfg.source.pair_fidelity)
+        agg = pass_aggregates(cfg.geometry, cfg.channel, cfg.source.pair_fidelity)
         assert Chain(cfg).rate_direct(agg.p0) == pytest.approx(
             2351.4584212640534, rel=1e-8
         )
@@ -439,7 +441,7 @@ class TestDistanceSweep:
                 if agg is None:
                     geom = dataclasses.replace(cfg.geometry, link_length_m=link)
                     with pytest.raises(NoResultError) as exc:
-                        converged_aggregates(geom, cfg.channel, cfg.source.pair_fidelity)
+                        pass_aggregates(geom, cfg.channel, cfg.source.pair_fidelity)
                     assert status == exc.value.status
                     assert entry == (None, None, None, None)
                 elif cols.n_levels == 0:

@@ -4,12 +4,20 @@ checkouts print the same bytes.
     python3 tools/output_digest.py CHECKOUT > digest.json
     python3 tools/output_digest.py --compare A B
 
+``tests/data/output_digest.json`` is this checkout's digest recorded with
+numpy's AVX-512 loops off, the setting its test compares under:
+
+    NPY_DISABLE_CPU_FEATURES="AVX512_ICL AVX512_SPR X86_V4" \\
+        python3 tools/output_digest.py . > tests/data/output_digest.json
+
 For each command it records the exit code and the SHA-256 of stdout, stderr
-and every file the command wrote.  A checkout is run in a fresh interpreter
+and every file the command wrote, and it records the Python and numpy
+versions that ran them.  A checkout is run in a fresh interpreter
 with its ``src`` first on ``PYTHONPATH``, one in-process ``satrep.cli.main``
 call per command, in a temporary directory, writing no bytecode.
 ``--compare`` takes two checkouts or two recorded digests (or one of each),
-lists the commands whose records differ, each with the parts that differ
+compares only their commands (not the checkout or the versions), lists the
+commands whose records differ, each with the parts that differ
 (exit code, stdout, stderr, which written file), ends with the number of
 exit codes that changed, and exits 1 if any command differs, 0 if none.
 
@@ -22,11 +30,11 @@ aggregate-key sweeps whose values give rows of several statuses; a
 node-key sweep whose later values share the first one's passes and
 statuses; a node-key and an aggregate-key sweep read from a scenario
 file (the bundled baseline with :data:`CFG_EDIT` applied); a 1,000-point
-altitude grid; a few exit 1 and 2 cases, among them both raises of a
-single pass's ``converged_aggregates`` in ``mc``; and the first
+altitude grid; a few exit 1 and 2 cases, among them both raises of
+``pass_aggregates`` in ``mc``; and the first
 :data:`BENCH_OPS` operations of the benchmark's ``sweep`` stream for each
 of :data:`BENCH_SEEDS`, taken from ``perfbench/workloads.py``, which is
-only read.  Standard library only.
+only read.  Standard library only, besides what ``satrep`` imports.
 """
 
 from __future__ import annotations
@@ -137,8 +145,8 @@ def commands() -> list[list[str]]:
         ["rates", "--set", "source.pair_fidelity=0.1"],
         ["rates", "--links", "3"],
         ["flyby", "--set", "orbit.altitude_m=1e3", "--output", OUT],
-        # The single-pass converged_aggregates raises, zero_transmission and
-        # no_visibility, after the scenario loads.
+        # pass_aggregates raises zero_transmission and no_visibility, after
+        # the scenario loads.
         ["mc", "--trials", "3", "--set", "channel.receiver_radius_m=1e-300"],
         ["mc", "--trials", "3", "--set", "orbit.altitude_m=1e3"],
     ]
@@ -147,6 +155,15 @@ def commands() -> list[list[str]]:
 
 def _sha(data: str) -> str:
     return hashlib.sha256(data.encode()).hexdigest()
+
+
+def _versions() -> dict[str, str]:
+    """The Python and numpy versions of this process."""
+    import platform
+
+    import numpy
+
+    return {"python": platform.python_version(), "numpy": numpy.__version__}
 
 
 def _run_all(cmds: list[list[str]], workdir: Path) -> list[dict]:
@@ -199,7 +216,7 @@ def digest(checkout: Path) -> dict:
         )
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: digest run failed:\n{proc.stderr[-2000:]}")
-    return {"checkout": str(checkout), "commands": json.loads(proc.stdout)}
+    return {"checkout": str(checkout), **json.loads(proc.stdout)}
 
 
 def _load(arg: str) -> dict:
@@ -241,7 +258,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.child:
         records = _run_all(json.loads(sys.stdin.read()), Path(args.child))
-        json.dump(records, sys.stdout)
+        json.dump({**_versions(), "commands": records}, sys.stdout)
         return 0
     if args.compare:
         a, b = (_load(x) for x in args.compare)
