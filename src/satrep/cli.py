@@ -49,8 +49,12 @@ _DEFAULT_LINKS = "4,8"
 # Most points --samples or --points may ask for, and most rows of a sweep,
 # checked before any allocation: a --samples point, a --points point and a
 # sweep row peak at about 870, 360 and 700 bytes (tracemalloc), under 1 GB.
+# A row grows by up to 70 bytes per level of its run's deepest chain, so its
+# level cells, rows x (deepest level + 1), are capped too: a run peaks at
+# 0.93 GB (10^6 rows at depth 4) or less (47 KB a row at depth 1,000).
 _MAX_GRID_POINTS = 10**6
 _MAX_ROWS = 10**6
+_MAX_CELLS = 5 * 10**6
 
 _SWEEP_COLUMNS = [
     "L_total_km",
@@ -240,13 +244,20 @@ def _parse_floats(text: str, flag: str) -> list[float]:
 
 
 def _check_rows(args, values: int, distances: list[float], levels: list[int]) -> None:
-    """Refuse a sweep of more than :data:`_MAX_ROWS` rows."""
+    """Refuse a sweep of more than :data:`_MAX_ROWS` rows, then one of more
+    than :data:`_MAX_CELLS` level cells, rows x (deepest level + 1)."""
     depths = len(levels) + args.with_direct
     rows = values * len(distances) * depths
+    width = max(levels, default=0) + 1
     if rows > _MAX_ROWS:
         raise UsageError(
             f"{values} x {len(distances)} x {depths} (values x distances x depths) "
             f"= {rows} rows, more than {_MAX_ROWS}"
+        )
+    if rows * width > _MAX_CELLS:
+        raise UsageError(
+            f"{rows} rows x {width} (deepest level + 1) = {rows * width} level cells, "
+            f"more than {_MAX_CELLS}"
         )
 
 

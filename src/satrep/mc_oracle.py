@@ -25,6 +25,10 @@ so trial i depends only on (i, seed) and a run is a prefix of any longer run;
 a time-resolved block is one trial, which draws one wait per leaf for its
 first swap cascade and then one maximum of 2^n waits per later cascade.  The
 in-block draw order is fixed and documented in :func:`simulate_chain`.
+Constant-p blocks run concurrently on the CPUs this process may use; each
+fills and merges only its own trials' rows, so no byte depends on the CPU
+count.  Time-resolved trials (and sweeps) stay on one thread: their many
+small numpy calls hold the GIL, and two threads made them 1.3-2.1x slower.
 
 Comparison: :func:`compare_report` scores each quantity in one row of one
 table, against the fixed bands :data:`Z_MAX`, :data:`FIDELITY_RTOL` and
@@ -35,7 +39,10 @@ per-trial samples every run returns.
 from __future__ import annotations
 
 import bisect
+import contextvars
+import functools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,8 +82,9 @@ _BLOCK_TRIALS = 1024  # constant-p trials per random stream
 # cap keeps a trial under about 0.75 GB.  The baseline expects 2 x 5.7k.
 _MAX_HERALDS_PER_TRIAL = 1e8
 # Leaf times one simulate_chain run may hold: trials x 2^n, plus a block of
-# _BLOCK_TRIALS x 2^n in constant-p.  At about 51 bytes each (tracemalloc, 4
-# to 128 leaves) the cap keeps a run under 1 GB; the baseline holds 1e5 x 4.
+# _BLOCK_TRIALS x 2^n in constant-p.  At most about 52 bytes each
+# (tracemalloc, 4 to 8192 leaves, every block of a run in flight at once),
+# the cap keeps a run near 1 GB; the baseline holds 1e5 x 4.
 _MAX_LEAF_TIMES = 2e7
 
 
@@ -208,6 +216,38 @@ def _merge_tree(
     return f[..., 0], gaps
 
 
+@functools.cache
+def _thread_pool(pid: int, threads: int):
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(threads)
+
+
+def _each_block(work, blocks: int) -> None:
+    """Call ``work(b)`` for b in range(blocks), dealt over as many threads as
+    there are blocks and CPUs this process may use: the calling thread and a
+    pool each process makes on first use, each thread in a copy of the
+    caller's context (numpy's error state).  Waits for every thread, then
+    re-raises the first error."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = min(blocks, cpus)
+
+    def run(first: int) -> None:
+        for b in range(first, blocks, workers):
+            work(b)
+
+    pool = _thread_pool(os.getpid(), cpus - 1) if workers > 1 else None
+    futures = [pool.submit(contextvars.copy_context().run, run, w) for w in range(1, workers)]
+    try:
+        run(0)
+    finally:
+        for future in futures:
+            future.exception()  # waits without raising
+    for future in futures:
+        future.result()
+
+
 def simulate_chain(
     cfg: McConfig,
     rep_cfg: RepeaterConfig,
@@ -217,8 +257,9 @@ def simulate_chain(
 
     Per-block draw order (fixed; changing it changes byte-level outputs):
 
-    constant-p, ``_BLOCK_TRIALS`` trials per block, each draw of shape
-    (trials, 2^n) filled row by row, so row i holds trial i's leaves:
+    constant-p, ``_BLOCK_TRIALS`` trials per block, blocks run concurrently,
+    each draw of shape (trials, 2^n) filled row by row, so row i holds trial
+    i's leaves:
       1. geometric heralding slot counts,
       2. binomial herald counts over the whole pass,
       3. binomial thinning of the heralds by the swap-cascade probability.
@@ -285,14 +326,22 @@ def simulate_chain(
             raise ValueError(f"the pass holds {slots_total:.3g} attempt slots, beyond int64")
         slots_total = int(round(slots_total))
         shape = (_BLOCK_TRIALS, n_leaves)
-        for start in range(0, cfg.trials, _BLOCK_TRIALS):
-            rng = _block_rng(start // _BLOCK_TRIALS, cfg.seed)
+        completed = np.empty(cfg.trials)
+        gaps = [np.empty((cfg.trials, n_leaves >> k)) for k in range(1, rep_cfg.n_levels + 1)]
+
+        def fill_block(b: int) -> None:
+            rng, start = _block_rng(b, cfg.seed), b * _BLOCK_TRIALS
             stop = min(start + _BLOCK_TRIALS, cfg.trials)
             leaf = simulate_link(p_attempt, slot_s, rng, size=shape)
             heralds = rng.binomial(slots_total, p_attempt, size=shape)
             successes = rng.binomial(heralds, p_swap)
             leaf_times[start:stop] = leaf[: stop - start]
             pairs_samples[start:stop] = successes[: stop - start].sum(axis=1) / n_leaves
+            f, block_gaps = _merge_tree(leaf_times[start:stop], f0, chain.gate, gamma_s)
+            for out, rows in zip([completed, *gaps], [f, *block_gaps]):
+                out[start:stop] = rows
+
+        _each_block(fill_block, -(-cfg.trials // _BLOCK_TRIALS))
     else:
         profile = build_profile(
             rep_cfg.geometry, rep_cfg.channel, rep_cfg.source.pair_fidelity
@@ -309,7 +358,8 @@ def simulate_chain(
             )
 
     done = ~np.isnan(leaf_times[:, 0])
-    completed, gaps = _merge_tree(leaf_times[done], f0, chain.gate, gamma_s)
+    if cfg.time_model == "time-resolved":
+        completed, gaps = _merge_tree(leaf_times[done], f0, chain.gate, gamma_s)
     fidelity_samples = np.full(cfg.trials, math.nan)
     fidelity_samples[done] = completed
     return ChainEstimates(

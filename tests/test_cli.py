@@ -784,6 +784,29 @@ class TestExtremeInputs:
         args = cli._build_parser().parse_args(["rates"])
         cli._check_rows(args, 1000, [1.0] * 1000, [2])
 
+    # 5 x 1,000 x 1 rows, under the row cap, of a chain 1,000 levels deep:
+    # 5,005,000 level cells, each row about 47 KB.  Every --values entry is
+    # invalid, so the cap is checked before any scenario value is built.
+    def test_deep_sweep_over_the_cell_cap_ends_in_exit_1(self, capsys):
+        argv = [
+            "sensitivity", "--param", "node.caps_fidelity", "--values", "x,x,x,x,x",
+            "--distances-km", ",".join(map(str, range(1, 1001))), "--links", str(2**1000),
+        ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("satrep: error: ")
+        assert err.rstrip().endswith(
+            "5000 rows x 1001 (deepest level + 1) = 5005000 level cells, more than 5000000"
+        )
+
+    def test_cell_cap_allows_the_cap_itself(self):
+        from satrep import cli
+
+        assert cli._MAX_CELLS == 5 * 10**6
+        args = cli._build_parser().parse_args(["rates"])
+        cli._check_rows(args, 5, [1.0] * 1000, [999])
+
 
 class TestCapsCurve:
     def test_curve_starts_at_zero(self, capsys):
@@ -969,7 +992,8 @@ def test_rates_runs_on_numpy_alone():
     # must never import scipy (the tests use it as a reference only).  The
     # cold start the benchmark times (the CLI's import and the default
     # scenario) imports neither scipy nor numpy.polynomial, which only a
-    # pass's first quadrature rule needs.
+    # pass's first quadrature rule needs, nor concurrent, which only the
+    # constant-p Monte Carlo's thread pool needs.
     code = (
         "import sys\n"
         "import satrep.cli\n"
@@ -977,7 +1001,7 @@ def test_rates_runs_on_numpy_alone():
         "def loaded(*packages):\n"
         "    return sorted(m for m in sys.modules if m.startswith(packages))\n"
         "load_scenario(None)\n"
-        "print(loaded('scipy', 'numpy.polynomial'))\n"
+        "print(loaded('scipy', 'numpy.polynomial', 'concurrent'))\n"
         "assert satrep.cli.main(['rates']) == 0\n"
         "print(loaded('scipy'))\n"
     )

@@ -1,6 +1,11 @@
 import dataclasses
 import itertools
 import math
+import os
+import select
+import signal
+import sys
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -313,6 +318,102 @@ class TestConstantP:
         trials = int(mc_oracle._MAX_LEAF_TIMES) // baseline_cfg.n_links - block + 1
         with pytest.raises(ValueError, match="leaf times"):
             simulate_chain(McConfig(trials, 0, time_model), baseline_cfg, baseline_agg)
+
+
+def use_cpus(monkeypatch, count):
+    """Make simulate_chain see ``count`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def run_bytes(mc):
+    """Every sample and estimate of a run, as bytes and exact reprs."""
+    return mc.pairs_samples.tobytes(), mc.fidelity_samples.tobytes(), repr(mc)
+
+
+class TestBlocksOnThreads:
+    @pytest.mark.parametrize("trials", [1, _BLOCK_TRIALS, _BLOCK_TRIALS + 1, 3000])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_worker_count_leaves_every_byte(
+        self, monkeypatch, baseline_cfg, baseline_agg, depth, trials
+    ):
+        # Four workers on any machine, switching threads every microsecond.
+        chain = dataclasses.replace(baseline_cfg, n_levels=depth)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 4):
+                use_cpus(monkeypatch, cpus)
+                runs.append(run_bytes(simulate_chain(McConfig(trials, 21), chain, baseline_agg)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[0] == runs[1]
+
+    def test_first_error_is_raised_after_every_block_ends(
+        self, monkeypatch, baseline_cfg, baseline_agg
+    ):
+        # Blocks 1 and 2 run on pool threads and both raise; block 2 raises
+        # late, so the error of the first share comes only once every
+        # thread has ended.
+        use_cpus(monkeypatch, 4)
+        ended = []
+
+        def failing_rng(block, seed):
+            if block == 2:
+                time.sleep(0.2)
+                ended.append(block)
+            if block:
+                raise RuntimeError(f"block {block}")
+            return _block_rng(block, seed)
+
+        monkeypatch.setattr(mc_oracle, "_block_rng", failing_rng)
+        with pytest.raises(RuntimeError, match="block 1"):
+            simulate_chain(McConfig(3000, 1), baseline_cfg, baseline_agg)
+        assert ended == [2]
+
+    def test_every_block_keeps_the_callers_error_state(
+        self, monkeypatch, baseline_cfg, baseline_agg
+    ):
+        use_cpus(monkeypatch, 4)
+        states = []
+
+        def merge(times, *args):
+            states.append(np.geterr()["over"])
+            return _merge_tree(times, *args)
+
+        monkeypatch.setattr(mc_oracle, "_merge_tree", merge)
+        with np.errstate(over="raise"):
+            simulate_chain(McConfig(3000, 1), baseline_cfg, baseline_agg)
+        assert states == ["raise"] * 3
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs os.fork")
+    def test_forked_child_builds_its_own_pool(self, monkeypatch, baseline_cfg, baseline_agg):
+        use_cpus(monkeypatch, 3)
+        cfg = McConfig(3000, 5)
+        expected = run_bytes(simulate_chain(cfg, baseline_cfg, baseline_agg))
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: never returns to pytest
+            status = 1
+            try:
+                os.close(read_fd)
+                got = run_bytes(simulate_chain(cfg, baseline_cfg, baseline_agg))
+                os.write(write_fd, b"same" if got == expected else b"differ")
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        answer = b"timed out"
+        try:
+            if select.select([read_fd], [], [], 60.0)[0]:
+                answer = os.read(read_fd, 16)
+        finally:
+            os.close(read_fd)
+            if answer == b"timed out":
+                os.kill(pid, signal.SIGKILL)
+            _, status = os.waitpid(pid, 0)
+        assert answer == b"same"
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestTimeResolved:
