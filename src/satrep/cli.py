@@ -312,7 +312,7 @@ def _sweep_rows(
     :func:`distance_sweep` call converges every pass of the run, and each
     cell that several rows share (a distance, a depth's link length, a
     pass's T_FB_s, P0 and F_pair_avg) is formatted once, as are the blank
-    level cells.  Floats are written with ``repr``, blank where the entry
+    level cells.  Floats are written with ``repr``, blank where the row
     has none."""
     depths = levels + [0] if with_direct else levels
     width = max(levels, default=0) + 1
@@ -324,17 +324,13 @@ def _sweep_rows(
     rows = []
     for cfg, lead, sweep in zip(cfgs, leads, distance_sweep(cfgs, distances_m, depths)):
         h_km = repr(cfg.geometry.altitude_m / 1e3)
-        for cols in sweep:
-            n = cols.n_levels
+        for n, depth_rows in zip(depths, sweep):
             if n not in links:
-                links[n] = [repr(link / 1e3) for link in cols.link_length_m]
-            entries = zip(
-                totals, links[n], cols.visible, cols.status, cols.aggregates,
-                cols.rate_hz, cols.pairs_per_flyby, cols.fidelity_per_level,
-            )
-            for total, link_km, visible, status, agg, rate, pairs, fidelities in entries:
+                links[n] = [repr(row.link_length_m / 1e3) for row in depth_rows]
+            for total, link_km, row in zip(totals, links[n], depth_rows):
+                _, status, agg, rate, pairs, _, fidelities = row
                 if agg is None:
-                    cells = ",," if visible else "0.0,,"
+                    cells = ",," if row.visible else "0.0,,"
                 else:
                     cells = passes.get(agg)
                     if cells is None:
@@ -353,7 +349,7 @@ def _sweep_rows(
                     texts = [repr(f) for f in fidelities]
                     chain = f"{rate!r},{pairs!r},{texts[-1]}"
                     tail = "," + ",".join(texts) + "," * (width - len(fidelities))
-                flag = "true" if visible else "false"
+                flag = "true" if row.visible else "false"
                 rows.append(
                     f"{lead}{total},{n},{h_km},{link_km},{cells},{chain},{flag},{status}{tail}"
                 )

@@ -51,7 +51,9 @@ from .channel import (
     pair_fidelity,
     single_photon_transmission,
 )
-from .orbit import OrbitGeometry, PassTiming, pass_timing, slant_distance, zenith_angle
+from .orbit import (
+    OrbitGeometry, PassTiming, pass_shape, pass_timing, slant_distance, zenith_angle,
+)
 
 __all__ = [
     "FlybyAggregates",
@@ -163,7 +165,7 @@ def build_profile(
         times = np.linspace(0.0, timing.flyby_duration_s, n_samples)
     else:
         times = fractions * timing.flyby_duration_s
-    shapes = _distinct(geom, _shape)
+    shapes = _distinct(geom, pass_shape)
     slant = _each(
         shapes,
         lambda g, t0, cos_half, t: slant_distance(g, PassTiming(t0, cos_half), t),
@@ -188,11 +190,6 @@ def build_profile(
         f_pair=f_pair,
         flyby_duration_s=timing.flyby_duration_s,
     )
-
-
-def _shape(geom: OrbitGeometry) -> tuple[float, ...]:
-    """The pass shape of a geometry: everything but its link length."""
-    return (geom.altitude_m, geom.earth_radius_m, geom.mu_m3_per_s2, geom.max_zenith_rad)
 
 
 def _distinct(values: list, key=None) -> tuple[list, np.ndarray | None]:

@@ -81,10 +81,11 @@ _BLOCK_TRIALS = 1024  # constant-p trials per random stream
 # 8 (tracemalloc, channel.beam_waist_m=0.1: 2.8e6 and 1.1e7 heralds), so the
 # cap keeps a trial under about 0.75 GB.  The baseline expects 2 x 5.7k.
 _MAX_HERALDS_PER_TRIAL = 1e8
-# Leaf times one simulate_chain run may hold: trials x 2^n, plus a block of
-# _BLOCK_TRIALS x 2^n in constant-p.  At most about 52 bytes each
-# (tracemalloc, 4 to 8192 leaves, every block of a run in flight at once),
-# the cap keeps a run near 1 GB; the baseline holds 1e5 x 4.
+# Leaf times one simulate_chain run may draw: trials x 2^n, plus a block of
+# _BLOCK_TRIALS x 2^n in constant-p, which keeps of them only each trial's
+# gaps and first link time.  At most about 34 bytes each in runs above
+# 50 MB (tracemalloc, 4 to 4096 leaves, every block of a run in flight at
+# once), the cap keeps a run under about 0.7 GB; the baseline draws 1e5 x 4.
 _MAX_LEAF_TIMES = 2e7
 
 
@@ -319,29 +320,29 @@ def simulate_chain(
     gamma_s = rep_cfg.node.spin_decoherence_rate_hz
 
     pairs_samples = np.empty(cfg.trials)
-    leaf_times = np.full((cfg.trials, n_leaves), math.nan)
     if cfg.time_model == "constant-p":
         slots_total = t_fb / slot_s
         if not slots_total < 2.0**63:
             raise ValueError(f"the pass holds {slots_total:.3g} attempt slots, beyond int64")
         slots_total = int(round(slots_total))
         shape = (_BLOCK_TRIALS, n_leaves)
-        completed = np.empty(cfg.trials)
+        link_time, completed = np.empty(cfg.trials), np.empty(cfg.trials)
         gaps = [np.empty((cfg.trials, n_leaves >> k)) for k in range(1, rep_cfg.n_levels + 1)]
 
         def fill_block(b: int) -> None:
             rng, start = _block_rng(b, cfg.seed), b * _BLOCK_TRIALS
             stop = min(start + _BLOCK_TRIALS, cfg.trials)
-            leaf = simulate_link(p_attempt, slot_s, rng, size=shape)
+            leaf = simulate_link(p_attempt, slot_s, rng, size=shape)[: stop - start]
             heralds = rng.binomial(slots_total, p_attempt, size=shape)
             successes = rng.binomial(heralds, p_swap)
-            leaf_times[start:stop] = leaf[: stop - start]
+            link_time[start:stop] = leaf[:, 0]
             pairs_samples[start:stop] = successes[: stop - start].sum(axis=1) / n_leaves
-            f, block_gaps = _merge_tree(leaf_times[start:stop], f0, chain.gate, gamma_s)
+            f, block_gaps = _merge_tree(leaf, f0, chain.gate, gamma_s)
             for out, rows in zip([completed, *gaps], [f, *block_gaps]):
                 out[start:stop] = rows
 
         _each_block(fill_block, -(-cfg.trials // _BLOCK_TRIALS))
+        fidelity_samples = completed
     else:
         profile = build_profile(
             rep_cfg.geometry, rep_cfg.channel, rep_cfg.source.pair_fidelity
@@ -352,16 +353,16 @@ def simulate_chain(
         rate = -np.log1p(-q) / slot_s
         hazard = np.cumsum(np.diff(profile.times_s) * (rate[1:] + rate[:-1]) / 2.0)
         hazard = np.concatenate(([0.0], hazard))
+        leaf_times = np.full((cfg.trials, n_leaves), math.nan)
         for trial in range(cfg.trials):
             pairs_samples[trial], leaf_times[trial] = _time_resolved_trial(
                 _block_rng(trial, cfg.seed), profile, hazard, n_leaves, slot_s, p_swap
             )
-
-    done = ~np.isnan(leaf_times[:, 0])
-    if cfg.time_model == "time-resolved":
+        done = ~np.isnan(leaf_times[:, 0])
+        link_time = leaf_times[done, 0]
         completed, gaps = _merge_tree(leaf_times[done], f0, chain.gate, gamma_s)
-    fidelity_samples = np.full(cfg.trials, math.nan)
-    fidelity_samples[done] = completed
+        fidelity_samples = np.full(cfg.trials, math.nan)
+        fidelity_samples[done] = completed
     return ChainEstimates(
         n_levels=rep_cfg.n_levels,
         trials=cfg.trials,
@@ -371,7 +372,7 @@ def simulate_chain(
         gamma_s_hz=gamma_s,
         pairs=McEstimate.from_samples(pairs_samples),
         fidelity=McEstimate.from_samples(completed),
-        link_time=McEstimate.from_samples(leaf_times[done, 0]),
+        link_time=McEstimate.from_samples(link_time),
         gap_by_level=tuple(McEstimate.from_samples(g.ravel()) for g in gaps),
         completed_fraction=completed.size / cfg.trials,
         pairs_samples=pairs_samples,

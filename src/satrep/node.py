@@ -201,14 +201,12 @@ def caps_success(c_in):
 
 def elementary_link_fidelity(f_pair_avg: float, f_caps: float) -> float:
     """Werner parameter of a freshly established elementary link:
-    (4 * F_pair_avg * F_caps - 1) / 3.
+    (4 * F_pair_avg * F_caps - 1) / 3.  With both fidelities in [0, 1] the
+    product is >= 0, so the result lies in [-1/3, 1], in floating point too.
     """
     if not 0.0 <= f_pair_avg <= 1.0 or not 0.0 <= f_caps <= 1.0:
         raise ValueError("fidelities must lie in [0, 1]")
-    f0 = (4.0 * f_pair_avg * f_caps - 1.0) / 3.0
-    if f0 < -1.0 / 3.0:
-        raise ValueError(f"unphysical Werner parameter {f0}")
-    return f0
+    return (4.0 * f_pair_avg * f_caps - 1.0) / 3.0
 
 
 def werner_matrix(f: float) -> TwoQubitState:

@@ -27,6 +27,7 @@ __all__ = [
     "OrbitGeometry",
     "PassTiming",
     "angular_speed",
+    "pass_shape",
     "pass_timing",
     "slant_distance",
     "zenith_angle",
@@ -102,6 +103,12 @@ class PassTiming:
         return self.t0_s > 0.0
 
 
+def pass_shape(geom: OrbitGeometry) -> tuple[float, ...]:
+    """Everything of a geometry but its link length: the passes of one shape
+    share their orbit terms, and differ only in the stations' separation."""
+    return (geom.altitude_m, geom.earth_radius_m, geom.mu_m3_per_s2, geom.max_zenith_rad)
+
+
 def angular_speed(geom: OrbitGeometry) -> float:
     """Orbital angular speed sqrt(mu / (h + R_E)^3) in rad/s; a speed that
     underflows to 0 raises ValueError."""
@@ -155,9 +162,6 @@ def _timings(geom: OrbitGeometry, links) -> tuple[list[float], list[float]]:
         arg = numer / denom
         if arg > 1.0:
             continue
-        if arg < -1.0:
-            # Unreachable for positive altitude/radius; guard against silent nonsense.
-            raise RuntimeError(f"visibility cosine {arg} < -1; inputs are inconsistent")
         if omega is None:
             omega = angular_speed(geom)
         t0s[-1] = math.acos(arg) / omega

@@ -5,15 +5,16 @@ into two memory nodes) is fused pairwise by deterministic-but-lossy gate-based
 swaps, n levels deep.  This module computes the analytic end-to-end quantities:
 distributed-pair rate with and without multiplexing, expected pairs during one
 satellite pass, the level-by-level fidelity recursion with memory-decay
-penalties, and distance sweeps that compute each nesting depth as columns over
-the total distances, with every pass of a run's configs converged in one
-batch.  :class:`Chain` holds each chain formula once, for the evaluations, the
-sweeps and the Monte Carlo.
+penalties, and distance sweeps that give one row per nesting depth and total
+distance, with every pass of a run's configs converged in one batch.
+:class:`Chain` holds each chain formula once, for the evaluations, the sweeps
+and the Monte Carlo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .channel import ChannelParams, NoResultError
 from .flyby import FlybyAggregates, converged_aggregates, pass_aggregates
@@ -23,13 +24,13 @@ from .node import (
     elementary_link_fidelity,
     werner_fidelity_decay,
 )
-from .orbit import OrbitGeometry
+from .orbit import OrbitGeometry, pass_shape
 
 __all__ = [
     "Chain",
     "RepeaterConfig",
     "RepeaterResult",
-    "SweepColumns",
+    "SweepRow",
     "distance_sweep",
     "evaluate",
     "evaluate_with_aggregates",
@@ -213,70 +214,57 @@ def evaluate_with_aggregates(
     return RepeaterResult(rate_hz, pairs, tuple(levels), tuple(waits), t0, agg)
 
 
-@dataclass(frozen=True)
-class SweepColumns:
-    """One nesting depth of a distance sweep, as columns: entry i of each
-    list belongs to the sweep's i-th total distance.  ``status`` is ``ok``
-    or that of the :class:`NoResultError` that stopped the entry:
-    ``no_visibility`` and ``zero_transmission`` leave its ``aggregates``
-    None, ``zero_herald_rate`` only its chain columns, the last four.  Depth
-    0 is the direct-transmission reference: its rate is
+class SweepRow(NamedTuple):
+    """One total distance of a distance sweep at one nesting depth.
+    ``status`` is ``ok`` or that of the :class:`NoResultError` that stopped
+    the row: ``no_visibility`` and ``zero_transmission`` leave its
+    ``aggregates`` None, ``zero_herald_rate`` only its chain fields, the last
+    four.  Depth 0 is the direct-transmission reference: its rate is
     :meth:`Chain.rate_direct`'s and, having no chain, it has no T0 and no
     fidelity levels."""
 
-    n_levels: int
-    link_length_m: list[float]
-    status: list[str]
-    aggregates: list[FlybyAggregates | None]
-    rate_hz: list[float | None]
-    pairs_per_flyby: list[float | None]
-    elementary_time_s: list[float | None]
-    fidelity_per_level: list[list[float] | None]
+    link_length_m: float
+    status: str
+    aggregates: FlybyAggregates | None
+    rate_hz: float | None
+    pairs_per_flyby: float | None
+    elementary_time_s: float | None
+    fidelity_per_level: list[float] | None
 
     @property
-    def visible(self) -> list[bool]:
-        return [status != "no_visibility" for status in self.status]
+    def visible(self) -> bool:
+        return self.status != "no_visibility"
 
 
 def distance_sweep(
-    cfgs: list[RepeaterConfig],
-    l_totals_m: list[float],
-    levels: list[int] | None = None,
-) -> list[list[SweepColumns]]:
+    cfgs: list[RepeaterConfig], l_totals_m: list[float], levels: list[int]
+) -> list[list[list[SweepRow]]]:
     """Evaluate the chains of a run's configs over a set of total ground
     distances.
 
     Each total distance is split into 2^n equal elementary links, for each
-    nesting depth n in ``levels`` (default: each config's own); the result
-    holds per config one :class:`SweepColumns` per depth, in that order.
+    nesting depth n in ``levels``; the result holds per config and per
+    depth, in that order, one :class:`SweepRow` per total distance.
     Everything but the link length is taken from the config; depth 0
     (direct transmission, no memories) stops at the pass aggregates.  A
-    pass is defined by its link length and the scalars that the config
-    gives it (altitude, Earth radius, mu, max zenith angle, channel, source
-    fidelity), so configs that differ only in node-side parameters share
-    their passes; every distinct pass of the run is converged in one batch.
-    A :class:`NoResultError` ends only its entry, any other error the sweep.
+    pass is defined by its link length, its :func:`~satrep.orbit.pass_shape`,
+    channel and source fidelity, so configs that differ only in node-side
+    parameters share their passes; every distinct pass of the run is
+    converged in one batch.  A :class:`NoResultError` ends only its row, any
+    other error the sweep.
     """
-    depths = [(cfg.n_levels,) if levels is None else tuple(levels) for cfg in cfgs]
-    chains = [[Chain(cfg, n) for n in row] for cfg, row in zip(cfgs, depths)]
-    if any(depths) and not all(l_total > 0 for l_total in l_totals_m):
+    chains = [[Chain(cfg, n) for n in levels] for cfg in cfgs]
+    if cfgs and levels and not all(l_total > 0 for l_total in l_totals_m):
         raise ValueError("total distance must be positive")
-    links_at = {
-        n: [l_total / 2**n for l_total in l_totals_m]
-        for n in dict.fromkeys(n for row in depths for n in row)
-    }
+    links_at = {n: [l_total / 2**n for l_total in l_totals_m] for n in levels}
     # Per pass key, each link length's converged aggregates or the status of
     # the NoResultError that stopped it (None until the batch is converged).
     passes: dict[tuple, dict[float, FlybyAggregates | str | None]] = {}
     known_per_cfg, missing = [], []
-    for cfg, row in zip(cfgs, depths):
+    for cfg in cfgs:
         geom, channel, fidelity = cfg.geometry, cfg.channel, cfg.source.pair_fidelity
-        key = (
-            geom.altitude_m, geom.earth_radius_m, geom.mu_m3_per_s2,
-            geom.max_zenith_rad, channel, fidelity,
-        )
-        known = passes.setdefault(key, {})
-        for n in row:
+        known = passes.setdefault((pass_shape(geom), channel, fidelity), {})
+        for n in levels:
             for link in links_at[n]:
                 if link not in known:
                     known[link] = None
@@ -288,27 +276,27 @@ def distance_sweep(
         for known, link, result in zip(knowns, links, converged):
             known[link] = result
     return [
-        [_sweep_columns(n, chain, links_at[n], known) for n, chain in zip(row, chain_row)]
-        for row, chain_row, known in zip(depths, chains, known_per_cfg)
+        [_depth_rows(n, chain, links_at[n], known) for n, chain in zip(levels, chain_row)]
+        for chain_row, known in zip(chains, known_per_cfg)
     ]
 
 
-def _sweep_columns(n: int, chain: Chain, links: list[float], passes: dict) -> SweepColumns:
-    """The sweep columns of depth ``n`` over ``links``, whose passes ``passes``
+def _depth_rows(n: int, chain: Chain, links: list[float], passes: dict) -> list[SweepRow]:
+    """The sweep rows of depth ``n`` over ``links``, whose passes ``passes``
     holds."""
-    entries = []
-    for agg in map(passes.__getitem__, links):
+    rows = []
+    for link in links:
+        agg = passes[link]
         if isinstance(agg, str):
-            entries.append((agg, None, None, None, None, None))
+            rows.append(SweepRow(link, agg, None, None, None, None, None))
         elif not n:
             rate_hz = chain.rate_direct(agg.p0)
             pairs = pairs_per_flyby(rate_hz, agg.flyby_duration_s)
-            entries.append(("ok", agg, rate_hz, pairs, None, None))
+            rows.append(SweepRow(link, "ok", agg, rate_hz, pairs, None, None))
         else:
             try:
                 rate_hz, pairs, t0, _, fidelities = chain.evaluate(agg)
-                entries.append(("ok", agg, rate_hz, pairs, t0, fidelities))
+                rows.append(SweepRow(link, "ok", agg, rate_hz, pairs, t0, fidelities))
             except NoResultError as exc:
-                entries.append((exc.status, agg, None, None, None, None))
-    columns = [list(column) for column in zip(*entries)] or [[] for _ in range(6)]
-    return SweepColumns(n, links, *columns)
+                rows.append(SweepRow(link, exc.status, agg, None, None, None, None))
+    return rows

@@ -421,15 +421,11 @@ def test_criterion_10():
             for value in (good, bad):
                 cfg = load_scenario(None, (f"{key}={value}",)).repeater
                 cfg = dataclasses.replace(cfg, n_levels=n)
-                sweeps.append(distance_sweep([cfg], DISTANCE_GRID_M)[0])
+                sweeps.append(distance_sweep([cfg], DISTANCE_GRID_M, [n])[0])
             (better,), (worse,) = sweeps
-            pairs = zip(
-                better.visible, worse.visible,
-                better.fidelity_per_level, worse.fidelity_per_level,
-            )
-            for visible_b, visible_w, levels_b, levels_w in pairs:
-                assert visible_b and visible_w
-                dominated = levels_b[-1] > levels_w[-1]
+            for row_b, row_w in zip(better, worse):
+                assert row_b.visible and row_w.visible
+                dominated = row_b.fidelity_per_level[-1] > row_w.fidelity_per_level[-1]
                 ok = ok and dominated
             details.append(f"{key} {good}>{bad} at 2^{n} links")
     _report(

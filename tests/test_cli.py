@@ -38,11 +38,11 @@ def split_stdout_csv(text):
     return lines[1].split(","), [line.split(",") for line in lines[2:]]
 
 
-def expected_record(cfg, cols, i, l_total_m, max_level):
-    """The CSV record of entry ``i`` of one depth's sweep columns: each float
-    ``repr``-formatted, the depth as ``str``, blank where the entry has no
+def expected_record(cfg, row, n_levels, l_total_m, max_level):
+    """The CSV record of one sweep row at depth ``n_levels``: each float
+    ``repr``-formatted, the depth as ``str``, blank where the row has no
     value."""
-    agg, status, n_levels = cols.aggregates[i], cols.status[i], cols.n_levels
+    agg, status = row.aggregates, row.status
     visible = status != "no_visibility"
     if agg is None:
         t_fb, p0, f_pair = (None if visible else 0.0), None, None
@@ -53,13 +53,13 @@ def expected_record(cfg, cols, i, l_total_m, max_level):
     if n_levels == 0 and agg is not None:
         rate = Chain(cfg).rate_direct(agg.p0)
         pairs, fidelity = pairs_per_flyby(rate, t_fb), f_pair
-    elif cols.rate_hz[i] is not None:
-        rate, pairs = cols.rate_hz[i], cols.pairs_per_flyby[i]
-        fidelity, levels = cols.fidelity_per_level[i][-1], cols.fidelity_per_level[i]
+    elif row.rate_hz is not None:
+        rate, pairs = row.rate_hz, row.pairs_per_flyby
+        fidelity, levels = row.fidelity_per_level[-1], row.fidelity_per_level
     numbers = {
         "L_total_km": l_total_m / 1e3,
         "h_km": cfg.geometry.altitude_m / 1e3,
-        "L0_km": cols.link_length_m[i] / 1e3,
+        "L0_km": row.link_length_m / 1e3,
         "T_FB_s": t_fb,
         "P0": p0,
         "F_pair_avg": f_pair,
@@ -383,7 +383,9 @@ class TestSweepStatus:
         cfg = load_scenario(None, overrides).repeater
         distances = [2.0e6, 1.0e7, 4.0e7, 8.0e7]
         (sweep,) = distance_sweep([cfg], distances, levels=[2, 3, 0])
-        points = [(cols, i, d) for cols in sweep for i, d in enumerate(distances)]
+        points = [
+            (row, n, d) for n, rows in zip([2, 3, 0], sweep) for row, d in zip(rows, distances)
+        ]
         assert [expected_record(cfg, *pt, 3) for pt in points] == records
         # The 80,000 km rows, direct one included, are out of sight.
         far = [r for r in records if r["L_total_km"] == "80000.0"]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from satrep.orbit import (
     GeometryError,
     OrbitGeometry,
     angular_speed,
+    pass_shape,
     pass_timing,
     slant_distance,
     zenith_angle,
@@ -85,6 +87,21 @@ class TestHalfFlybyTime:
         assert pass_timing(geom(h=5.0e5, l0=2.0e6)).t0_s < pass_timing(
             geom(h=1.5e6, l0=2.0e6)
         ).t0_s
+
+
+class TestPassShape:
+    def test_covers_every_field_but_link_length(self):
+        # Passes of one shape share their orbit terms and quadrature batch
+        # entries, so a geometry field the shape left out would merge
+        # passes that differ.
+        g = geom()
+        names = [f.name for f in dataclasses.fields(OrbitGeometry)]
+        others = [name for name in names if name != "link_length_m"]
+        assert len(pass_shape(g)) == len(others)
+        assert pass_shape(dataclasses.replace(g, link_length_m=5.0e6)) == pass_shape(g)
+        for name in others:
+            changed = dataclasses.replace(g, **{name: getattr(g, name) * 0.9})
+            assert pass_shape(changed) != pass_shape(g), name
 
 
 class TestSlantDistance:

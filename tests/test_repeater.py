@@ -252,43 +252,41 @@ class TestEvaluate:
 
 class TestDistanceSweep:
     def test_rows_follow_visibility(self, baseline_cfg):
-        ((points,),) = distance_sweep([baseline_cfg], [1.0e7, 2.0e7, 8.0e7])
-        assert points.visible == [True, True, False]
-        assert points.status == ["ok", "ok", "no_visibility"]
-        assert points.aggregates[2] is None
-        assert points.fidelity_per_level[0] is not None
-        assert points.fidelity_per_level[2] is None
-        assert points.link_length_m[1] == pytest.approx(5.0e6)
+        ((rows,),) = distance_sweep([baseline_cfg], [1.0e7, 2.0e7, 8.0e7], [2])
+        assert [row.visible for row in rows] == [True, True, False]
+        assert [row.status for row in rows] == ["ok", "ok", "no_visibility"]
+        assert rows[2].aggregates is None
+        assert rows[0].fidelity_per_level is not None
+        assert rows[2].fidelity_per_level is None
+        assert rows[1].link_length_m == pytest.approx(5.0e6)
 
     def test_sweep_matches_single_evaluation(self, baseline, baseline_cfg):
-        ((point,),) = distance_sweep([baseline_cfg], [1.0e7])
+        (((row,),),) = distance_sweep([baseline_cfg], [1.0e7], [2])
         single = evaluate(config_for(baseline.repeater, 1.0e7, 2))
-        assert point.pairs_per_flyby[0] == pytest.approx(
-            single.pairs_per_flyby, rel=1e-12
-        )
+        assert row.pairs_per_flyby == pytest.approx(single.pairs_per_flyby, rel=1e-12)
 
     def test_zero_transmission_is_a_visible_status(self, baseline_cfg):
         channel = dataclasses.replace(baseline_cfg.channel, receiver_radius_m=1e-300)
         cfg = dataclasses.replace(baseline_cfg, channel=channel)
-        ((point,),) = distance_sweep([cfg], [1.0e7])
-        assert (point.status[0], point.visible[0]) == ("zero_transmission", True)
-        assert point.aggregates[0] is None and point.fidelity_per_level[0] is None
+        (((row,),),) = distance_sweep([cfg], [1.0e7], [2])
+        assert (row.status, row.visible) == ("zero_transmission", True)
+        assert row.aggregates is None and row.fidelity_per_level is None
 
     def test_zero_herald_rate_keeps_aggregates(self, baseline_cfg):
         node = dataclasses.replace(baseline_cfg.node, caps_success_probability=0.0)
         cfg = dataclasses.replace(baseline_cfg, node=node)
-        ((point,),) = distance_sweep([cfg], [1.0e7])
-        assert point.status[0] == "zero_herald_rate"
-        assert point.aggregates[0] is not None and point.fidelity_per_level[0] is None
+        (((row,),),) = distance_sweep([cfg], [1.0e7], [2])
+        assert row.status == "zero_herald_rate"
+        assert row.aggregates is not None and row.fidelity_per_level is None
 
     def test_direct_depth_stops_at_aggregates(self, baseline_cfg):
         # Depth 0 needs no memory herald: no chain is evaluated, even where
         # the chain's herald rate is zero.
         node = dataclasses.replace(baseline_cfg.node, caps_success_probability=0.0)
         cfg = dataclasses.replace(baseline_cfg, node=node)
-        ((point,),) = distance_sweep([cfg], [2.0e6], levels=[0])
-        assert point.status[0] == "ok"
-        assert point.aggregates[0] is not None and point.fidelity_per_level[0] is None
+        (((row,),),) = distance_sweep([cfg], [2.0e6], [0])
+        assert row.status == "ok"
+        assert row.aggregates is not None and row.fidelity_per_level is None
 
     def test_cache_is_shared_across_node_parameters(self, baseline_cfg, monkeypatch):
         geometries = []
@@ -310,9 +308,7 @@ class TestDistanceSweep:
         cfg = dataclasses.replace(baseline_cfg, node=node)
         first, second = distance_sweep([baseline_cfg, cfg], [1.0e7, 8.0e7], levels=[2, 3])
         assert [
-            (cols.n_levels, link * 2**cols.n_levels)
-            for cols in first
-            for link in cols.link_length_m
+            (n, row.link_length_m * 2**n) for n, rows in zip([2, 3], first) for row in rows
         ] == [
             (2, 1.0e7), (2, 8.0e7), (3, 1.0e7), (3, 8.0e7),
         ]
@@ -326,10 +322,11 @@ class TestDistanceSweep:
         assert all(g is baseline_cfg.geometry for g in geoms)
         assert all(c is baseline_cfg.channel for c in channels)
         assert fidelities == [baseline_cfg.source.pair_fidelity] * 4
-        assert [p.status for p in second] == [p.status for p in first]
-        assert first[0].status == ["ok", "no_visibility"]
-        assert second[0].aggregates[0] is first[0].aggregates[0]
-        assert second[0].fidelity_per_level[0][-1] < first[0].fidelity_per_level[0][-1]
+        statuses = [[row.status for row in rows] for rows in first]
+        assert [[row.status for row in rows] for rows in second] == statuses
+        assert statuses[0] == ["ok", "no_visibility"]
+        assert second[0][0].aggregates is first[0][0].aggregates
+        assert second[0][0].fidelity_per_level[-1] < first[0][0].fidelity_per_level[-1]
 
     @pytest.mark.parametrize(
         "key, values, orbit_calls, channel_calls, pair_calls",
@@ -357,7 +354,7 @@ class TestDistanceSweep:
             monkeypatch.setattr(flyby, name, counted)
         cfgs = [load_scenario(None, (f"{key}={value}",)).repeater for value in values]
         sweeps = distance_sweep(cfgs, [5.0e6, 1.0e7, 8.0e7], levels=[2, 3])
-        assert [[cols.status for cols in sweep] for sweep in sweeps] == [
+        assert [[[row.status for row in rows] for rows in sweep] for sweep in sweeps] == [
             [["ok", "ok", "no_visibility"]] * 2
         ] * 3
         assert calls == {
@@ -376,12 +373,11 @@ class TestDistanceSweep:
             baseline_cfg.channel, zenith_transmittance=0.5, beam_waist_m=0.005
         )
         cfg = dataclasses.replace(baseline_cfg, geometry=geometry, channel=channel)
-        assert distance_sweep([cfg], [4.0e6, 8.0e7])[0][0].status == [
-            "ok", "no_visibility",
-        ]
+        ((rows,),) = distance_sweep([cfg], [4.0e6, 8.0e7], [2])
+        assert [row.status for row in rows] == ["ok", "no_visibility"]
         monkeypatch.setattr(flyby, "GAUSS_NODES", (32, 64))
         with pytest.raises(QuadratureError, match=r"at link length 100000\.0 m;"):
-            distance_sweep([cfg], [4.0e6, 4.0e5, 8.0e7])
+            distance_sweep([cfg], [4.0e6, 4.0e5, 8.0e7], [2])
 
     # Non-default values for every factor of the chain formulas.
     NODE_AND_SOURCE = (
@@ -425,26 +421,26 @@ class TestDistanceSweep:
         cfg = load_scenario(None, overrides).repeater
         distances = [2.0e6, 1.0e7, 2.0e7, 8.0e7]
         (sweep,) = distance_sweep([cfg], distances, levels=[0, 1, 2, 3, 4])
-        assert [cols.n_levels for cols in sweep] == [0, 1, 2, 3, 4]
+        assert [len(rows) for rows in sweep] == [len(distances)] * 5
         seen = {True: set(), False: set()}
-        for cols in sweep:
-            chain = dataclasses.replace(cfg, n_levels=cols.n_levels)
-            for i, l_total in enumerate(distances):
-                link = l_total / 2**cols.n_levels
-                agg, status = cols.aggregates[i], cols.status[i]
+        for n, rows in enumerate(sweep):
+            chain = dataclasses.replace(cfg, n_levels=n)
+            for row, l_total in zip(rows, distances):
+                link = l_total / 2**n
+                agg, status = row.aggregates, row.status
                 entry = (
-                    cols.rate_hz[i], cols.pairs_per_flyby[i],
-                    cols.elementary_time_s[i], cols.fidelity_per_level[i],
+                    row.rate_hz, row.pairs_per_flyby,
+                    row.elementary_time_s, row.fidelity_per_level,
                 )
-                assert cols.link_length_m[i] == link
-                seen[cols.n_levels == 0].add(status)
+                assert row.link_length_m == link
+                seen[n == 0].add(status)
                 if agg is None:
                     geom = dataclasses.replace(cfg.geometry, link_length_m=link)
                     with pytest.raises(NoResultError) as exc:
                         pass_aggregates(geom, cfg.channel, cfg.source.pair_fidelity)
                     assert status == exc.value.status
                     assert entry == (None, None, None, None)
-                elif cols.n_levels == 0:
+                elif n == 0:
                     rate_hz = Chain(cfg).rate_direct(agg.p0)
                     assert status == "ok"
                     assert entry == (
@@ -463,9 +459,9 @@ class TestDistanceSweep:
                         result.elementary_time_s,
                         list(result.fidelity_per_level),
                     )
-                    assert len(entry[3]) == cols.n_levels + 1
+                    assert len(entry[3]) == n + 1
         assert seen == {False: chain_statuses, True: direct_statuses}
 
     def test_sweep_rejects_nonpositive_distance(self, baseline_cfg):
         with pytest.raises(ValueError):
-            distance_sweep([baseline_cfg], [1.0e7, 0.0])
+            distance_sweep([baseline_cfg], [1.0e7, 0.0], [2])
