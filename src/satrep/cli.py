@@ -392,10 +392,6 @@ def _cmd_sensitivity(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    if args.trials is not None and args.trials < 1:
-        raise UsageError("--trials must be >= 1")
-    if args.seed is not None and not 0 <= args.seed < 2**64:
-        raise UsageError("--seed must fit in 64 bits")
     flags = {"mc.trials": args.trials, "mc.seed": args.seed}
     scenario = _load(args, *(f"{k}={v}" for k, v in flags.items() if v is not None))
     cfg = scenario.repeater

@@ -155,6 +155,8 @@ def _convert(section: str, key: str, raw: str):
         raise ConfigError(
             f"value {raw!r} for {section}.{key} is not {kind}"
         ) from None
+    if conv is int and not -(2**64) < value < 2**64:
+        raise ConfigError(f"value {raw!r} for {section}.{key} does not fit in 64 bits")
     if not math.isfinite(value):
         raise ConfigError(f"value {raw!r} for {section}.{key} is not finite")
     return value
@@ -177,8 +179,10 @@ def load_scenario(
     """Build a scenario from defaults, an optional INI file, and overrides.
 
     Raises :class:`ConfigError` for unreadable files, malformed syntax,
-    unknown sections/keys, or untypeable or non-finite values; physical-range violations
-    surface later as ``ValueError`` from the parameter classes themselves.
+    unknown sections/keys, untypeable or non-finite values, integers of
+    magnitude 2^64 or more, and ``mc`` settings :class:`McConfig` refuses;
+    physical-range violations surface later as ``ValueError`` from the
+    parameter classes themselves.
     """
     return next(load_scenarios(path, overrides))
 
@@ -280,7 +284,10 @@ def _assemble(values: dict[tuple[str, str], object]) -> Scenario:
         spin_decoherence_rate_hz=v("node", "spin_decoherence_rate_hz"),
         caps_success_probability=v("node", "caps_success_probability"),
     )
-    mc = by_name(McConfig, "mc")
+    try:
+        mc = by_name(McConfig, "mc")
+    except ValueError as exc:  # run settings, not a scenario the model rejects
+        raise ConfigError(str(exc)) from None
     repeater = RepeaterConfig(
         geometry=geometry,
         channel=channel,

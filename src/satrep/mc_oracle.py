@@ -25,10 +25,11 @@ so trial i depends only on (i, seed) and a run is a prefix of any longer run;
 a time-resolved block is one trial, which draws one wait per leaf for its
 first swap cascade and then one maximum of 2^n waits per later cascade.  The
 in-block draw order is fixed and documented in :func:`simulate_chain`.
-Constant-p blocks run concurrently on the CPUs this process may use; each
-fills and merges only its own trials' rows, so no byte depends on the CPU
-count.  Time-resolved trials (and sweeps) stay on one thread: their many
-small numpy calls hold the GIL, and two threads made them 1.3-2.1x slower.
+Blocks run one after another on the calling thread.  A constant-p trial
+draws its pair count once, over all its leaves' slots.  This stream
+replaced two draws per leaf (herald counts, then their thinning by the
+swap-cascade probability) with the same distribution, so for a given seed
+only the constant-p pairs samples differ from the older stream's.
 
 Comparison: :func:`compare_report` scores each quantity in one row of one
 table, against the fixed bands :data:`Z_MAX`, :data:`FIDELITY_RTOL` and
@@ -39,10 +40,7 @@ per-trial samples every run returns.
 from __future__ import annotations
 
 import bisect
-import contextvars
-import functools
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,9 +81,9 @@ _BLOCK_TRIALS = 1024  # constant-p trials per random stream
 _MAX_HERALDS_PER_TRIAL = 1e8
 # Leaf times one simulate_chain run may draw: trials x 2^n, plus a block of
 # _BLOCK_TRIALS x 2^n in constant-p, which keeps of them only each trial's
-# gaps and first link time.  At most about 34 bytes each in runs above
-# 50 MB (tracemalloc, 4 to 4096 leaves, every block of a run in flight at
-# once), the cap keeps a run under about 0.7 GB; the baseline draws 1e5 x 4.
+# gaps and first link time.  At most about 25 bytes each in runs above
+# 50 MB (tracemalloc, 4 to 4096 leaves), the cap keeps a run under about
+# 0.5 GB; the baseline draws 1e5 x 4.
 _MAX_LEAF_TIMES = 2e7
 
 
@@ -217,38 +215,6 @@ def _merge_tree(
     return f[..., 0], gaps
 
 
-@functools.cache
-def _thread_pool(pid: int, threads: int):
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(threads)
-
-
-def _each_block(work, blocks: int) -> None:
-    """Call ``work(b)`` for b in range(blocks), dealt over as many threads as
-    there are blocks and CPUs this process may use: the calling thread and a
-    pool each process makes on first use, each thread in a copy of the
-    caller's context (numpy's error state).  Waits for every thread, then
-    re-raises the first error."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    workers = min(blocks, cpus)
-
-    def run(first: int) -> None:
-        for b in range(first, blocks, workers):
-            work(b)
-
-    pool = _thread_pool(os.getpid(), cpus - 1) if workers > 1 else None
-    futures = [pool.submit(contextvars.copy_context().run, run, w) for w in range(1, workers)]
-    try:
-        run(0)
-    finally:
-        for future in futures:
-            future.exception()  # waits without raising
-    for future in futures:
-        future.result()
-
-
 def simulate_chain(
     cfg: McConfig,
     rep_cfg: RepeaterConfig,
@@ -258,18 +224,21 @@ def simulate_chain(
 
     Per-block draw order (fixed; changing it changes byte-level outputs):
 
-    constant-p, ``_BLOCK_TRIALS`` trials per block, blocks run concurrently,
-    each draw of shape (trials, 2^n) filled row by row, so row i holds trial
-    i's leaves:
-      1. geometric heralding slot counts,
-      2. binomial herald counts over the whole pass,
-      3. binomial thinning of the heralds by the swap-cascade probability.
+    constant-p, ``_BLOCK_TRIALS`` trials per block:
+      1. geometric heralding slot counts, shape (trials, 2^n), filled row by
+         row, so row i holds trial i's leaves;
+      2. one binomial per trial: the leaf heralds over the whole pass that
+         the swap cascade keeps, Binomial(2^n S, p P_swap) for S slots per
+         pass, p per slot and swap-cascade probability P_swap.
 
-    The pairs estimator credits each leaf herald with 1/2^n of a chain
-    completion and thins by P_swap, so its expectation equals the analytic
-    rate * T_FB up to the rounding of the pass to whole slots (relative error
-    below 1e-12 for Table-scale parameters).  Fidelity and waiting gaps come
-    from the merge tree over the leaf times of step 1.
+    The pairs estimator credits each kept leaf herald with 1/2^n of a chain
+    completion.  Thinning a binomial by P_swap gives a binomial, so step 2 has
+    the distribution of 2^n herald counts Binomial(S, p) each thinned by
+    P_swap and summed; its expectation equals the analytic rate * T_FB up to
+    the rounding of the pass to whole slots (relative error below 1e-12 for
+    Table-scale parameters).  A pass of 2^63 or more slots over its leaves
+    raises ValueError before anything is drawn.  Fidelity and waiting gaps
+    come from the merge tree over the leaf times of step 1.
 
     time-resolved, one trial per block:
       1. 2^n standard exponential waits, one per leaf in order: each leaf's
@@ -321,27 +290,26 @@ def simulate_chain(
 
     pairs_samples = np.empty(cfg.trials)
     if cfg.time_model == "constant-p":
-        slots_total = t_fb / slot_s
-        if not slots_total < 2.0**63:
-            raise ValueError(f"the pass holds {slots_total:.3g} attempt slots, beyond int64")
-        slots_total = int(round(slots_total))
+        slots = t_fb / slot_s
+        if not slots < 2.0**63 or n_leaves * round(slots) >= 2**63:
+            raise ValueError(
+                f"the pass holds {n_leaves * slots:.3g} attempt slots over its "
+                f"{n_leaves} leaves, beyond int64"
+            )
+        leaf_slots = n_leaves * round(slots)
         shape = (_BLOCK_TRIALS, n_leaves)
         link_time, completed = np.empty(cfg.trials), np.empty(cfg.trials)
         gaps = [np.empty((cfg.trials, n_leaves >> k)) for k in range(1, rep_cfg.n_levels + 1)]
-
-        def fill_block(b: int) -> None:
-            rng, start = _block_rng(b, cfg.seed), b * _BLOCK_TRIALS
+        for start in range(0, cfg.trials, _BLOCK_TRIALS):
+            rng = _block_rng(start // _BLOCK_TRIALS, cfg.seed)
             stop = min(start + _BLOCK_TRIALS, cfg.trials)
             leaf = simulate_link(p_attempt, slot_s, rng, size=shape)[: stop - start]
-            heralds = rng.binomial(slots_total, p_attempt, size=shape)
-            successes = rng.binomial(heralds, p_swap)
+            successes = rng.binomial(leaf_slots, p_attempt * p_swap, size=_BLOCK_TRIALS)
             link_time[start:stop] = leaf[:, 0]
-            pairs_samples[start:stop] = successes[: stop - start].sum(axis=1) / n_leaves
+            pairs_samples[start:stop] = successes[: stop - start] / n_leaves
             f, block_gaps = _merge_tree(leaf, f0, chain.gate, gamma_s)
             for out, rows in zip([completed, *gaps], [f, *block_gaps]):
                 out[start:stop] = rows
-
-        _each_block(fill_block, -(-cfg.trials // _BLOCK_TRIALS))
         fidelity_samples = completed
     else:
         profile = build_profile(

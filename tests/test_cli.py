@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from satrep import config
 from satrep.cli import main
 from satrep.config import (
     bundled_baseline_text,
@@ -603,6 +604,26 @@ class TestMc:
         assert main(["mc", "--trials", "0"]) == 1
         assert main(["mc", "--seed", "-1"]) == 1
 
+    @pytest.mark.parametrize("setting, message", [
+        ("mc.trials=0", "trial count must be >= 1"),
+        ("mc.seed=-1", "seed must fit in 64 bits"),
+        ("mc.seed=18446744073709551616", "does not fit in 64 bits"),
+        ("mc.time_model=foo", "time model must be one of"),
+    ])
+    def test_bad_mc_setting_is_config_error(self, setting, message, tmp_path, capsys):
+        # A run setting exits 1 as a --set value, as a file value, and on a
+        # command that runs no Monte Carlo.
+        key, _, value = setting.partition("=")
+        cfg = tmp_path / "mc.cfg"
+        cfg.write_text(f"[mc]\n{key.removeprefix('mc.')} = {value}\n")
+        for argv in (["mc", "--set", setting], ["mc", "--config", str(cfg)],
+                     ["rates", "--set", setting]):
+            assert main(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("satrep: config error: ")
+            assert message in captured.err
+
     def test_trials_and_seed_flags_set_provenance(self, capsys):
         assert main(["mc", "--trials", "500", "--seed", "77"]) == 3
         payload = json.loads(capsys.readouterr().out)
@@ -778,6 +799,35 @@ class TestExtremeInputs:
         assert "Traceback" not in err
         assert err.startswith("satrep: error: ")
         assert err.rstrip().endswith("= 1001000 rows, more than 1000000")
+
+    # An integer text beyond the double range, for every integer key, as
+    # --set on every command and as a file value, and for --trials.
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_huge_integer_ends_in_exit_1(self, sign, tmp_path):
+        value = sign + "1" + "0" * 400
+        output = tmp_path / "out.csv"
+        keys = [
+            f"{section}.{key}"
+            for section, entries in config._SCHEMA.items()
+            for key, (conv, _) in entries.items()
+            if conv is int
+        ]
+        assert len(keys) == 5
+        runs = [["mc", "--seed", "1", f"--trials={value}"]]
+        for key in keys:
+            section, _, name = key.partition(".")
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"[{section}]\n{name} = {value}\n")
+            runs.append(["rates", "--config", str(cfg)])
+            runs += [[*EXTREME_COMMANDS[c], "--set", f"{key}={value}"]
+                     for c in sorted(EXTREME_COMMANDS)]
+        for argv in runs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*argv, "--output", str(output)] if argv[0] == "flyby" else argv)
+            assert code == 1, argv
+            assert err.getvalue().startswith("satrep: config error: value "), argv
+            assert err.getvalue().rstrip().endswith("does not fit in 64 bits"), argv
 
     def test_row_cap_allows_the_cap_itself(self):
         from satrep import cli
@@ -994,8 +1044,8 @@ def test_rates_runs_on_numpy_alone():
     # must never import scipy (the tests use it as a reference only).  The
     # cold start the benchmark times (the CLI's import and the default
     # scenario) imports neither scipy nor numpy.polynomial, which only a
-    # pass's first quadrature rule needs, nor concurrent, which only the
-    # constant-p Monte Carlo's thread pool needs.
+    # pass's first quadrature rule needs, nor concurrent, which satrep
+    # never needs.
     code = (
         "import sys\n"
         "import satrep.cli\n"

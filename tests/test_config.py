@@ -181,8 +181,18 @@ class TestValidationBoundary:
         assert not isinstance(excinfo.value, ConfigError)
 
     def test_mc_section_validated_eagerly(self):
-        with pytest.raises(ValueError):
-            load_scenario(None, overrides=("mc.trials=0",))
+        # Run settings are usage errors, not physics the model rejects.
+        for override in ("mc.trials=0", "mc.seed=-1", "mc.time_model=foo"):
+            with pytest.raises(ConfigError):
+                load_scenario(None, overrides=(override,))
+
+    @pytest.mark.parametrize("value", [2**64, -(2**64), 10**400])
+    def test_integers_are_bounded_to_64_bits(self, value):
+        with pytest.raises(ConfigError, match="does not fit in 64 bits"):
+            load_scenario(None, overrides=(f"source.multiplexing_channels={value}",))
+
+    def test_largest_seed_is_an_integer_within_the_bound(self):
+        assert load_scenario(None, overrides=(f"mc.seed={2**64 - 1}",)).mc.seed == 2**64 - 1
 
 
 class TestScenarioHelpers:
