@@ -19,17 +19,16 @@ rate and fidelity recursions.  Two time models:
     effects, so this mode is expected to sit below it; the comparison report
     surfaces the difference rather than hiding it.
 
-Reproducibility: block b of trials draws from its own counter-based stream
-``Philox(key=[b, seed])``.  A constant-p block always draws all its 1024 trials,
-so trial i depends only on (i, seed) and a run is a prefix of any longer run;
-a time-resolved block is one trial, which draws one wait per leaf for its
-first swap cascade and then one maximum of 2^n waits per later cascade.  The
-in-block draw order is fixed and documented in :func:`simulate_chain`.
-Blocks run one after another on the calling thread.  A constant-p trial
-draws its pair count once, over all its leaves' slots.  This stream
-replaced two draws per leaf (herald counts, then their thinning by the
-swap-cascade probability) with the same distribution, so for a given seed
-only the constant-p pairs samples differ from the older stream's.
+Reproducibility: block b of trials draws from the counter-based stream
+``Philox(key=[b, seed])``.  A run makes one bit generator and, before each
+block, re-keys it to [b, seed] with its counter and buffer reset
+(:func:`_streams`).  A constant-p block always draws all its 1024 trials, so
+trial i depends only on (i, seed) and a run is a prefix of any longer run; a
+time-resolved block is one trial.  The in-block draw order is fixed and
+documented in :func:`simulate_chain`; blocks run one after another on the
+calling thread.  A constant-p trial draws its pair count once, over all its
+leaves' slots, where older streams thinned per-leaf herald counts, so for a
+given seed only the constant-p pairs samples differ from theirs.
 
 Comparison: :func:`compare_report` scores each quantity in one row of one
 table, against the fixed bands :data:`Z_MAX`, :data:`FIDELITY_RTOL` and
@@ -40,7 +39,9 @@ per-trial samples every run returns.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,10 +133,13 @@ class McEstimate:
             return McEstimate(mean=math.nan, std_err=math.nan, n=0)
         if n == 1:
             return McEstimate(mean=float(samples[0]), std_err=math.nan, n=1)
-        if np.all(samples == samples[0]):
+        if samples.min() == samples.max():
             return McEstimate(mean=float(samples[0]), std_err=0.0, n=n)
-        with np.errstate(over="ignore"):
-            mean, std = samples.mean(), samples.std(ddof=1)
+        with np.errstate(over="ignore"):  # mean() and std(ddof=1) in numpy's order
+            mean = np.add.reduce(samples, axis=None) / n
+            dev = samples - mean
+            np.multiply(dev, dev, out=dev)
+            std = math.sqrt(np.add.reduce(dev, axis=None) / (n - 1))
         if not (math.isfinite(mean) and math.isfinite(std)):
             exp = math.frexp(np.abs(samples).max())[1]
             scaled = np.ldexp(samples, -exp)
@@ -173,6 +177,19 @@ def _block_rng(block: int, seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _streams(seed: int) -> Iterator[np.random.Generator]:
+    """The generators of blocks 0, 1, 2, ... in turn, each drawing what
+    ``_block_rng(block, seed)`` would: one Philox per run, whose key is set to
+    [block, seed] and counter and buffer reset through numpy's documented
+    ``Philox.state`` layout, in place of a new Philox and Generator per block."""
+    rng = _block_rng(0, seed)
+    state = rng.bit_generator.state  # counter 0, buffer empty; read once
+    for block in itertools.count():
+        state["state"]["key"][0] = block
+        rng.bit_generator.state = state
+        yield rng
+
+
 def simulate_link(p_success, slot_s: float, rng: np.random.Generator, size=None):
     """Heralding time of one multiplexed elementary link: a geometric number
     of attempt slots (success probability ``p_success`` per slot) times the
@@ -199,14 +216,15 @@ def _merge_tree(
     per-level arrays of gaps.
     """
     t = np.asarray(times, dtype=float)
-    f = np.full(t.shape, f0)
+    early = late = f0  # every leaf holds f0, so the first level selects nothing
     gaps: list[np.ndarray] = []
     while t.shape[-1] > 1:
         a, b = t[..., 0::2], t[..., 1::2]
-        first = a <= b
-        gap = np.where(first, b - a, a - b)
-        early = np.where(first, f[..., 0::2], f[..., 1::2])
-        late = np.where(first, f[..., 1::2], f[..., 0::2])
+        if gaps:
+            first = a <= b
+            early = np.where(first, f[..., 0::2], f[..., 1::2])
+            late = np.where(first, f[..., 1::2], f[..., 0::2])
+        gap = np.abs(a - b)  # IEEE subtraction is antisymmetric: b - a where a <= b
         with np.errstate(over="ignore"):  # gamma_s * gap = inf decays fully
             decayed = 0.25 + (early - 0.25) * np.exp(-gamma_s * gap)
         f = gate_factor * decayed * late
@@ -300,8 +318,7 @@ def simulate_chain(
         shape = (_BLOCK_TRIALS, n_leaves)
         link_time, completed = np.empty(cfg.trials), np.empty(cfg.trials)
         gaps = [np.empty((cfg.trials, n_leaves >> k)) for k in range(1, rep_cfg.n_levels + 1)]
-        for start in range(0, cfg.trials, _BLOCK_TRIALS):
-            rng = _block_rng(start // _BLOCK_TRIALS, cfg.seed)
+        for start, rng in zip(range(0, cfg.trials, _BLOCK_TRIALS), _streams(cfg.seed)):
             stop = min(start + _BLOCK_TRIALS, cfg.trials)
             leaf = simulate_link(p_attempt, slot_s, rng, size=shape)[: stop - start]
             successes = rng.binomial(leaf_slots, p_attempt * p_swap, size=_BLOCK_TRIALS)
@@ -321,11 +338,10 @@ def simulate_chain(
         rate = -np.log1p(-q) / slot_s
         hazard = np.cumsum(np.diff(profile.times_s) * (rate[1:] + rate[:-1]) / 2.0)
         hazard = np.concatenate(([0.0], hazard))
+        trial = _time_resolved_pass(profile, hazard, n_leaves, slot_s, p_swap)
         leaf_times = np.full((cfg.trials, n_leaves), math.nan)
-        for trial in range(cfg.trials):
-            pairs_samples[trial], leaf_times[trial] = _time_resolved_trial(
-                _block_rng(trial, cfg.seed), profile, hazard, n_leaves, slot_s, p_swap
-            )
+        for i, rng in zip(range(cfg.trials), _streams(cfg.seed)):
+            pairs_samples[i], leaf_times[i] = trial(rng)
         done = ~np.isnan(leaf_times[:, 0])
         link_time = leaf_times[done, 0]
         completed, gaps = _merge_tree(leaf_times[done], f0, chain.gate, gamma_s)
@@ -381,6 +397,12 @@ def _time_resolved_trial(
     leaves, or a count that is not finite, raises :class:`ValueError` before
     anything is drawn.
     """
+    return _time_resolved_pass(profile, hazard, n_leaves, slot_s, p_swap)(rng)
+
+
+def _time_resolved_pass(profile, hazard, n_leaves, slot_s, p_swap):
+    """:func:`_time_resolved_trial` as ``trial(rng)``, with the herald cap
+    checked and the values of the pass computed once, for a run's trials."""
     expected = n_leaves * hazard[-1]
     if not expected <= _MAX_HERALDS_PER_TRIAL:
         raise ValueError(
@@ -390,34 +412,37 @@ def _time_resolved_trial(
     t_grid = profile.times_s
     t_fb = profile.flyby_duration_s
     total = float(hazard[-1])
-    never = (0.0, np.full(n_leaves, math.nan))
-    waits = rng.standard_exponential(n_leaves)
-    if waits.max() > total:
-        return never
-    first = np.ceil(np.interp(waits, hazard, t_grid) / slot_s - 1e-12) * slot_s
-    end = float(first.max())
-    if end > t_fb:
-        return never
-
     slope_max = float(np.max(np.diff(hazard) / np.diff(t_grid)))
     g = slope_max * slot_s
     # Rounding one cascade step can move its hazard by this much.
     step_err = 8.0 * np.finfo(float).eps * (total + slope_max * t_fb) + 1e-12 * g
-    h = float(np.interp(end, t_grid, hazard))
     mean_max = float(np.sum(1.0 / np.arange(1, n_leaves + 1)))
-    chunk = int(1.2 * (total - h) / mean_max) + 32
-    maxima = _cascade_maxima(rng, n_leaves, chunk)
-    targets = h + np.cumsum(maxima)
-    while targets[-1] <= total + targets.size * step_err:
-        more = _cascade_maxima(rng, n_leaves, chunk // 4 + 32)
-        maxima = np.concatenate([maxima, more])
-        targets = np.concatenate([targets, targets[-1] + np.cumsum(more)])
-    slack = targets.size * step_err
-    later = int(np.searchsorted(targets, total + slack, side="right"))
     held = float(np.interp(t_fb - slot_s, t_grid, hazard))
-    if later and targets[later - 1] + (later - 1) * g + slack > held:
-        later = _walk_cascades(t_grid, hazard, slot_s, t_fb, end, h, maxima)
-    return float(rng.binomial(1 + later, p_swap)), first
+
+    def trial(rng: np.random.Generator) -> tuple[float, np.ndarray]:
+        never = (0.0, np.full(n_leaves, math.nan))
+        waits = rng.standard_exponential(n_leaves)
+        if waits.max() > total:
+            return never
+        first = np.ceil(np.interp(waits, hazard, t_grid) / slot_s - 1e-12) * slot_s
+        end = float(first.max())
+        if end > t_fb:
+            return never
+        h = float(np.interp(end, t_grid, hazard))
+        chunk = int(1.2 * (total - h) / mean_max) + 32
+        maxima = _cascade_maxima(rng, n_leaves, chunk)
+        targets = h + np.cumsum(maxima)
+        while targets[-1] <= total + targets.size * step_err:
+            more = _cascade_maxima(rng, n_leaves, chunk // 4 + 32)
+            maxima = np.concatenate([maxima, more])
+            targets = np.concatenate([targets, targets[-1] + np.cumsum(more)])
+        slack = targets.size * step_err
+        later = int(np.searchsorted(targets, total + slack, side="right"))
+        if later and targets[later - 1] + (later - 1) * g + slack > held:
+            later = _walk_cascades(t_grid, hazard, slot_s, t_fb, end, h, maxima)
+        return float(rng.binomial(1 + later, p_swap)), first
+
+    return trial
 
 
 def _cascade_maxima(rng: np.random.Generator, n_leaves: int, size: int) -> np.ndarray:

@@ -66,6 +66,8 @@ class SourceParams:
             raise ValueError("emission efficiency must lie in (0, 1]")
         if self.multiplexing_channels < 1:
             raise ValueError("multiplexing channel count must be >= 1")
+        if not math.isfinite(self.multiplexing_channels * self.repetition_rate_hz):
+            raise ValueError("the attempt rate N_mux R_s overflows double precision")
         if not 0.0 < self.demux_efficiency <= 1.0:
             raise ValueError("demultiplexing efficiency must lie in (0, 1]")
 

@@ -10,6 +10,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from satrep import config
 from satrep.cli import main
@@ -829,6 +831,27 @@ class TestExtremeInputs:
             assert err.getvalue().startswith("satrep: config error: value "), argv
             assert err.getvalue().rstrip().endswith("does not fit in 64 bits"), argv
 
+    # N_mux x R_s beyond the double range, from 2^64 - 1 channels at 1e300 Hz
+    # or the default 100 at 1e308 Hz, is a model error on every command.
+    @pytest.mark.parametrize("overrides", [
+        ("source.multiplexing_channels=18446744073709551615", "source.repetition_rate_hz=1e300"),
+        ("source.repetition_rate_hz=1e308",),
+    ])
+    def test_overflowing_attempt_rate_is_model_error(self, overrides, tmp_path):
+        output = tmp_path / "out.csv"
+        sets = [arg for override in overrides for arg in ("--set", override)]
+        for command in sorted(EXTREME_COMMANDS):
+            argv = [*EXTREME_COMMANDS[command], *sets]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*argv, "--output", str(output)] if command == "flyby" else argv)
+            assert code == 2, argv
+            assert err.getvalue() == (
+                "satrep: model error: the attempt rate N_mux R_s overflows double precision\n"
+            ), argv
+            # No number is printed, so no non-finite one.
+            assert out.getvalue() == "" and not output.exists(), argv
+
     def test_row_cap_allows_the_cap_itself(self):
         from satrep import cli
 
@@ -858,6 +881,57 @@ class TestExtremeInputs:
         assert cli._MAX_CELLS == 5 * 10**6
         args = cli._build_parser().parse_args(["rates"])
         cli._check_rows(args, 5, [1.0] * 1000, [999])
+
+
+# Scenario text for the property test below: schema keys and a few unknown
+# ones, given extreme, malformed or named values, and now and then arbitrary
+# text.  Numbers come from a fixed list, so no drawn scenario asks for a
+# long run.
+FUZZ_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+FUZZ_VALUES = st.sampled_from([
+    *EXTREME_VALUES, "1", "2", "3", "0.5", "0.9", "nan", "inf", "", "x",
+    "18446744073709551615", "1" + "0" * 400, "constant-p", "time-resolved", "radius",
+])
+FUZZ_KEYS = [f"{section}.{key}" for section, keys in config._SCHEMA.items() for key in keys]
+FUZZ_KEYS += ["orbit.bogus", "bogus.altitude_m", "altitude_m"]
+FUZZ_SETS = st.tuples(st.sampled_from(FUZZ_KEYS), FUZZ_VALUES).map("=".join)
+FUZZ_LINES = st.one_of(
+    st.sampled_from([*config._SCHEMA, "bogus"]).map("[{}]".format),
+    st.tuples(
+        st.sampled_from(FUZZ_KEYS).map(lambda key: key.rpartition(".")[2]), FUZZ_VALUES
+    ).map(" = ".join),
+)
+FUZZ_COMMANDS = [
+    ["rates", "--distances-km", "10000", "--links", "4"],
+    ["mc", "--trials", "2", "--seed", "1"],
+]
+
+
+@settings(
+    max_examples=100, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    command=st.sampled_from(FUZZ_COMMANDS),
+    lines=st.lists(FUZZ_LINES, max_size=6) | st.lists(FUZZ_TEXT, max_size=2) | st.none(),
+    sets=st.lists(FUZZ_SETS, max_size=3) | st.lists(FUZZ_TEXT, max_size=1),
+)
+def test_any_scenario_ends_in_a_documented_exit(command, lines, sets, tmp_path):
+    # Each run ends in exit 0-3, with no exception out of main and no
+    # traceback, and prints only finite numbers; the file, when drawn, is
+    # rewritten for every example.
+    argv = [*command, *(f"--set={token}" for token in sets)]
+    if lines is not None:
+        path = tmp_path / "scenario.cfg"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        argv += ["--config", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code in (0, 3):
+        assert non_finite_numbers(out.getvalue()) == [], argv
 
 
 class TestCapsCurve:

@@ -50,6 +50,10 @@ def reference_merge_tree(times, f0, gate_factor, gamma_s):
     return float(f[0]), gaps
 
 
+def bits(x):
+    return np.float64(x).tobytes()
+
+
 def hazard_grid(profile, slot_s, p_scale):
     """Cumulative herald hazard on the profile grid, as simulate_chain builds it."""
     q = np.clip(p_scale * profile.eta2_tr, 0.0, 1.0 - 1e-15)
@@ -157,6 +161,62 @@ class TestMcEstimate:
         est = McEstimate.from_samples(np.array([1.0, 2.0, 3.0]))
         assert est.mean == 2.0
         assert est.std_err == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-15)
+
+    # 2-9, and both sides of numpy's pairwise-sum block edges at 128 and 4096.
+    @pytest.mark.parametrize("n", [*range(2, 10), 127, 128, 129, 4095, 4096, 4097])
+    def test_matches_numpy_mean_and_std_bit_for_bit(self, n):
+        samples = _block_rng(n, 3).normal(5.0, 2.0, size=n)
+        est = McEstimate.from_samples(samples)
+        assert bits(est.mean) == bits(samples.mean())
+        assert bits(est.std_err) == bits(samples.std(ddof=1) / math.sqrt(n))
+
+    def test_point_mass_and_nan_match_numpy_bit_for_bit(self):
+        point = np.full(1000, 0.75)  # sums exactly, so numpy's mean is exact too
+        with_nan = np.array([1.0, math.nan, 2.0])
+        for samples in (point, with_nan):
+            est = McEstimate.from_samples(samples)
+            assert bits(est.mean) == bits(samples.mean())
+            assert bits(est.std_err) == bits(samples.std(ddof=1) / math.sqrt(samples.size))
+
+    # Samples whose sum, or whose squared deviations, overflow: both are
+    # taken on the samples scaled below 1 by a power of two, and scaled back.
+    @pytest.mark.parametrize("samples", [[1.7e308, 1.6e308, 1.75e308], [1e200, -1e200, 3e200]])
+    def test_overflowing_samples_take_the_rescaled_path(self, samples):
+        samples = np.array(samples)
+        exp = math.frexp(np.abs(samples).max())[1]
+        scaled = np.ldexp(samples, -exp)
+        est = McEstimate.from_samples(samples)
+        assert math.isfinite(est.mean) and math.isfinite(est.std_err)
+        assert bits(est.mean) == bits(math.ldexp(scaled.mean(), exp))
+        std = math.ldexp(scaled.std(ddof=1), exp)
+        assert bits(est.std_err) == bits(std / math.sqrt(samples.size))
+
+
+class TestStreams:
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    def test_rekeyed_stream_draws_as_a_fresh_one(self, monkeypatch, seed):
+        # Each key draws 7 words of 64 bits, the last 2 as 3 uint32: that
+        # leaves a buffered half word and 3 of a counter block's 4 words
+        # used, and the next key's draws show that re-keying clears both.
+        made = []
+
+        def block_rng(block, seed):
+            made.append(block)
+            return _block_rng(block, seed)
+
+        monkeypatch.setattr(mc_oracle, "_block_rng", block_rng)
+        generators = set()
+        for key, rng in zip(range(6), mc_oracle._streams(seed)):
+            fresh = _block_rng(key, seed)
+            for draw in (
+                lambda g: g.random(5),
+                lambda g: g.integers(2**32, size=3, dtype=np.uint32),
+            ):
+                assert draw(rng).tobytes() == draw(fresh).tobytes()
+            state = rng.bit_generator.state
+            assert state["has_uint32"] == 1 and state["buffer_pos"] == 3
+            generators.add(id(rng))
+        assert made == [0] and len(generators) == 1
 
 
 class TestSimulateLink:
