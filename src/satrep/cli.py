@@ -14,7 +14,8 @@ parameter set as JSON, so an output file identifies its own provenance.
 CSV cells are joined with commas and never quoted: each is a ``repr``
 float, an int, a fixed token (``true``/``false``, a status) or a sweepable
 config key, none of which can hold a comma, a quote or a newline.
-Files are written atomically (temp file in the target directory, then rename).
+Files are written atomically (temp file in the target directory, then rename),
+with the mode a plain write gives a new file: 0o666 less the umask.
 
 Exit codes: 0 success; 1 usage or configuration error; 2 a well-formed
 scenario that the model rejects (no visibility, unphysical parameters,
@@ -31,7 +32,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -208,13 +208,14 @@ def _atomic_write(path: str, text: str) -> None:
     """Write ``text`` to ``path`` through a temp file that is then renamed
     over it; the temp file is removed if either step fails, and an
     ``OSError`` (an existing directory at ``path``, a full disk) is a
-    :class:`UsageError`."""
+    :class:`UsageError`.  The file gets the mode a plain create gives,
+    0o666 less the umask."""
     target = Path(path)
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(
-            dir=str(target.parent) or ".", prefix=target.name + ".", suffix=".tmp"
-        )
+        name = target.parent / f"{target.name}.{os.urandom(8).hex()}.tmp"
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, target)

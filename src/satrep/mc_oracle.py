@@ -133,7 +133,7 @@ class McEstimate:
             return McEstimate(mean=math.nan, std_err=math.nan, n=0)
         if n == 1:
             return McEstimate(mean=float(samples[0]), std_err=math.nan, n=1)
-        if samples.min() == samples.max():
+        if samples[0] == samples[-1] and samples.min() == samples.max():
             return McEstimate(mean=float(samples[0]), std_err=0.0, n=n)
         with np.errstate(over="ignore"):  # mean() and std(ddof=1) in numpy's order
             mean = np.add.reduce(samples, axis=None) / n
@@ -194,12 +194,23 @@ def simulate_link(p_success, slot_s: float, rng: np.random.Generator, size=None)
     """Heralding time of one multiplexed elementary link: a geometric number
     of attempt slots (success probability ``p_success`` per slot) times the
     slot duration 1/(N_mux * R_s).  Mean is slot/p, the analytic T0.
+
+    Below p = 1/3 the count is ceil(E / -log1p(-p)) of one Exp(1) fill E,
+    clamped at 2^63, with the C library's log1p: numpy's own ``geometric``
+    there, bit for bit and stream for stream.  At or above 1/3 numpy
+    searches instead, and ``rng.geometric`` draws.
     """
     if not 0.0 < p_success <= 1.0:
         raise ValueError("per-attempt success probability must lie in (0, 1]")
     if slot_s <= 0:
         raise ValueError("slot duration must be positive")
-    return rng.geometric(p_success, size=size) * slot_s
+    if p_success >= 1 / 3:
+        return rng.geometric(p_success, size=size) * slot_s
+    slots = np.asarray(rng.standard_exponential(size))
+    with np.errstate(over="ignore"):  # a subnormal p overflows to the clamp
+        np.divide(slots, -math.log1p(-p_success), out=slots)
+    np.minimum(np.ceil(slots, out=slots), 2.0**63, out=slots)  # INT64_MAX as a double
+    return np.multiply(slots, slot_s, out=slots)[()]
 
 
 def _merge_tree(
@@ -218,18 +229,24 @@ def _merge_tree(
     t = np.asarray(times, dtype=float)
     early = late = f0  # every leaf holds f0, so the first level selects nothing
     gaps: list[np.ndarray] = []
-    while t.shape[-1] > 1:
-        a, b = t[..., 0::2], t[..., 1::2]
-        if gaps:
-            first = a <= b
-            early = np.where(first, f[..., 0::2], f[..., 1::2])
-            late = np.where(first, f[..., 1::2], f[..., 0::2])
-        gap = np.abs(a - b)  # IEEE subtraction is antisymmetric: b - a where a <= b
-        with np.errstate(over="ignore"):  # gamma_s * gap = inf decays fully
-            decayed = 0.25 + (early - 0.25) * np.exp(-gamma_s * gap)
-        f = gate_factor * decayed * late
-        t = np.maximum(a, b)
-        gaps.append(gap)
+    with np.errstate(over="ignore"):  # gamma_s * gap = inf decays fully
+        while t.shape[-1] > 1:
+            a, b = t[..., 0::2], t[..., 1::2]
+            if gaps:
+                first = a <= b
+                early = np.where(first, f[..., 0::2], f[..., 1::2])
+                late = np.where(first, f[..., 1::2], f[..., 0::2])
+            gap = np.subtract(a, b)
+            np.abs(gap, out=gap)  # IEEE subtraction is antisymmetric: b - a where a <= b
+            # f = gate_factor * (0.25 + (early - 0.25) * exp(-gamma_s * gap)) * late
+            f = np.multiply(gap, -gamma_s)
+            np.exp(f, out=f)
+            f *= early - 0.25
+            f += 0.25
+            f *= gate_factor
+            f *= late
+            t = np.maximum(a, b)
+            gaps.append(gap)
     return f[..., 0], gaps
 
 
@@ -244,7 +261,9 @@ def simulate_chain(
 
     constant-p, ``_BLOCK_TRIALS`` trials per block:
       1. geometric heralding slot counts, shape (trials, 2^n), filled row by
-         row, so row i holds trial i's leaves;
+         row, so row i holds trial i's leaves: below p = 1/3, ceil(E /
+         -log1p(-p)) of one ``standard_exponential`` fill, clamped at 2^63;
+         at or above it, numpy's ``geometric`` (:func:`simulate_link`);
       2. one binomial per trial: the leaf heralds over the whole pass that
          the swap cascade keeps, Binomial(2^n S, p P_swap) for S slots per
          pass, p per slot and swap-cascade probability P_swap.

@@ -4,6 +4,8 @@ import io
 import itertools
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -187,6 +189,23 @@ class TestTopLevel:
         assert "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
         assert list(target.iterdir()) == []
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_written_file_has_the_mode_a_plain_create_gives(self, umask, mode, tmp_path):
+        # 0o666 less the umask, for a new file and over an existing one of
+        # another mode; the temp file does not stay behind.
+        out = tmp_path / "rates.csv"
+        argv = ["rates", "--distances-km", "10000", "--links", "4", "--output", str(out)]
+        previous = os.umask(umask)
+        try:
+            assert main(argv) == 0
+            assert stat.S_IMODE(out.stat().st_mode) == mode
+            out.chmod(0o640)
+            assert main(argv) == 0
+            assert stat.S_IMODE(out.stat().st_mode) == mode
+        finally:
+            os.umask(previous)
+        assert [p.name for p in tmp_path.iterdir()] == ["rates.csv"]
 
     def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -157,6 +158,21 @@ class TestMcEstimate:
         assert est.mean == value  # bitwise, not approx
         assert est.std_err == 0.0
 
+    def test_point_mass_keeps_its_value_where_the_sum_smears_it(self):
+        samples = np.full(3, 0.1)
+        assert samples.mean() != 0.1  # 0.10000000000000002
+        est = McEstimate.from_samples(samples)
+        assert bits(est.mean) == bits(0.1) and est.std_err == 0.0
+
+    def test_equal_ends_with_another_middle_take_the_general_path(self):
+        # The point-mass test looks at the first and last samples first; a
+        # sample whose ends agree is not a point mass for that alone.
+        samples = np.array([0.1, 0.1, 0.7, 0.1, 0.1])
+        est = McEstimate.from_samples(samples)
+        assert bits(est.mean) == bits(samples.mean())
+        assert est.std_err > 0.0
+        assert bits(est.std_err) == bits(samples.std(ddof=1) / math.sqrt(samples.size))
+
     def test_general_sample_matches_textbook_formula(self):
         est = McEstimate.from_samples(np.array([1.0, 2.0, 3.0]))
         assert est.mean == 2.0
@@ -224,6 +240,33 @@ class TestSimulateLink:
         rng = _block_rng(0, 0)
         times = simulate_link(1.0, 1e-9, rng, size=1000)
         assert np.all(times == 1e-9)
+
+    # Below 1/3 the slots come from one exponential fill, as numpy's own
+    # geometric does there; at 1/3 and 1 they come from rng.geometric.  At
+    # 1e-17 the counts lie between 2^53 and 2^63, where ceil hides no
+    # rounding of the quotient, and at 1e-31 they are clamped.
+    @pytest.mark.parametrize(
+        "p", [1e-31, 1e-17, 1e-12, 5.89e-9, 1e-3, 0.2, np.nextafter(1 / 3, 0), 1 / 3, 1.0]
+    )
+    @pytest.mark.parametrize("shape", [(7,), (3, 5), (1024, 4)])
+    def test_matches_numpy_geometric_bit_for_bit(self, p, shape):
+        ours, numpys = _block_rng(1, 2**63 + 5), _block_rng(1, 2**63 + 5)
+        times = simulate_link(p, 2.5e-9, ours, size=shape)
+        expected = numpys.geometric(p, size=shape) * 2.5e-9
+        assert times.shape == shape and times.tobytes() == expected.tobytes()
+        assert repr(ours.bit_generator.state) == repr(numpys.bit_generator.state)
+        assert ours.random() == numpys.random()
+
+    def test_overflowing_slot_count_is_clamped_as_numpy_does(self):
+        # E / -log1p(-p) overflows for a subnormal p; numpy's geometric
+        # returns INT64_MAX, 2^63 as a double, and nothing warns.
+        p = 5e-324
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            times = simulate_link(p, 1.0, _block_rng(0, 3), size=64)
+        assert np.all(times == 2.0**63)
+        expected = _block_rng(0, 3).geometric(p, size=64) * 1.0
+        assert times.tobytes() == expected.tobytes()
 
     def test_mean_matches_geometric_expectation(self):
         rng = _block_rng(0, 42)
@@ -442,7 +485,7 @@ class TestConstantP:
         assert made == [0] and math.isfinite(mc.pairs_samples[0])
 
 
-class TestBlocksOnThreads:
+class TestCallerErrorState:
     def test_every_block_keeps_the_callers_error_state(
         self, monkeypatch, baseline_cfg, baseline_agg
     ):
