@@ -158,12 +158,6 @@ class TestMcEstimate:
         assert est.mean == value  # bitwise, not approx
         assert est.std_err == 0.0
 
-    def test_point_mass_keeps_its_value_where_the_sum_smears_it(self):
-        samples = np.full(3, 0.1)
-        assert samples.mean() != 0.1  # 0.10000000000000002
-        est = McEstimate.from_samples(samples)
-        assert bits(est.mean) == bits(0.1) and est.std_err == 0.0
-
     def test_equal_ends_with_another_middle_take_the_general_path(self):
         # The point-mass test looks at the first and last samples first; a
         # sample whose ends agree is not a point mass for that alone.
