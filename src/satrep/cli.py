@@ -312,15 +312,18 @@ def _sweep_rows(
     ``with_direct``, the direct-transmission reference as depth 0.  One
     :func:`distance_sweep` call converges every pass of the run, and each
     cell that several rows share (a distance, a depth's link length, a
-    pass's T_FB_s, P0 and F_pair_avg) is formatted once, as are the blank
-    level cells.  Floats are written with ``repr``, blank where the row
-    has none."""
+    pass's T_FB_s, P0 and F_pair_avg, a depth's ``n`` and ``h_km``) is
+    formatted once, as are the blank level cells.  A pass's cells are keyed
+    by the identity of its aggregates, which the sweep keeps alive; equal
+    aggregates in two objects give the same text.  Floats are written with
+    ``repr``, blank where the row has none."""
     depths = levels + [0] if with_direct else levels
     width = max(levels, default=0) + 1
     no_levels = "," * width
+    pads = ["," * (width - k) for k in range(width + 1)]
     totals = [repr(d / 1e3) for d in distances_m]
     links: dict[int, list[str]] = {}
-    passes: dict = {}
+    passes: dict[int, str] = {}
     cfgs = [scenario.repeater for scenario in scenarios]
     rows = []
     for cfg, lead, sweep in zip(cfgs, leads, distance_sweep(cfgs, distances_m, depths)):
@@ -328,14 +331,16 @@ def _sweep_rows(
         for n, depth_rows in zip(depths, sweep):
             if n not in links:
                 links[n] = [repr(row.link_length_m / 1e3) for row in depth_rows]
+            head = f",{n},{h_km},"
             for total, link_km, row in zip(totals, links[n], depth_rows):
                 _, status, agg, rate, pairs, _, fidelities = row
+                visible = status != "no_visibility"
                 if agg is None:
-                    cells = ",," if row.visible else "0.0,,"
+                    cells = ",," if visible else "0.0,,"
                 else:
-                    cells = passes.get(agg)
+                    cells = passes.get(id(agg))
                     if cells is None:
-                        cells = passes[agg] = (
+                        cells = passes[id(agg)] = (
                             f"{agg.flyby_duration_s!r},{agg.p0!r},{agg.f_pair_avg!r}"
                         )
                 tail = no_levels
@@ -347,13 +352,11 @@ def _sweep_rows(
                     # Bell-state fidelity F_pair_avg.
                     chain = f"{rate!r},{pairs!r},{cells.rpartition(',')[2]}"
                 else:
-                    texts = [repr(f) for f in fidelities]
-                    chain = f"{rate!r},{pairs!r},{texts[-1]}"
-                    tail = "," + ",".join(texts) + "," * (width - len(fidelities))
-                flag = "true" if row.visible else "false"
-                rows.append(
-                    f"{lead}{total},{n},{h_km},{link_km},{cells},{chain},{flag},{status}{tail}"
-                )
+                    texts = ",".join(map(repr, fidelities))
+                    chain = f"{rate!r},{pairs!r},{texts.rpartition(',')[2]}"
+                    tail = f",{texts}{pads[len(fidelities)]}"
+                flag = "true" if visible else "false"
+                rows.append(f"{lead}{total}{head}{link_km},{cells},{chain},{flag},{status}{tail}")
     return rows
 
 

@@ -255,37 +255,42 @@ def _caps_probability(values: dict[tuple[str, str], object]) -> float:
     return implied if explicit is None else explicit
 
 
+# Each schema key's (section, key) pair with its provenance name
+# "section.key", in schema order.
+_NAMES = tuple(
+    ((section, key), f"{section}.{key}") for section, keys in _SCHEMA.items() for key in keys
+)
+
+
+def _by_name(cls, values: dict, section: str):
+    """``cls`` from ``section``'s values, for sections whose schema keys are
+    the class's field names."""
+    return cls(**{key: values[(section, key)] for key in _SCHEMA[section]})
+
+
 def _assemble(values: dict[tuple[str, str], object]) -> Scenario:
     # The node uses the resolved probability and the provenance records it,
     # so a run from that provenance sets both node keys, in agreement.
     values = {**values, ("node", "caps_success_probability"): _caps_probability(values)}
-
-    def v(section: str, key: str):
-        return values[(section, key)]
-
-    def by_name(cls, section: str):
-        # For sections whose schema keys are the class's field names.
-        return cls(**{key: v(section, key) for key in _SCHEMA[section]})
-
     geometry = OrbitGeometry(
-        altitude_m=v("orbit", "altitude_m"),
-        link_length_m=v("orbit", "link_length_m"),
-        earth_radius_m=v("orbit", "earth_radius_m"),
-        mu_m3_per_s2=v("orbit", "mu_m3_s2"),
-        max_zenith_rad=math.radians(v("orbit", "max_zenith_deg")),
+        altitude_m=values[("orbit", "altitude_m")],
+        link_length_m=values[("orbit", "link_length_m")],
+        earth_radius_m=values[("orbit", "earth_radius_m")],
+        mu_m3_per_s2=values[("orbit", "mu_m3_s2")],
+        max_zenith_rad=math.radians(values[("orbit", "max_zenith_deg")]),
     )
-    channel = by_name(ChannelParams, "channel")
-    source = by_name(SourceParams, "source")
+    channel = _by_name(ChannelParams, values, "channel")
+    source = _by_name(SourceParams, values, "source")
     node = NodeParams(
-        caps_fidelity=v("node", "caps_fidelity"),
-        rydberg_gate_fidelity=v("node", "rydberg_gate_fidelity"),
-        readout_fidelity=v("node", "readout_fidelity"),
-        detection_efficiency=v("node", "detection_efficiency"),
-        spin_decoherence_rate_hz=v("node", "spin_decoherence_rate_hz"),
-        caps_success_probability=v("node", "caps_success_probability"),
+        caps_fidelity=values[("node", "caps_fidelity")],
+        rydberg_gate_fidelity=values[("node", "rydberg_gate_fidelity")],
+        readout_fidelity=values[("node", "readout_fidelity")],
+        detection_efficiency=values[("node", "detection_efficiency")],
+        spin_decoherence_rate_hz=values[("node", "spin_decoherence_rate_hz")],
+        caps_success_probability=values[("node", "caps_success_probability")],
     )
     try:
-        mc = by_name(McConfig, "mc")
+        mc = _by_name(McConfig, values, "mc")
     except ValueError as exc:  # run settings, not a scenario the model rejects
         raise ConfigError(str(exc)) from None
     repeater = RepeaterConfig(
@@ -293,16 +298,11 @@ def _assemble(values: dict[tuple[str, str], object]) -> Scenario:
         channel=channel,
         source=source,
         node=node,
-        n_levels=v("repeater", "nesting_levels"),
-        gate_efficiency=v("repeater", "gate_efficiency"),
-        detector_exponent=v("repeater", "detector_exponent"),
+        n_levels=values[("repeater", "nesting_levels")],
+        gate_efficiency=values[("repeater", "gate_efficiency")],
+        detector_exponent=values[("repeater", "detector_exponent")],
     )
-    resolved = tuple(
-        (f"{section}.{key}", values[(section, key)])
-        for section, keys in _SCHEMA.items()
-        for key in keys
-        if (section, key) in values
-    )
+    resolved = tuple((name, values[item]) for item, name in _NAMES if item in values)
     return Scenario(repeater=repeater, mc=mc, resolved=resolved)
 
 

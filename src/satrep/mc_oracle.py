@@ -300,8 +300,9 @@ def simulate_chain(
     the first completed cascade of each trial; trials whose first cascade
     does not finish before the pass ends contribute no fidelity sample, and
     ``completed_fraction`` records the fraction that did.  More than
-    :data:`_MAX_LEAF_TIMES` leaf times, or an attempt slot duration of 0 or
-    inf, raise ValueError before any allocation.
+    :data:`_MAX_LEAF_TIMES` leaf times, an attempt slot duration of 0 or
+    inf, or, in constant-p, a slot so long that 2^63 slots overflow, raise
+    ValueError before any allocation.
     """
     if rep_cfg.n_levels < 1:
         raise ValueError("chain simulation requires at least one swap level")
@@ -316,6 +317,11 @@ def simulate_chain(
     if not 0.0 < slot_s < math.inf:
         raise ValueError(
             f"the attempt slot duration 1/(N_mux R_s) leaves double precision: {slot_s} s"
+        )
+    if cfg.time_model == "constant-p" and not math.isfinite(2.0**63 * slot_s):
+        # A leaf time is at most 2^63 slots (simulate_link's clamp).
+        raise ValueError(
+            f"constant-p leaf times of up to 2^63 slots of {slot_s} s leave double precision"
         )
     t_fb = agg.flyby_duration_s
     chain = Chain(rep_cfg)

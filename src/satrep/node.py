@@ -280,8 +280,9 @@ def werner_fidelity_decay(f: float, gamma_s_hz: float, t_s: float) -> float:
 
     This is the one-parameter semigroup the swapping recursion uses for the
     waiting-time penalty: composing two decays equals one decay over the summed
-    time, exactly.
+    time, exactly.  Without decay (gamma_s = 0) the exponent is 0 even
+    after an infinite time, where -0 * inf would be NaN.
     """
     if t_s < 0:
         raise ValueError("time must be >= 0")
-    return 0.25 + (f - 0.25) * math.exp(-gamma_s_hz * t_s)
+    return 0.25 + (f - 0.25) * math.exp(-gamma_s_hz * t_s if gamma_s_hz else 0.0)

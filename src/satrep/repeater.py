@@ -13,6 +13,7 @@ and the Monte Carlo.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -100,19 +101,11 @@ class Chain:
         self.caps = node.caps_success_probability
         self.detection = node.detection_efficiency**cfg.detector_exponent
         self.swap = ((2.0 / 3.0) * cfg.gate_efficiency) ** n_levels
-        self.slot_s, self.node = cfg.slot_s, node
+        self.slot_s = cfg.slot_s
+        self.caps_fidelity = node.caps_fidelity
+        self.gamma_s = node.spin_decoherence_rate_hz
         self.gate = node.rydberg_gate_fidelity * node.readout_fidelity**2
         self.wait_factors = [0.5 * 1.5 ** (k - 1) for k in range(1, n_levels + 1)]
-
-    def rate(self, p0: float) -> float:
-        """Pass-averaged end-to-end pair rate of a single (non-multiplexed)
-        chain: R_s * eta_s * P0 * eta_caps * eta_d^e * P_swap."""
-        return self.rate_prefix * p0 * self.caps * self.detection * self.swap
-
-    def rate_multiplexed(self, p0: float) -> float:
-        """Multiplexed rate: N_mux parallel source channels, each paying the
-        demultiplexer once per end of the elementary link."""
-        return self.mux_prefix * self.rate(p0)
 
     def rate_direct(self, p0: float) -> float:
         """Rate of the repeaterless reference: the same satellite sends both
@@ -127,53 +120,60 @@ class Chain:
         the instantaneous transmission in place of P0)."""
         return self.herald_prefix * p0 * self.caps * self.detection
 
-    def elementary_time(self, p0: float) -> float:
-        """Mean time for one multiplexed elementary link to herald, T0: the
-        slot duration divided by the per-slot herald probability."""
-        p = self.herald_probability(p0)
-        if p <= 0:
-            raise NoResultError(
-                "zero_herald_rate", "elementary link rate is zero; no heralding possible"
-            )
-        return self.slot_s / p
+    def evaluate(self, agg: FlybyAggregates) -> tuple:
+        """(rate, pairs, T0, waiting times, fidelities) of one pass, in one
+        body, as a sweep evaluates it per row.
 
-    def waiting_times(self, t0_s: float) -> list[float]:
-        """The paper's heuristic storage time at swap levels k = 1..n,
-        (1/2) * (3/2)^(k-1) * T0: the rule of Sangouard et al., Rev. Mod.
-        Phys. 83, 33 (2011), kept as the paper's model.  It is not the mean
-        wait for a partner: with exponential heralding times of mean T0, a
-        level-k sub-chain completes at the latest of its m = 2^(k-1) leaves,
-        and the exact mean gap between siblings is 2 * (H_2m - H_m) * T0
-        (H_j the j-th harmonic number): T0, 7/6 T0 and 1.2690 T0 at levels
-        1-3, levelling off towards 2 ln 2 T0."""
-        return [factor * t0_s for factor in self.wait_factors]
+        The multiplexed rate is N_mux demux^2 * (R_s eta_s P0 eta_caps
+        eta_d^e P_swap): N_mux parallel source channels, each paying the
+        demultiplexer once per end of the elementary link.  The pairs are
+        that rate times the pass duration (:func:`pairs_per_flyby`).
 
-    def fidelities(self, f_pair_avg: float, waits: list[float]) -> list[float]:
-        """Werner parameters [F_0, F_1, ..., F_n] after each swap level,
-        with memory decay.  F_0 is the freshly heralded elementary link;
-        level k applies the gate/readout depolarization and the decay over
-        ``waits[k-1]`` (:meth:`waiting_times`) before squaring the Werner
-        parameter's linear factor:
+        T0, the mean time for one multiplexed elementary link to herald, is
+        the slot duration divided by :meth:`herald_probability`; where that
+        is 0 a :class:`NoResultError` ``zero_herald_rate`` is raised.
+
+        The waiting times are the paper's heuristic storage time at swap
+        levels k = 1..n, (1/2) * (3/2)^(k-1) * T0: the rule of Sangouard et
+        al., Rev. Mod. Phys. 83, 33 (2011), kept as the paper's model.  It
+        is not the mean wait for a partner: with exponential heralding
+        times of mean T0, a level-k sub-chain completes at the latest of its
+        m = 2^(k-1) leaves, and the exact mean gap between siblings is
+        2 * (H_2m - H_m) * T0 (H_j the j-th harmonic number): T0, 7/6 T0
+        and 1.2690 T0 at levels 1-3, levelling off towards 2 ln 2 T0.
+
+        The fidelities are the Werner parameters [F_0, F_1, ..., F_n] after
+        each swap level, with memory decay.  F_0 is the freshly heralded
+        elementary link; level k applies the gate/readout depolarization
+        and the decay over the level's waiting time T_k before squaring the
+        Werner parameter's linear factor:
 
             F_k = F_gate * F_readout^2 * (1/4 + (F_{k-1} - 1/4) e^{-gamma_s T_k}) * F_{k-1}
 
         F_0 lies in [-1/3, 1], the gate factor in [0, 1] and the decayed
         value between F_{k-1} and 1/4, so F_k >= min(0, F_{k-1}/4): F_1,
-        ..., F_n lie in [-1/12, 1] and no level needs a check."""
-        f = elementary_link_fidelity(f_pair_avg, self.node.caps_fidelity)
-        levels = [f]
-        for wait in waits:
-            decayed = werner_fidelity_decay(f, self.node.spin_decoherence_rate_hz, wait)
-            f = self.gate * decayed * f
-            levels.append(f)
-        return levels
+        ..., F_n lie in [-1/12, 1] and no level needs a check.
 
-    def evaluate(self, agg: FlybyAggregates) -> tuple:
-        """(rate, pairs, T0, waiting times, fidelities) of one pass."""
-        t0 = self.elementary_time(agg.p0)
-        rate_hz, waits = self.rate_multiplexed(agg.p0), self.waiting_times(t0)
-        pairs = pairs_per_flyby(rate_hz, agg.flyby_duration_s)
-        return rate_hz, pairs, t0, waits, self.fidelities(agg.f_pair_avg, waits)
+        Each product keeps the left-to-right order of Python's
+        multiplication, so every result has the bits of the formulas as
+        written above."""
+        p0 = agg.p0
+        p = self.herald_probability(p0)
+        if p <= 0:
+            raise NoResultError(
+                "zero_herald_rate", "elementary link rate is zero; no heralding possible"
+            )
+        t0 = self.slot_s / p
+        rate = self.rate_prefix * p0 * self.caps * self.detection * self.swap
+        rate_hz = self.mux_prefix * rate
+        waits = [factor * t0 for factor in self.wait_factors]
+        f = elementary_link_fidelity(agg.f_pair_avg, self.caps_fidelity)
+        levels = [f]
+        gate, gamma_s = self.gate, self.gamma_s
+        for wait in waits:
+            f = gate * werner_fidelity_decay(f, gamma_s, wait) * f
+            levels.append(f)
+        return rate_hz, pairs_per_flyby(rate_hz, agg.flyby_duration_s), t0, waits, levels
 
 
 def pairs_per_flyby(rate_hz: float, t_fb_s: float) -> float:
@@ -251,11 +251,15 @@ def distance_sweep(
     channel and source fidelity, so configs that differ only in node-side
     parameters share their passes; every distinct pass of the run is
     converged in one batch.  A :class:`NoResultError` ends only its row, any
-    other error the sweep.
+    other error the sweep; a total distance that is not positive, or not
+    finite in metres, is a ValueError before any pass is converged.
     """
     chains = [[Chain(cfg, n) for n in levels] for cfg in cfgs]
-    if cfgs and levels and not all(l_total > 0 for l_total in l_totals_m):
-        raise ValueError("total distance must be positive")
+    if cfgs and levels:
+        if not all(l_total > 0 for l_total in l_totals_m):
+            raise ValueError("total distance must be positive")
+        if not all(math.isfinite(l_total) for l_total in l_totals_m):
+            raise ValueError("total distance must be finite in metres")
     links_at = {n: [l_total / 2**n for l_total in l_totals_m] for n in levels}
     # Per pass key, each link length's converged aggregates or the status of
     # the NoResultError that stopped it (None until the batch is converged).

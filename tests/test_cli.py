@@ -322,6 +322,13 @@ class TestRates:
         assert main(["rates", "--distances-km", distances, "--links", "4"]) == 1
         assert "--distances-km values must be finite" in capsys.readouterr().err
 
+    def test_distance_overflowing_metres_is_model_error(self, capsys):
+        # 1e308 km is finite, 1e311 m is not.
+        assert main(["rates", "--distances-km", "1e308"]) == 2
+        assert capsys.readouterr() == (
+            "", "satrep: model error: total distance must be finite in metres\n"
+        )
+
     def test_output_file_matches_stdout(self, tmp_path, capsys):
         args = ["rates", "--distances-km", "10000", "--links", "4"]
         assert main(args) == 0
@@ -583,6 +590,28 @@ class TestMc:
         assert entries["waiting_gap_level_1"]["pass"] is False
         assert payload["parameters"]["mc.trials"] == 300
 
+    def test_leaf_times_beyond_double_range_refused_before_any_stream(
+        self, monkeypatch, capsys
+    ):
+        # A slot of 1e306 s: 2^63 slots, the longest leaf time, overflow.
+        from satrep import mc_oracle
+
+        def no_stream(seed):
+            raise AssertionError("a random stream was made")
+
+        monkeypatch.setattr(mc_oracle, "_streams", no_stream)
+        argv = [
+            "mc", "--trials", "100", "--set", "source.repetition_rate_hz=1e-306",
+            "--set", "source.multiplexing_channels=1",
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        assert capsys.readouterr() == ("", (
+            "satrep: model error: constant-p leaf times of up to 2^63 slots of 1e+306 s "
+            "leave double precision\n"
+        ))
+
     def test_deterministic_output(self, capsys):
         assert main(["mc", "--trials", "200", "--seed", "5"]) == 3
         first = capsys.readouterr().out
@@ -804,6 +833,27 @@ class TestExtremeInputs:
     def test_extreme_flag_value_ends_in_typed_exit(self, argv, flag, value, tmp_path):
         output = tmp_path / "out.csv" if argv[0] == "flyby" else None
         assert_typed_exit([*argv, f"{flag}={value}"], output)
+
+    # Keys that reach together what no one of them reaches alone: at
+    # gamma_s = 0, a T0 that overflows (a 1e306 s slot, or a herald
+    # probability below the smallest normal double) made every level past
+    # F0 NaN, with exit 0.
+    @pytest.mark.parametrize("keys", [
+        ("node.spin_decoherence_rate_hz=0", "source.repetition_rate_hz=1e-306",
+         "source.multiplexing_channels=1"),
+        ("node.spin_decoherence_rate_hz=0", "node.caps_success_probability=1e-300",
+         "node.detection_efficiency=1e-10"),
+        ("node.spin_decoherence_rate_hz=1e300", "source.repetition_rate_hz=1e-306",
+         "source.multiplexing_channels=1"),
+        ("node.spin_decoherence_rate_hz=0", "channel.receiver_radius_m=1e-300"),
+    ])
+    def test_extreme_key_set_ends_in_typed_exit(self, keys, tmp_path):
+        output = tmp_path / "out.csv"
+        sets = [arg for key in keys for arg in ("--set", key)]
+        for command in sorted(EXTREME_COMMANDS):
+            assert_typed_exit(
+                EXTREME_COMMANDS[command] + sets, output if command == "flyby" else None
+            )
 
     # Just above the row cap: 1,001 x 1,000 x 1 and 1,000 x (1,000 + 1) rows.
     # Every --values entry is invalid, so the cap is checked before any

@@ -60,9 +60,8 @@ def swap_of(cfg, n_levels, gate_efficiency=1.0):
     return Chain(dataclasses.replace(cfg, gate_efficiency=gate_efficiency), n_levels).swap
 
 
-def fidelity_levels(cfg, agg, t0_s):
-    chain = Chain(cfg)
-    return chain.fidelities(agg.f_pair_avg, chain.waiting_times(t0_s))
+def fidelity_levels(cfg, agg):
+    return Chain(cfg).evaluate(agg)[4]
 
 
 class TestSwapProbability:
@@ -98,24 +97,27 @@ class TestRateComposition:
             * cfg.node.detection_efficiency**cfg.detector_exponent
             * ((2.0 / 3.0) * cfg.gate_efficiency) ** cfg.n_levels
         )
-        assert Chain(cfg).rate(baseline_agg.p0) == expected
+        mux = cfg.source.multiplexing_channels * cfg.source.demux_efficiency**2
+        assert Chain(cfg).evaluate(baseline_agg)[0] == mux * expected
 
     def test_multiplexing_scales_by_channels_and_demux(self, baseline_cfg, baseline_agg):
-        chain = Chain(baseline_cfg)
-        single = chain.rate(baseline_agg.p0)
-        muxed = chain.rate_multiplexed(baseline_agg.p0)
-        assert muxed == (
+        source = dataclasses.replace(
+            baseline_cfg.source, multiplexing_channels=1, demux_efficiency=1.0
+        )
+        single = Chain(dataclasses.replace(baseline_cfg, source=source)).evaluate(baseline_agg)
+        muxed = Chain(baseline_cfg).evaluate(baseline_agg)
+        assert muxed[0] == (
             baseline_cfg.source.multiplexing_channels
             * baseline_cfg.source.demux_efficiency**2
-            * single
+            * single[0]
         )
 
     def test_detector_exponent_two_divides_by_eta_d(self, baseline, baseline_agg):
         cfg1 = config_for(baseline.repeater, 1.0e7, 2, detector_exponent=1)
         cfg2 = config_for(baseline.repeater, 1.0e7, 2, detector_exponent=2)
         agg = pass_aggregates(cfg1.geometry, cfg1.channel, cfg1.source.pair_fidelity)
-        assert Chain(cfg2).rate(agg.p0) == pytest.approx(
-            Chain(cfg1).rate(agg.p0) * cfg1.node.detection_efficiency, rel=1e-15
+        assert Chain(cfg2).evaluate(agg)[0] == pytest.approx(
+            Chain(cfg1).evaluate(agg)[0] * cfg1.node.detection_efficiency, rel=1e-15
         )
 
     def test_direct_transmission_frozen(self, baseline):
@@ -145,8 +147,7 @@ class TestFidelityRecursion:
     def test_recursion_matches_hand_rolled_step(self, baseline_cfg, baseline_agg):
         cfg = baseline_cfg
         chain = Chain(cfg)
-        levels = chain.evaluate(baseline_agg)[4]
-        t0 = chain.elementary_time(baseline_agg.p0)
+        _, _, t0, _, levels = chain.evaluate(baseline_agg)
         gamma_s = cfg.node.spin_decoherence_rate_hz
         gate = cfg.node.rydberg_gate_fidelity * cfg.node.readout_fidelity**2
         f = levels[0]
@@ -155,15 +156,110 @@ class TestFidelityRecursion:
             f = gate * (0.25 + (f - 0.25) * math.exp(-gamma_s * t_k)) * f
             assert levels[k] == pytest.approx(f, rel=1e-14)
 
-    def test_waiting_time_halves_t0_at_level_one(self, baseline_cfg):
-        chain = Chain(baseline_cfg, 3)
-        assert chain.waiting_times(0.5)[0] == 0.25
-        assert chain.waiting_times(1.0)[2] == pytest.approx(0.5 * 2.25, rel=1e-15)
+    def test_waiting_time_halves_t0_at_level_one(self, baseline_cfg, baseline_agg):
+        _, _, t0, waits, _ = Chain(baseline_cfg, 3).evaluate(baseline_agg)
+        assert waits[0] == 0.5 * t0
+        assert waits[2] == 1.125 * t0
+
+
+def written_out(cfg, agg):
+    """(rate, pairs, T0, waits, levels) from the formulas, each product in
+    Python's left-to-right order."""
+    source, node, n = cfg.source, cfg.node, cfg.n_levels
+    detection = node.detection_efficiency**cfg.detector_exponent
+    swap = ((2.0 / 3.0) * cfg.gate_efficiency) ** n
+    rate = (source.multiplexing_channels * source.demux_efficiency**2) * (
+        source.repetition_rate_hz * source.emission_efficiency * agg.p0
+        * node.caps_success_probability * detection * swap
+    )
+    herald = (
+        source.demux_efficiency**2 * source.emission_efficiency * agg.p0
+        * node.caps_success_probability * detection
+    )
+    t0 = 1.0 / (source.multiplexing_channels * source.repetition_rate_hz) / herald
+    waits = [0.5 * 1.5 ** (k - 1) * t0 for k in range(1, n + 1)]
+    gate = node.rydberg_gate_fidelity * node.readout_fidelity**2
+    f = (4.0 * agg.f_pair_avg * node.caps_fidelity - 1.0) / 3.0
+    levels = [f]
+    for wait in waits:
+        decay = math.exp(-node.spin_decoherence_rate_hz * wait)
+        f = gate * (0.25 + (f - 0.25) * decay) * f
+        levels.append(f)
+    return rate, rate * agg.flyby_duration_s, t0, waits, levels
+
+
+class TestChainEvaluate:
+    # Every factor off its default, one case each for the detector
+    # exponent, the gate efficiency and the decay rate.
+    @pytest.mark.parametrize("overrides", [
+        (),
+        ("repeater.detector_exponent=2",),
+        ("repeater.gate_efficiency=0.93", "repeater.nesting_levels=3"),
+        ("node.spin_decoherence_rate_hz=0",),
+        (
+            "node.caps_success_probability=0.55",
+            "node.caps_fidelity=0.97",
+            "node.rydberg_gate_fidelity=0.985",
+            "node.readout_fidelity=0.993",
+            "node.detection_efficiency=0.7",
+            "node.spin_decoherence_rate_hz=0.8",
+            "source.repetition_rate_hz=3.7e6",
+            "source.multiplexing_channels=37",
+            "source.demux_efficiency=0.81",
+            "repeater.gate_efficiency=0.93",
+            "repeater.detector_exponent=2",
+            "repeater.nesting_levels=4",
+        ),
+    ])
+    def test_bit_for_bit_with_written_out_formulas(self, overrides, baseline_agg):
+        cfg = load_scenario(None, overrides).repeater
+        assert Chain(cfg).evaluate(baseline_agg) == written_out(cfg, baseline_agg)
+
+    def test_zero_herald_rate_raises(self, baseline_cfg, baseline_agg):
+        node = dataclasses.replace(baseline_cfg.node, caps_success_probability=0.0)
+        chain = Chain(dataclasses.replace(baseline_cfg, node=node))
+        with pytest.raises(NoResultError, match="no heralding") as exc:
+            chain.evaluate(baseline_agg)
+        assert exc.value.status == "zero_herald_rate"
+
+    def test_no_decay_survives_an_infinite_wait(self, baseline_cfg, baseline_agg):
+        # At gamma_s = 0 an overflowing T0 leaves every level undecayed,
+        # where -0 * inf in the exponent would make it NaN.
+        node = dataclasses.replace(baseline_cfg.node, spin_decoherence_rate_hz=0.0)
+        cfg = dataclasses.replace(baseline_cfg, node=node)
+        agg = dataclasses.replace(baseline_agg, p0=1e-300)
+        source = dataclasses.replace(
+            cfg.source, repetition_rate_hz=1e-306, multiplexing_channels=1
+        )
+        _, _, t0, waits, levels = Chain(dataclasses.replace(cfg, source=source)).evaluate(agg)
+        assert t0 == math.inf and waits == [math.inf] * 2
+        gate = node.rydberg_gate_fidelity * node.readout_fidelity**2
+        f0 = levels[0]
+        assert levels[1] == gate * f0 * f0
+        assert all(math.isfinite(f) for f in levels)
+
+    def test_sweep_rows_equal_evaluate_of_their_pass(self):
+        cfg = load_scenario(None, ("node.spin_decoherence_rate_hz=0.3",)).repeater
+        levels = [1, 2, 3]
+        (sweep,) = distance_sweep([cfg], [5.0e6, 1.0e7, 2.0e7, 8.0e7], levels)
+        # 8 of the 12 rows are visible: all at 5,000 and 10,000 km, and the
+        # 20,000 km ones split into 4 or 8 links.
+        ok = 0
+        for n, rows in zip(levels, sweep):
+            for row in rows:
+                if row.aggregates is None:
+                    continue
+                rate, pairs, t0, _, fidelities = Chain(cfg, n).evaluate(row.aggregates)
+                assert (row.rate_hz, row.pairs_per_flyby) == (rate, pairs)
+                assert (row.elementary_time_s, row.fidelity_per_level) == (t0, fidelities)
+                ok += 1
+        assert ok == 8
 
 
 class TestFidelityBound:
-    # The bound Chain.fidelities's docstring derives, which lets it skip any
-    # per-level check.
+    # The bound Chain.evaluate's docstring derives, which lets it skip any
+    # per-level check.  P0 sets T0 (from a few ns to about 1e292 s at the
+    # baseline slot), so gamma_s * T_k spans 0 to inf.
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(
         f_pair=EDGE_FIDELITIES,
@@ -171,11 +267,11 @@ class TestFidelityBound:
         gate=EDGE_FIDELITIES,
         readout=EDGE_FIDELITIES,
         gamma_s=EDGE_RATES,
-        t0_s=EDGE_RATES,
+        p0=st.sampled_from([1e-300, 1.0]) | st.floats(1e-300, 1.0),
         depth=st.integers(0, 8),
     )
     def test_levels_stay_within_bound(
-        self, baseline_cfg, f_pair, caps, gate, readout, gamma_s, t0_s, depth
+        self, baseline_cfg, f_pair, caps, gate, readout, gamma_s, p0, depth
     ):
         node = dataclasses.replace(
             baseline_cfg.node,
@@ -185,8 +281,8 @@ class TestFidelityBound:
             spin_decoherence_rate_hz=gamma_s,
         )
         cfg = dataclasses.replace(baseline_cfg, node=node, n_levels=depth)
-        agg = FlybyAggregates(p0=0.5, f_pair_avg=f_pair, flyby_duration_s=100.0)
-        levels = fidelity_levels(cfg, agg, t0_s)
+        agg = FlybyAggregates(p0=p0, f_pair_avg=f_pair, flyby_duration_s=100.0)
+        levels = fidelity_levels(cfg, agg)
         assert len(levels) == depth + 1
         assert -1.0 / 3.0 <= levels[0] <= 1.0
         assert all(-1.0 / 12.0 <= f <= 1.0 for f in levels[1:])
@@ -202,7 +298,7 @@ class TestFidelityBound:
         )
         cfg = dataclasses.replace(baseline_cfg, node=node, n_levels=1)
         agg = FlybyAggregates(p0=0.5, f_pair_avg=0.5, flyby_duration_s=100.0)
-        assert fidelity_levels(cfg, agg, 1.0) == [-1.0 / 3.0, -1.0 / 12.0]
+        assert fidelity_levels(cfg, agg) == [-1.0 / 3.0, -1.0 / 12.0]
 
 
 class TestEvaluate:
