@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import PLANCK_J_S, SPEED_OF_LIGHT_M_PER_S
+from .orbit import _high, _low, _scalar
 
 __all__ = [
     "ChannelParams",
@@ -123,11 +124,13 @@ class ChannelParams:
 
 
 def _clamp_unit(x):
-    # Floating-point hygiene only: anything beyond 1 by more than noise, or
-    # NaN, is a model error and must not be clamped away.
-    if not (np.asarray(x) <= 1.0 + 1e-12).all():
+    # Floating-point hygiene only: beyond 1 by more than noise, or NaN, is a
+    # model error, not clamped away.  A float stays in Python; np.maximum
+    # keeps NaN, so one reduction checks an array.
+    scalar = isinstance(x, float)
+    if not (x if scalar else np.maximum.reduce(x, None, initial=-math.inf)) <= 1.0 + 1e-12:
         raise ValueError("efficiency exceeded 1 beyond noise or is NaN")
-    return np.minimum(np.maximum(x, 0.0), 1.0)
+    return min(max(0.0, x), 1.0) if scalar else np.minimum(np.maximum(x, 0.0), 1.0)
 
 
 def beam_waist(params: ChannelParams, distance_m):
@@ -141,7 +144,7 @@ def beam_waist(params: ChannelParams, distance_m):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         spread = params.wavelength_m * d / (math.pi * w0 * w0)
         out = np.sqrt(w0 * w0 * (1.0 + spread * spread))
-    return float(out) if np.isscalar(distance_m) else out
+    return float(out) if _scalar(distance_m) else out
 
 
 def diffraction_eff(params: ChannelParams, distance_m):
@@ -154,7 +157,7 @@ def diffraction_eff(params: ChannelParams, distance_m):
             f"receiver radius {params.receiver_radius_m:.3g} m overflows double precision"
         ) from exc
     out = _clamp_unit(1.0 - np.exp(-aperture / (2.0 * w_d * w_d)))
-    return float(out) if np.isscalar(distance_m) else out
+    return float(out) if _scalar(distance_m) else out
 
 
 def atmospheric_eff(params: ChannelParams, zenith_rad):
@@ -164,10 +167,10 @@ def atmospheric_eff(params: ChannelParams, zenith_rad):
     at or beyond pi/2 are rejected.
     """
     theta = np.asarray(zenith_rad, dtype=float)
-    if (theta < 0.0).any() or (theta >= math.pi / 2).any():
+    if _low(theta) < 0.0 or _high(theta) >= math.pi / 2:
         raise ValueError("zenith angle must lie in [0, pi/2)")
     out = _clamp_unit(params.zenith_transmittance ** (1.0 / np.cos(theta)))
-    return float(out) if np.isscalar(zenith_rad) else out
+    return float(out) if _scalar(zenith_rad) else out
 
 
 def pointing_divergence(params: ChannelParams) -> float:
@@ -200,7 +203,7 @@ def single_photon_transmission(params: ChannelParams, distance_m, zenith_rad):
         * pointing_eff(params)
         * params.coupling_efficiency
     )
-    scalar = np.isscalar(distance_m) and np.isscalar(zenith_rad)
+    scalar = _scalar(distance_m) and _scalar(zenith_rad)
     return float(out) if scalar else out
 
 
@@ -241,7 +244,7 @@ def pair_fidelity(f_s: float, n_bar: float, eta_tr):
     if n_bar < 0:
         raise ValueError("mean background photon number must be >= 0")
     eta = np.asarray(eta_tr, dtype=float)
-    if (eta <= 0.0).any():
+    if _low(eta) <= 0.0:
         raise NoResultError(
             "zero_transmission", "pair fidelity undefined at zero transmission"
         )
@@ -249,4 +252,4 @@ def pair_fidelity(f_s: float, n_bar: float, eta_tr):
     # limit 1/4; that overflow is expected, not a fault.
     with np.errstate(over="ignore"):
         out = 0.25 * (1.0 + (4.0 * f_s - 1.0) / (1.0 + n_bar / eta) ** 2)
-    return float(out) if np.isscalar(eta_tr) else out
+    return float(out) if _scalar(eta_tr) else out

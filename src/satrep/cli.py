@@ -32,6 +32,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,7 @@ _MAX_GRID_POINTS = 10**6
 _MAX_ROWS = 10**6
 _MAX_CELLS = 5 * 10**6
 
+_NESTED = (dict, list, tuple)  # what JSON writes as arrays and objects
 _SWEEP_COLUMNS = [
     "L_total_km",
     "n_levels",
@@ -209,15 +211,15 @@ def _atomic_write(path: str, text: str) -> None:
     over it; the temp file is removed if either step fails, and an
     ``OSError`` (an existing directory at ``path``, a full disk) is a
     :class:`UsageError`.  The file gets the mode a plain create gives,
-    0o666 less the umask."""
+    0o666 less the umask; the text goes out as UTF-8 through a binary file."""
     target = Path(path)
     tmp = None
     try:
-        name = target.parent / f"{target.name}.{os.urandom(8).hex()}.tmp"
+        name = f"{target}.{os.urandom(8).hex()}.tmp"
         fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         tmp = name
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+        with open(fd, "wb") as fh:
+            fh.write(text.encode())
         os.replace(tmp, target)
     except BaseException as exc:
         if tmp is not None:
@@ -226,6 +228,27 @@ def _atomic_write(path: str, text: str) -> None:
         if isinstance(exc, OSError):
             raise UsageError(f"cannot write {path}: {exc}") from exc
         raise
+
+
+def _json_text(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` for str keys: a container
+    of scalars is one call to the C encoder, whose item separator carries the
+    line break and indentation, and only nested containers recurse."""
+    inner = pad + "  "
+    encode = c_make_encoder(None, None, encode_basestring_ascii, None, ": ", "," + inner,
+                            True, False, True)
+    is_dict = isinstance(obj, dict)
+    values = obj.values() if is_dict else obj if isinstance(obj, _NESTED) else ()
+    if not any(issubclass(kind, _NESTED) for kind in set(map(type, values))):
+        text = "".join(encode(obj, 0))
+        return f"{text[0]}{inner}{text[1:-1]}{pad}{text[-1]}" if values else text
+    keys, values = zip(*sorted(obj.items())) if is_dict else ((), obj)
+    parts = [_json_text(v, inner) if isinstance(v, _NESTED) else "".join(encode(v, 0))
+             for v in values]
+    if is_dict:
+        parts = [f"{encode_basestring_ascii(k)}: {part}" for k, part in zip(keys, parts)]
+    ends = "{}" if is_dict else "[]"
+    return ends[0] + inner + ("," + inner).join(parts) + pad + ends[1]
 
 
 def _csv_text(scenario: Scenario, header: list[str], rows: list[str]) -> str:
@@ -405,7 +428,7 @@ def _cmd_mc(args) -> int:
     report = compare_report(analytic, estimates)
     payload = report.to_dict()
     payload["parameters"] = scenario.flat_dict()
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = _json_text(payload) + "\n"
     # The dump is written first, so a dump that cannot be written leaves no
     # report behind.
     if args.dump_trials is not None:

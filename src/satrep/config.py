@@ -195,13 +195,9 @@ def load_scenarios(
     """The scenario :func:`load_scenario` builds, then, for each
     ``section.key=value`` in ``variants``, that scenario with the one
     override applied last.  The file and ``overrides`` are read once; each
-    scenario is built, and fails, when the iterator reaches it."""
-    values: dict[tuple[str, str], object] = {}
-    for section, keys in _SCHEMA.items():
-        for key, (_, default) in keys.items():
-            if default is not _MISSING:
-                values[(section, key)] = default
-
+    scenario is built, and fails, when the iterator reaches it; a variant
+    builds only its key's section object and shares the first scenario's."""
+    values = dict(_DEFAULTS)
     if path is not None:
         parser = configparser.ConfigParser(
             interpolation=None, default_section="+defaults-disabled+"
@@ -220,11 +216,12 @@ def load_scenarios(
 
     for expr in overrides:
         _set(values, *parse_override(expr))
-    yield _assemble(values)
+    yield (base := _assemble(values))
     for expr in variants:
         variant = dict(values)
-        _set(variant, *parse_override(expr))
-        yield _assemble(variant)
+        section, key, raw = parse_override(expr)
+        _set(variant, section, key, raw)
+        yield _assemble(variant, base, section)
 
 
 def _set(values: dict, section: str, key: str, raw: str) -> None:
@@ -256,44 +253,42 @@ def _caps_probability(values: dict[tuple[str, str], object]) -> float:
 
 
 # Each schema key's (section, key) pair with its provenance name
-# "section.key", in schema order.
+# "section.key", in schema order, and the value of each key with a default.
 _NAMES = tuple(
     ((section, key), f"{section}.{key}") for section, keys in _SCHEMA.items() for key in keys
 )
+_DEFAULTS = {(section, key): default for section, keys in _SCHEMA.items()
+             for key, (_, default) in keys.items() if default is not _MISSING}
 
 
 def _by_name(cls, values: dict, section: str):
-    """``cls`` from ``section``'s values, for sections whose schema keys are
-    the class's field names."""
-    return cls(**{key: values[(section, key)] for key in _SCHEMA[section]})
+    """``cls`` from ``section``'s values, for classes whose field names are
+    keys of the section."""
+    return cls(**{key: values[(section, key)] for key in cls.__dataclass_fields__})
 
 
-def _assemble(values: dict[tuple[str, str], object]) -> Scenario:
+def _assemble(values: dict, base: Scenario | None = None, touched: str = "") -> Scenario:
+    """The scenario of ``values``.  Given ``base``, whose values differ only
+    in section ``touched``, only that section's object is built anew."""
     # The node uses the resolved probability and the provenance records it,
     # so a run from that provenance sets both node keys, in agreement.
     values = {**values, ("node", "caps_success_probability"): _caps_probability(values)}
+    new, old = (_SCHEMA, None) if base is None else ((touched,), base.repeater)
     geometry = OrbitGeometry(
         altitude_m=values[("orbit", "altitude_m")],
         link_length_m=values[("orbit", "link_length_m")],
         earth_radius_m=values[("orbit", "earth_radius_m")],
         mu_m3_per_s2=values[("orbit", "mu_m3_s2")],
         max_zenith_rad=math.radians(values[("orbit", "max_zenith_deg")]),
-    )
-    channel = _by_name(ChannelParams, values, "channel")
-    source = _by_name(SourceParams, values, "source")
-    node = NodeParams(
-        caps_fidelity=values[("node", "caps_fidelity")],
-        rydberg_gate_fidelity=values[("node", "rydberg_gate_fidelity")],
-        readout_fidelity=values[("node", "readout_fidelity")],
-        detection_efficiency=values[("node", "detection_efficiency")],
-        spin_decoherence_rate_hz=values[("node", "spin_decoherence_rate_hz")],
-        caps_success_probability=values[("node", "caps_success_probability")],
-    )
+    ) if "orbit" in new else old.geometry
+    channel = _by_name(ChannelParams, values, "channel") if "channel" in new else old.channel
+    source = _by_name(SourceParams, values, "source") if "source" in new else old.source
+    node = _by_name(NodeParams, values, "node") if "node" in new else old.node
     try:
-        mc = _by_name(McConfig, values, "mc")
+        mc = _by_name(McConfig, values, "mc") if "mc" in new else base.mc
     except ValueError as exc:  # run settings, not a scenario the model rejects
         raise ConfigError(str(exc)) from None
-    repeater = RepeaterConfig(
+    repeater = old if new == ("mc",) else RepeaterConfig(
         geometry=geometry,
         channel=channel,
         source=source,
@@ -302,7 +297,7 @@ def _assemble(values: dict[tuple[str, str], object]) -> Scenario:
         gate_efficiency=values[("repeater", "gate_efficiency")],
         detector_exponent=values[("repeater", "detector_exponent")],
     )
-    resolved = tuple((name, values[item]) for item, name in _NAMES if item in values)
+    resolved = tuple([(name, values[item]) for item, name in _NAMES if item in values])
     return Scenario(repeater=repeater, mc=mc, resolved=resolved)
 
 

@@ -196,7 +196,9 @@ def _distinct(values: list, key=None) -> tuple[list, np.ndarray | None]:
     """The distinct values of ``values`` (one per pass) in order of first
     appearance, and per pass the index of its own, None when one value
     serves every pass.  Values compare by ``key`` (default: themselves),
-    which runs once per object."""
+    which runs once per object; one value is not compared."""
+    if len(values) == 1:
+        return values, None
     distinct: list = []
     labels, by_id, by_key = [], {}, {}
     for value in values:
@@ -283,15 +285,6 @@ def _rules(counts: tuple[int, ...]) -> tuple[np.ndarray, tuple]:
     )
 
 
-def _settled(history: np.ndarray) -> np.ndarray:
-    """Per pass, whether P0 and F_pair_avg (axis 0 of ``history``) both moved
-    by less than :data:`CONVERGENCE_RTOL` between the last two rules (its
-    last axis), relative to the last."""
-    prev, last = history[..., -2], history[..., -1]
-    rel = np.abs(last - prev) / np.maximum(np.abs(last), _TINY)
-    return (rel < CONVERGENCE_RTOL).all(axis=0)
-
-
 def converged_aggregates(
     geometries: list[OrbitGeometry],
     params: list[ChannelParams],
@@ -335,7 +328,8 @@ def converged_aggregates(
         profile = build_profile(
             *([batch[i] for i in rows] for batch in (geometries, params, source_fidelities)),
             fractions=fractions,
-            timing=PassTiming(timing.t0_s[rows], timing.cos_half_angle[rows]),
+            timing=timing if len(rows) == len(durations)
+            else PassTiming(timing.t0_s[rows], timing.cos_half_angle[rows]),
         )
         eta2 = profile.eta2_tr
         # Each row sum is one pass's mean (the weights sum to 1) over its own
@@ -352,7 +346,10 @@ def converged_aggregates(
             fbar /= p0
         history = means if history is None else np.concatenate((history, means), axis=2)
         dark = np.isnan(fbar).any(axis=1)
-        settled = _settled(history)
+        # Settled: P0 and F_pair_avg each moved < CONVERGENCE_RTOL, relative to the last.
+        prev, last = history[..., -2], history[..., -1]
+        rel = np.abs(last - prev) / np.maximum(np.abs(last), _TINY)
+        settled = (rel < CONVERGENCE_RTOL).all(axis=0)
         p0_last, fbar_last = p0[:, -1].tolist(), fbar[:, -1].tolist()
         pending = []
         outcomes = zip(rows, dark.tolist(), settled.tolist())
@@ -364,7 +361,7 @@ def converged_aggregates(
             else:
                 pending.append(k)
         rows = [rows[k] for k in pending]
-        history = history[:, pending]
+        history = history[:, pending] if rows else history
     if rows:
         trail = list(zip(nodes, history[0, 0].tolist(), history[1, 0].tolist()))
         raise QuadratureError(

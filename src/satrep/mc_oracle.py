@@ -300,9 +300,9 @@ def simulate_chain(
     the first completed cascade of each trial; trials whose first cascade
     does not finish before the pass ends contribute no fidelity sample, and
     ``completed_fraction`` records the fraction that did.  More than
-    :data:`_MAX_LEAF_TIMES` leaf times, an attempt slot duration of 0 or
-    inf, or, in constant-p, a slot so long that 2^63 slots overflow, raise
-    ValueError before any allocation.
+    :data:`_MAX_LEAF_TIMES` leaf times, a slot duration of 0 or inf, in
+    constant-p a slot so long that 2^63 slots overflow, or a mean link time
+    slot / p past the double range raise ValueError before any allocation.
     """
     if rep_cfg.n_levels < 1:
         raise ValueError("chain simulation requires at least one swap level")
@@ -328,6 +328,8 @@ def simulate_chain(
     p_attempt, p_swap = chain.herald_probability(agg.p0), chain.swap
     if not 0.0 < p_attempt <= 1.0:
         raise ValueError(f"per-attempt probability {p_attempt} outside (0, 1]")
+    if not math.isfinite(slot_s / p_attempt):  # the analytic T0 of both models
+        raise ValueError(f"the mean link time {slot_s} s / {p_attempt} leaves double precision")
     f0 = elementary_link_fidelity(agg.f_pair_avg, rep_cfg.node.caps_fidelity)
     gamma_s = rep_cfg.node.spin_decoherence_rate_hz
 

@@ -15,6 +15,7 @@ geometry, and its :class:`PassTiming` of column arrays batches those passes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +36,15 @@ __all__ = [
 
 # Tolerance for arccos arguments that exceed 1 by floating-point noise only.
 _COS_SLACK = 1e-12
+# An array's least and greatest element, each one reduction that skips NaN
+# as a comparison and `.any()` do (+inf and -inf for none).
+_low = functools.partial(np.fmin.reduce, axis=None, initial=math.inf)
+_high = functools.partial(np.fmax.reduce, axis=None, initial=-math.inf)
+
+
+def _scalar(x) -> bool:
+    """``np.isscalar(x)``, without its slow abstract-class check on an array."""
+    return not isinstance(x, np.ndarray) and np.isscalar(x)
 
 
 class GeometryError(ValueError):
@@ -206,7 +216,7 @@ def slant_distance(geom: OrbitGeometry, timing: PassTiming, t_s):
     or array ``t_s``; values outside [0, T_FB] are rejected.
     """
     t = np.asarray(t_s, dtype=float)
-    if (t < 0.0).any() or (t > timing.flyby_duration_s).any():
+    if _low(t) < 0.0 or (t > timing.flyby_duration_s).any():
         raise ValueError(
             f"time outside the flyby window [0, {timing.flyby_duration_s}]"
         )
@@ -217,7 +227,7 @@ def slant_distance(geom: OrbitGeometry, timing: PassTiming, t_s):
         omega * (timing.t0_s - t)
     )
     d = np.sqrt(d_sq)
-    return float(d) if np.isscalar(t_s) else d
+    return float(d) if _scalar(t_s) else d
 
 
 def zenith_angle(geom: OrbitGeometry, d_m):
@@ -230,16 +240,16 @@ def zenith_angle(geom: OrbitGeometry, d_m):
     minimum) raise :class:`GeometryError`.
     """
     d = np.asarray(d_m, dtype=float)
-    if (d <= 0.0).any():
+    if _low(d) <= 0.0:
         raise GeometryError("slant distance must be positive")
     h = geom.altitude_m
     r_e = geom.earth_radius_m
     cos_theta = h / d - (d * d - h * h) / (2.0 * r_e * d)
-    if (cos_theta > 1.0 + _COS_SLACK).any():
+    if _high(cos_theta) > 1.0 + _COS_SLACK:
         raise GeometryError(
             "slant distance below the physical minimum for this altitude"
         )
-    if (cos_theta <= 0.0).any():
+    if _low(cos_theta) <= 0.0:
         raise GeometryError("satellite at or beyond the horizon (zenith >= pi/2)")
     theta = np.arccos(np.minimum(cos_theta, 1.0))
-    return float(theta) if np.isscalar(d_m) else theta
+    return float(theta) if _scalar(d_m) else theta

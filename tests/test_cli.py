@@ -12,10 +12,10 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from satrep import config
+from satrep import cli, config
 from satrep.cli import main
 from satrep.config import (
     bundled_baseline_text,
@@ -612,6 +612,33 @@ class TestMc:
             "leave double precision\n"
         ))
 
+    @pytest.mark.parametrize("model", ["constant-p", "time-resolved"])
+    def test_infinite_mean_link_time_refused_in_both_models(
+        self, model, monkeypatch, capsys
+    ):
+        # A slot of 1e306 s over a per-attempt probability below 1: the mean
+        # link time T0 = slot / p overflows, so no run of either model has a
+        # finite analytic reference to compare with.
+        from satrep import mc_oracle
+
+        def no_stream(seed):
+            raise AssertionError("a random stream was made")
+
+        monkeypatch.setattr(mc_oracle, "_streams", no_stream)
+        argv = [
+            "mc", "--trials", "2", "--seed", "1", "--set", f"mc.time_model={model}",
+            "--set", "source.repetition_rate_hz=1e-306",
+            "--set", "source.multiplexing_channels=1",
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("satrep: model error: ") and "double precision" in err
+        if model == "time-resolved":
+            assert err.startswith("satrep: model error: the mean link time 1e+306 s / ")
+
     def test_deterministic_output(self, capsys):
         assert main(["mc", "--trials", "200", "--seed", "5"]) == 3
         first = capsys.readouterr().out
@@ -1001,6 +1028,32 @@ def test_any_scenario_ends_in_a_documented_exit(command, lines, sets, tmp_path):
     assert "Traceback" not in err.getvalue(), argv
     if code in (0, 3):
         assert non_finite_numbers(out.getvalue()) == [], argv
+
+
+# JSON documents as the mc report's indenter may meet them: str keys, every
+# scalar json writes (big ints, NaN, infinities, -0.0, non-ASCII and control
+# characters), and lists, tuples and dicts nested, empty ones among them.
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70)
+    | st.sampled_from([2**64, -(2**64) - 1, 10**40])
+    | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+    | st.text() | st.sampled_from(["", "é", "\x00\x1f\n\t\"\\", "\u2028\U0001f600"])
+)
+JSON_DOCUMENTS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(doc=JSON_DOCUMENTS)
+@example(doc={"a": {}, "b": [], "c": [[], {}, [[]], {"d": {"e": []}}], "f": ()})
+@example(doc=[{"x": math.nan, "y": -math.inf, "z": -0.0}, [2**65, True, None, "\x7f\u00e9"]])
+@example(doc={"report": [{"entry": 1.5}], "parameters": {"k": "v", "n": 2**64}})
+def test_report_indenter_matches_json_dumps(doc):
+    assert cli._json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
 
 class TestCapsCurve:

@@ -1,4 +1,8 @@
+import dataclasses
 import math
+import subprocess
+import sys
+import warnings
 
 import pytest
 
@@ -7,6 +11,7 @@ from satrep.config import (
     bundled_baseline_text,
     default_scenario,
     load_scenario,
+    load_scenarios,
     parse_override,
     sweepable_keys,
 )
@@ -206,3 +211,107 @@ class TestScenarioHelpers:
         assert "mc.trials" not in keys
         assert "channel.aperture_interpretation" not in keys
         assert "source.multiplexing_channels" not in keys
+
+
+# Variants off one base, each in one key, over every section.
+VARIANTS = (
+    "orbit.altitude_m=1.2e6", "orbit.max_zenith_deg=70", "channel.beam_waist_m=0.05",
+    "channel.aperture_interpretation=radius", "source.pair_fidelity=0.97",
+    "source.multiplexing_channels=50", "node.caps_fidelity=0.95",
+    "node.internal_cooperativity=50", "repeater.nesting_levels=3",
+    "repeater.detector_exponent=2", "mc.trials=7", "mc.time_model=time-resolved",
+)
+# Each section's object in a scenario.
+SECTION_OBJECTS = {
+    "orbit": lambda s: s.repeater.geometry,
+    "channel": lambda s: s.repeater.channel,
+    "source": lambda s: s.repeater.source,
+    "node": lambda s: s.repeater.node,
+    "mc": lambda s: s.mc,
+}
+
+
+def fields_of(obj, prefix=""):
+    """Every leaf field of a (nested) dataclass, by dotted name."""
+    out = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            out.update(fields_of(value, f"{prefix}{f.name}."))
+        else:
+            out[prefix + f.name] = value
+    return out
+
+
+class TestLoadScenarios:
+    OVERRIDES = ("channel.coupling_efficiency=0.3", "mc.seed=9")
+
+    def test_each_variant_is_the_scenario_of_its_override(self, tmp_path):
+        cfg = write_cfg(tmp_path, "[orbit]\naltitude_m = 1.4e6\n[node]\ncaps_fidelity = 0.98\n")
+        base, *variants = load_scenarios(cfg, self.OVERRIDES, VARIANTS)
+        assert fields_of(base) == fields_of(load_scenario(cfg, self.OVERRIDES))
+        assert len(variants) == len(VARIANTS)
+        for expr, scenario in zip(VARIANTS, variants):
+            expected = load_scenario(cfg, (*self.OVERRIDES, expr))
+            assert fields_of(scenario) == fields_of(expected), expr
+            assert list(scenario.flat_dict().items()) == list(expected.flat_dict().items())
+            assert scenario == expected
+
+    def test_variant_shares_the_sections_its_key_leaves_alone(self):
+        base, *variants = load_scenarios(None, self.OVERRIDES, VARIANTS)
+        for expr, scenario in zip(VARIANTS, variants):
+            touched = expr.partition(".")[0]
+            for section, part in SECTION_OBJECTS.items():
+                assert (part(scenario) is part(base)) == (section != touched), expr
+            assert (scenario.repeater is base.repeater) == (touched == "mc"), expr
+
+    @pytest.mark.parametrize("bad", [
+        "channel.beam_waist_m=-1", "orbit.altitude_m=0", "node.caps_fidelity=2",
+        "repeater.detector_exponent=5", "mc.trials=0", "node.bogus=1", "node.caps_fidelity=x",
+        "source.multiplexing_channels=1e3",
+    ])
+    def test_bad_variant_fails_when_reached_as_a_load_would(self, bad):
+        scenarios = load_scenarios(None, (), ("node.caps_fidelity=0.95", bad, "orbit.altitude_m=1e6"))
+        next(scenarios)
+        next(scenarios)
+        with pytest.raises(ValueError) as alone:
+            load_scenario(None, (bad,))
+        with pytest.raises(ValueError) as reached:
+            next(scenarios)
+        assert type(reached.value) is type(alone.value)
+        assert str(reached.value) == str(alone.value)
+
+    def test_caps_warnings_are_those_of_one_load_per_scenario(self):
+        overrides = ("node.internal_cooperativity=96.5", "node.caps_success_probability=0.6")
+        variants = ("node.caps_fidelity=0.95", "node.internal_cooperativity=50",
+                    "orbit.altitude_m=1.2e6", "node.caps_success_probability=0.5")
+
+        def record(load):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                load()
+            return [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+        together = record(lambda: list(load_scenarios(None, overrides, variants)))
+        alone = record(lambda: [
+            load_scenario(None, (*overrides, *extra)) for extra in [(), *zip(variants)]
+        ])
+        assert together == alone
+        assert len(together) == 1 + len(variants)
+
+    def test_sweep_prints_each_caps_warning_once(self):
+        # Under the default filters a message is shown once per place: the
+        # base's, then each new one a variant brings.
+        argv = [
+            "sensitivity", "--param", "node.internal_cooperativity", "--values", "50,50,60",
+            "--set", "node.internal_cooperativity=96.5",
+            "--set", "node.caps_success_probability=0.6",
+            "--distances-km", "10000", "--links", "4",
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-m", "satrep.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        shown = [line for line in proc.stderr.splitlines() if "UserWarning" in line]
+        cooperativities = [line.rpartition(" ")[2] for line in shown]
+        assert cooperativities == ["96.5", "50.0", "60.0"]

@@ -46,10 +46,12 @@ def test_commands_cover_the_benchmark_stream_and_every_subcommand(digest_tool):
     assert {c[0] for c in cmds} == {
         "flyby", "rates", "sensitivity", "mc", "caps-curve",
     }
-    # Per-trial dumps of both time models.
+    # Per-trial dumps of both time models, and reports of both to a file.
     dumps = [c for c in cmds if "--dump-trials" in c]
     assert [("mc.time_model=time-resolved" in c) for c in dumps] == [True, False]
-    assert len(cmds) == 153
+    reports = [c for c in cmds if c[0] == "mc" and digest_tool.OUT in c]
+    assert [("mc.time_model=time-resolved" in c) for c in reports] == [False, True]
+    assert len(cmds) == 155
     # One node-key and one aggregate-key sweep read the scenario file.
     assert [c[c.index("--param") + 1] for c in cmds if digest_tool.CFG in c] == [
         "node.spin_decoherence_rate_hz", "channel.beam_waist_m",

@@ -22,7 +22,8 @@ commands whose records differ, each with the parts that differ
 exit codes that changed, and exits 1 if any command differs, 0 if none.
 
 The commands: ``flyby``, ``rates``, ``sensitivity``, both ``mc`` time
-models and ``caps-curve`` at and around the defaults; ``rates`` and a
+models (each also with its report written to ``--output``) and
+``caps-curve`` at and around the defaults; ``rates`` and a
 constant-p ``mc`` with the repeater section's gate efficiency and detector
 exponent changed; one sweep per row status (``ok``, ``no_visibility``,
 ``zero_transmission`` both ways, ``zero_herald_rate``) and two
@@ -113,6 +114,11 @@ def commands() -> list[list[str]]:
         ["mc", "--trials", "3000", "--seed", "7", "--set", "repeater.nesting_levels=3"],
         ["mc", "--trials", "6", "--seed", "7", "--set", "mc.time_model=time-resolved",
          "--dump-trials", DUMP],
+        # Reports written to a file, not stdout, by both time models.
+        ["mc", "--trials", "2000", "--seed", "11", "--set", "repeater.nesting_levels=1",
+         "--output", OUT],
+        ["mc", "--trials", "6", "--seed", "11", "--set", "mc.time_model=time-resolved",
+         "--output", OUT],
         ["caps-curve"],
         ["caps-curve", "--cin-min", "1", "--cin-max", "50", "--points", "7",
          "--output", OUT],
