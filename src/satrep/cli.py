@@ -33,7 +33,6 @@ import math
 import os
 import sys
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from pathlib import Path
 
 import numpy as np
 
@@ -211,16 +210,17 @@ def _atomic_write(path: str, text: str) -> None:
     over it; the temp file is removed if either step fails, and an
     ``OSError`` (an existing directory at ``path``, a full disk) is a
     :class:`UsageError`.  The file gets the mode a plain create gives,
-    0o666 less the umask; the text goes out as UTF-8 through a binary file."""
-    target = Path(path)
+    0o666 less the umask; the text goes out as UTF-8 through a binary file.
+    Both names keep ``path`` as given, so one that ends in a separator names
+    a directory and fails, as a plain open would."""
     tmp = None
     try:
-        name = f"{target}.{os.urandom(8).hex()}.tmp"
+        name = f"{path}.{os.urandom(8).hex()}.tmp"
         fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         tmp = name
         with open(fd, "wb") as fh:
             fh.write(text.encode())
-        os.replace(tmp, target)
+        os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None:
             with contextlib.suppress(OSError):

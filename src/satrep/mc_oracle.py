@@ -26,9 +26,9 @@ block, re-keys it to [b, seed] with its counter and buffer reset
 trial i depends only on (i, seed) and a run is a prefix of any longer run; a
 time-resolved block is one trial.  The in-block draw order is fixed and
 documented in :func:`simulate_chain`; blocks run one after another on the
-calling thread.  A constant-p trial draws its pair count once, over all its
-leaves' slots, where older streams thinned per-leaf herald counts, so for a
-given seed only the constant-p pairs samples differ from theirs.
+calling thread.  Older streams thinned per-leaf herald counts, where a
+constant-p trial draws its pair count once, and drew each cascade a
+time-resolved trial jumps over; for a given seed only pairs samples differ.
 
 Comparison: :func:`compare_report` scores each quantity in one row of one
 table, against the fixed bands :data:`Z_MAX`, :data:`FIDELITY_RTOL` and
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flyby import FlybyAggregates, FlybyProfile, build_profile
+from .flyby import FlybyAggregates, build_profile
 from .node import elementary_link_fidelity
 from .repeater import Chain, RepeaterConfig, RepeaterResult
 
@@ -74,12 +74,14 @@ GAP_RTOL = 0.15
 _TIME_MODELS = ("constant-p", "time-resolved")
 _BLOCK_TRIALS = 1024  # constant-p trials per random stream
 # Expected heralds per trial, summed over its leaves, above which the
-# time-resolved model refuses to draw.  A trial's arrays hold one entry per
-# swap cascade, about 1/(2^n H_2^n) of its heralds (H_m the m-th harmonic
-# number); they peak at 7.3 bytes per expected herald at 2 leaves and 1.1 at
-# 8 (tracemalloc, channel.beam_waist_m=0.1: 2.8e6 and 1.1e7 heralds), so the
-# cap keeps a trial under about 0.75 GB.  The baseline expects 2 x 5.7k.
+# time-resolved model refuses to draw.  A trial that walks holds two entries
+# per swap cascade, about 1/(2^n H_2^n) of its heralds (H_m the m-th harmonic
+# number): 5.4 bytes per expected herald at 2 leaves and 0.74 at 8
+# (tracemalloc, channel.beam_waist_m=0.1, where every trial walks: 2.8e6 and
+# 1.1e7 heralds), so the cap keeps a trial under about 0.55 GB.  Other trials
+# hold the cascades after the jump: 12 kB at the baseline, which expects 2 x 5.7k.
 _MAX_HERALDS_PER_TRIAL = 1e8
+_JUMP_Z = 8.0  # standard deviations a jump stays below the pass end: odds 1e-15 past it
 # Leaf times one simulate_chain run may draw: trials x 2^n, plus a block of
 # _BLOCK_TRIALS x 2^n in constant-p, which keeps of them only each trial's
 # gaps and first link time.  At most about 25 bytes each in runs above
@@ -282,12 +284,14 @@ def simulate_chain(
          first herald in hazard space (the cumulative herald hazard of one
          leaf, in which heralds form a unit-rate Poisson process), mapped to
          time and snapped up to its slot boundary;
-      2. standard exponentials E, one per later cascade, each mapped to the
-         largest of 2^n waits by -log(1 - exp(-E / 2^n)), drawn in chunks
-         (1.2 x the hazard left after the first cascade over the mean
-         maximum, plus 32; then a quarter of that, plus 32, at a time) until
-         their sum passes the hazard left in the pass;
-      3. one binomial draw: the successful swap cascades among those held
+      2. if the pass holds a jump of K >= 64 cascades, 2^n Gamma(K) draws;
+      3. standard exponentials E, one per cascade after the jump, each mapped
+         to the largest of 2^n waits by -log(1 - exp(-E / 2^n)), drawn in
+         chunks (1.2 x the hazard left after the jump over the mean maximum,
+         plus 32; then a quarter of that, plus 32, at a time) until their sum
+         passes the hazard left in the pass;
+      4. only if the count needs them, K exponentials per leaf rank in turn;
+      5. one binomial draw: the successful swap cascades among those held
          inside the pass, each succeeding with the swap-cascade probability.
     A trial whose first cascade does not finish inside the pass stops after
     step 1.  The pass profile is built from ``rep_cfg``; aggregates of a
@@ -296,7 +300,7 @@ def simulate_chain(
     Each cascade consumes all 2^n held links and every leaf restarts; because
     slot attempts are independent, the next cascade ends where the hazard
     has grown by the largest of 2^n fresh waits, snapped up to a slot
-    boundary (:func:`_time_resolved_trial`).  Fidelity and gaps are scored on
+    boundary (:func:`_time_resolved_pass`).  Fidelity and gaps are scored on
     the first completed cascade of each trial; trials whose first cascade
     does not finish before the pass ends contribute no fidelity sample, and
     ``completed_fraction`` records the fraction that did.  More than
@@ -391,16 +395,10 @@ def simulate_chain(
     )
 
 
-def _time_resolved_trial(
-    rng: np.random.Generator,
-    profile: FlybyProfile,
-    hazard: np.ndarray,
-    n_leaves: int,
-    slot_s: float,
-    p_swap: float,
-) -> tuple[float, np.ndarray]:
-    """One flyby in time-resolved mode.  Returns the pair count and the leaf
-    completion times of the first cascade (NaN if it never completed).
+def _time_resolved_pass(profile, hazard, n_leaves, slot_s, p_swap):
+    """``trial(rng)``, one flyby in time-resolved mode: the pair count and the
+    leaf completion times of the first cascade (NaN if it never completed).
+    The herald cap is checked and the values of the pass computed once.
 
     The walk runs in hazard space, Lambda = H(t), where each leaf's heralds
     form a unit-rate Poisson process; a herald at hazard Lambda is held from
@@ -410,26 +408,26 @@ def _time_resolved_trial(
     first heralds, at their own Exp(1) waits.  Slots are independent, so a
     cascade that restarts every leaf at slot boundary s ends at the first
     boundary at or after H^-1(H(s) + M), with M the largest of 2^n fresh
-    Exp(1) waits: one draw per cascade.
+    Exp(1) waits, sum_j E_j / j over leaf ranks j = 1..2^n (Renyi).  So the
+    hazard of K cascades is one jump, sum_j G_j / j with G_j ~ Gamma(K), for
+    the largest K >= 64 with K mu + Z sigma sqrt(K) at most the hazard left
+    (mu, sigma^2 the mean and variance of M, Z = :data:`_JUMP_Z`); each
+    cascade after it draws its own M.
 
     Snapping to a slot end adds at most g = max(dH/dt) * slot_s of hazard
     per cascade, so the target H(s) + M of the k-th cascade after the first
     lies in [A_k, A_k + (k - 1) g], with A_k = H(s_1) + M_1 + ... + M_k.  A
     target at most H(t_FB - slot_s) is held inside the pass, one above
     H(t_FB) is not.  When both ends of the band, widened by the rounding of
-    k steps, give the same count, that count is exact; otherwise
+    k steps, give the same count, that count is exact.  Otherwise, a jump
+    past the pass end included, each G_j is split into K waits by a flat
+    Dirichlet (:func:`_split_maxima`), their exact law given G_j, and
     :func:`_walk_cascades` walks the cascades one at a time.
 
     More than :data:`_MAX_HERALDS_PER_TRIAL` expected heralds over the
     leaves, or a count that is not finite, raises :class:`ValueError` before
     anything is drawn.
     """
-    return _time_resolved_pass(profile, hazard, n_leaves, slot_s, p_swap)(rng)
-
-
-def _time_resolved_pass(profile, hazard, n_leaves, slot_s, p_swap):
-    """:func:`_time_resolved_trial` as ``trial(rng)``, with the herald cap
-    checked and the values of the pass computed once, for a run's trials."""
     expected = n_leaves * hazard[-1]
     if not expected <= _MAX_HERALDS_PER_TRIAL:
         raise ValueError(
@@ -443,29 +441,38 @@ def _time_resolved_pass(profile, hazard, n_leaves, slot_s, p_swap):
     g = slope_max * slot_s
     # Rounding one cascade step can move its hazard by this much.
     step_err = 8.0 * np.finfo(float).eps * (total + slope_max * t_fb) + 1e-12 * g
-    mean_max = float(np.sum(1.0 / np.arange(1, n_leaves + 1)))
+    rank = np.arange(1.0, n_leaves + 1)
+    mean_max = float(np.sum(1.0 / rank))
+    margin = _JUMP_Z * math.sqrt(float(np.sum(1.0 / rank**2)))
     held = float(np.interp(t_fb - slot_s, t_grid, hazard))
 
     def trial(rng: np.random.Generator) -> tuple[float, np.ndarray]:
-        never = (0.0, np.full(n_leaves, math.nan))
         waits = rng.standard_exponential(n_leaves)
-        if waits.max() > total:
-            return never
+        if max(waits.tolist()) > total:
+            return 0.0, np.full(n_leaves, math.nan)
         first = np.ceil(np.interp(waits, hazard, t_grid) / slot_s - 1e-12) * slot_s
-        end = float(first.max())
+        end = max(first.tolist())
         if end > t_fb:
-            return never
+            return 0.0, np.full(n_leaves, math.nan)
         h = float(np.interp(end, t_grid, hazard))
-        chunk = int(1.2 * (total - h) / mean_max) + 32
+        # sqrt(K) solves mean_max K + margin sqrt(K) = total - h.
+        root = (math.sqrt(margin**2 + 4.0 * mean_max * (total - h)) - margin) / mean_max / 2.0
+        jumped = int(root * root) if root >= 8.0 else 0
+        gammas = rng.standard_gamma(jumped, n_leaves) if jumped else np.zeros(n_leaves)
+        base = h + float((gammas / rank).sum())
+        chunk = max(int(1.2 * (total - base) / mean_max), 0) + 32
         maxima = _cascade_maxima(rng, n_leaves, chunk)
-        targets = h + np.cumsum(maxima)
-        while targets[-1] <= total + targets.size * step_err:
+        targets = base + np.cumsum(maxima)
+        while targets[-1] <= total + (jumped + targets.size) * step_err:
             more = _cascade_maxima(rng, n_leaves, chunk // 4 + 32)
             maxima = np.concatenate([maxima, more])
             targets = np.concatenate([targets, targets[-1] + np.cumsum(more)])
-        slack = targets.size * step_err
-        later = int(np.searchsorted(targets, total + slack, side="right"))
-        if later and targets[later - 1] + (later - 1) * g + slack > held:
+        slack = (jumped + targets.size) * step_err
+        tail = int(np.searchsorted(targets, total + slack, side="right"))
+        later = jumped + tail
+        if later and (targets[tail - 1] if tail else base) + (later - 1) * g + slack > held:
+            if jumped:
+                maxima = np.concatenate([_split_maxima(rng, gammas, jumped), maxima])
             later = _walk_cascades(t_grid, hazard, slot_s, t_fb, end, h, maxima)
         return float(rng.binomial(1 + later, p_swap)), first
 
@@ -477,6 +484,17 @@ def _cascade_maxima(rng: np.random.Generator, n_leaves: int, size: int) -> np.nd
     inversion of one Exp(1) draw E: -log(1 - exp(-E / n_leaves))."""
     with np.errstate(divide="ignore"):  # E = 0 maps to an endless wait
         return -np.log(-np.expm1(-rng.standard_exponential(size) / n_leaves))
+
+
+def _split_maxima(rng: np.random.Generator, gammas: np.ndarray, size: int) -> np.ndarray:
+    """The maxima sum_j E_ij / j of ``size`` cascades whose rank-j terms sum to
+    ``gammas[j - 1]``, split rank by rank by ``size`` Exp(1) draws over their sum."""
+    maxima, split = np.zeros(size), np.empty(size)
+    for j, total in enumerate(gammas.tolist(), start=1):
+        rng.standard_exponential(out=split)
+        split *= total / (j * split.sum())
+        maxima += split
+    return maxima
 
 
 def _walk_cascades(
@@ -494,7 +512,7 @@ def _walk_cascades(
 
     The exact lattice walk, one cascade per step in Python floats with the
     current interval of the piecewise-linear H cached, for the passes where
-    the bounds of :func:`_time_resolved_trial` disagree.
+    the bounds of :func:`_time_resolved_pass` disagree.
     """
     times = t_grid.tolist()
     haz = hazard.tolist()

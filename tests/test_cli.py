@@ -190,6 +190,33 @@ class TestTopLevel:
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
         assert list(target.iterdir()) == []
 
+    @pytest.mark.parametrize("exists", [False, True])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["flyby", "--samples", "11", "--output", "{dir}"],
+            ["rates", "--distances-km", "10000", "--links", "4", "--output", "{dir}"],
+            ["sensitivity", "--param", "orbit.altitude_m", "--values", "5e5",
+             "--distances-km", "10000", "--links", "4", "--output", "{dir}"],
+            ["mc", "--trials", "5", "--seed", "1", "--output", "{dir}"],
+            ["mc", "--trials", "5", "--seed", "1", "--dump-trials", "{dir}"],
+            ["caps-curve", "--points", "3", "--output", "{dir}"],
+        ],
+    )
+    def test_path_ending_in_a_separator_is_usage_error(self, argv, exists, tmp_path, capsys):
+        # A trailing separator names a directory, whether or not it exists:
+        # every writer fails as a plain open would, and leaves no file.
+        target = tmp_path / "newdir"
+        if exists:
+            target.mkdir()
+        path = str(target) + os.sep
+        assert main([path if a == "{dir}" else a for a in argv]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"satrep: error: cannot write {path}:")
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == (["newdir"] if exists else [])
+        assert not exists or list(target.iterdir()) == []
+
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_written_file_has_the_mode_a_plain_create_gives(self, umask, mode, tmp_path):
         # 0o666 less the umask, for a new file and over an existing one of

@@ -16,7 +16,9 @@ from satrep.mc_oracle import (
     McEstimate,
     _block_rng,
     _merge_tree,
-    _time_resolved_trial,
+    _split_maxima,
+    _streams,
+    _time_resolved_pass,
     _walk_cascades,
     compare_report,
     simulate_chain,
@@ -90,7 +92,7 @@ def reference_time_resolved_trial(rng, profile, hazard, n_leaves, slot_s, p_swap
     """The per-leaf sampler the hazard-space walk replaced: every herald of
     every leaf, and a table over their union that maps each cascade start to
     the latest of the leaves' next heralds.  Returns the pair count and the
-    first cascade's leaf times, as _time_resolved_trial does."""
+    first cascade's leaf times, as a _time_resolved_pass trial does."""
     t_fb = profile.flyby_duration_s
     events = [
         reference_event_times(rng, profile.times_s, hazard, slot_s, t_fb)
@@ -129,6 +131,13 @@ def half_completing_chain(rep_cfg, agg):
     eta_d = rep_cfg.node.detection_efficiency * scale
     node = dataclasses.replace(rep_cfg.node, detection_efficiency=eta_d)
     return dataclasses.replace(rep_cfg, node=node)
+
+
+def linear_pass(slot_s):
+    """A 10 s pass at herald hazard 200 t per leaf, 2,000 over the pass, in
+    slots of ``slot_s``: the profile and hazard a trial takes."""
+    t_grid = np.linspace(0.0, 10.0, 101)
+    return SimpleNamespace(times_s=t_grid, flyby_duration_s=10.0), 200.0 * t_grid
 
 
 def unit_gate_chain(baseline_cfg):
@@ -558,8 +567,8 @@ class TestTimeResolved:
         profile = SimpleNamespace(times_s=t_grid, flyby_duration_s=10.0)
         slot = 0.25
         for trial, n_leaves in itertools.product(range(20), (2, 8)):
-            pairs, first = _time_resolved_trial(
-                _block_rng(trial, 99), profile, 5.0 * t_grid, n_leaves, slot, 1.0
+            pairs, first = _time_resolved_pass(profile, 5.0 * t_grid, n_leaves, slot, 1.0)(
+                _block_rng(trial, 99)
             )
             waits = _block_rng(trial, 99).standard_exponential(n_leaves)
             assert np.array_equal(first, np.ceil(waits / 5.0 / slot - 1e-12) * slot)
@@ -579,7 +588,7 @@ class TestTimeResolved:
         hazard = np.array([0.0, per_leaf])
         profile = SimpleNamespace(times_s=t_grid, flyby_duration_s=10.0)
         with pytest.raises(ValueError, match="heralds over its"):
-            _time_resolved_trial(_block_rng(0, 99), profile, hazard, n_leaves, 1e-9, 1.0)
+            _time_resolved_pass(profile, hazard, n_leaves, 1e-9, 1.0)(_block_rng(0, 99))
 
     def test_mismatched_profile_is_rejected(self, baseline_cfg):
         # The aggregates of a 2,000 km link against the profile the baseline
@@ -597,53 +606,88 @@ class TestTimeResolved:
 
 
 class CascadeSpy:
-    """Records the cascade maxima a trial draws and how often it falls back
-    on the sequential walk."""
+    """Records the cascade maxima a trial draws, the leaf-rank gamma sums of
+    its jump and the maxima it splits them into, and how often it falls back
+    on the sequential walk.  ``rng(block, seed)`` wraps the generator a trial gets,
+    so that its ``standard_gamma`` draws are recorded."""
 
     def __init__(self, monkeypatch):
         self.maxima = []
+        self.gammas = self.split = None
         self.walks = 0
-        draw, walk = mc_oracle._cascade_maxima, mc_oracle._walk_cascades
+        draw, split, walk = (
+            mc_oracle._cascade_maxima, mc_oracle._split_maxima, mc_oracle._walk_cascades
+        )
 
         def spy_draw(*args):
             self.maxima.append(draw(*args))
             return self.maxima[-1]
+
+        def spy_split(*args):
+            self.split = split(*args)
+            return self.split
 
         def spy_walk(*args):
             self.walks += 1
             return walk(*args)
 
         monkeypatch.setattr(mc_oracle, "_cascade_maxima", spy_draw)
+        monkeypatch.setattr(mc_oracle, "_split_maxima", spy_split)
         monkeypatch.setattr(mc_oracle, "_walk_cascades", spy_walk)
+
+    def rng(self, block, seed):
+        self.maxima.clear()
+        self.gammas = self.split = None
+        rng = _block_rng(block, seed)
+        spy = self
+
+        class Recording:
+            def __getattr__(self, name):
+                return getattr(rng, name)
+
+            def standard_gamma(self, shape, size):
+                spy.gammas = (shape, rng.standard_gamma(shape, size))
+                return spy.gammas[1]
+
+        return Recording()
 
 
 class TestNextCascadeWalk:
     """The vectorised cascade count against the sequential per-cascade
-    lattice walk, trial by trial, over the same draws."""
+    lattice walk, trial by trial, over the same draws: a trial's jump split
+    into its cascade maxima (the split the trial drew if it fell back, a
+    fresh one if not), then the maxima it drew after the jump."""
 
     @staticmethod
     def count_both(monkeypatch, profile, hazard, n_leaves, slot_s, trials, seed):
         """Per trial, the cascades the trial counted (its pairs at P_swap = 1)
-        and the walk's count over the same draws; plus the fallback count."""
+        and the walk's count over the same draws; plus the fallback count and
+        the count of trials that jumped."""
         spy = CascadeSpy(monkeypatch)
-        counted, walked = [], []
+        trial_of = _time_resolved_pass(profile, hazard, n_leaves, slot_s, 1.0)
+        counted, walked, jumps = [], [], 0
         for trial in range(trials):
-            spy.maxima.clear()
-            pairs, first = _time_resolved_trial(
-                _block_rng(trial, seed), profile, hazard, n_leaves, slot_s, 1.0
-            )
+            pairs, first = trial_of(spy.rng(trial, seed))
             counted.append(pairs)
             if np.isnan(first[0]):
                 walked.append(0.0)
                 continue
+            maxima = list(spy.maxima)
+            if spy.gammas is not None:
+                jumps += 1
+                size, gammas = spy.gammas
+                split = spy.split
+                if split is None:
+                    split = _split_maxima(_block_rng(trial, seed + 1), gammas, size)
+                maxima.insert(0, split)
             end = float(first.max())
             h = float(np.interp(end, profile.times_s, hazard))
             later = _walk_cascades(
                 profile.times_s, hazard, slot_s, profile.flyby_duration_s, end, h,
-                np.concatenate(spy.maxima),
+                np.concatenate(maxima),
             )
             walked.append(1.0 + later)
-        return counted, walked, spy.walks
+        return counted, walked, spy.walks, jumps
 
     @classmethod
     def count_chain(cls, monkeypatch, rep_cfg, agg, trials, seed):
@@ -655,53 +699,81 @@ class TestNextCascadeWalk:
     @pytest.mark.parametrize("depth", [1, 2, 3])
     @pytest.mark.parametrize("seed", [0, 7, 11])
     def test_matches_per_cascade_loop(self, monkeypatch, baseline_cfg, baseline_agg, depth, seed):
-        # At the baseline the bounds decide every count without the walk.
+        # At the baseline every trial jumps and the bounds decide every
+        # count without the walk.
         chain = dataclasses.replace(baseline_cfg, n_levels=depth)
-        counted, walked, walks = self.count_chain(
+        counted, walked, walks, jumps = self.count_chain(
             monkeypatch, chain, baseline_agg, trials=5, seed=seed
         )
         assert counted == walked
         assert min(counted) > 1000
         assert walks == 0
+        assert jumps == 5
 
     def test_matches_with_some_trials_truncated(self, monkeypatch, baseline_cfg, baseline_agg):
         slow = half_completing_chain(baseline_cfg, baseline_agg)
-        counted, walked, _ = self.count_chain(monkeypatch, slow, baseline_agg, trials=40, seed=2)
+        counted, walked, _, _ = self.count_chain(
+            monkeypatch, slow, baseline_agg, trials=40, seed=2
+        )
         assert counted == walked
         assert 0 < np.count_nonzero(counted) < 40
 
     def test_matches_with_every_trial_truncated(self, monkeypatch, baseline_cfg, baseline_agg):
         node = dataclasses.replace(baseline_cfg.node, detection_efficiency=1e-5)
         dead = dataclasses.replace(baseline_cfg, node=node)
-        counted, walked, walks = self.count_chain(
+        counted, walked, walks, jumps = self.count_chain(
             monkeypatch, dead, baseline_agg, trials=10, seed=2
         )
         assert counted == walked == [0.0] * 10
-        assert walks == 0
+        assert walks == jumps == 0
 
     @pytest.mark.parametrize("n_leaves", [2, 4, 8])
     def test_coarse_slots_need_walk(self, monkeypatch, n_leaves):
         # Hazard 5 t over 10 s in slots of 0.25 s: snapping adds up to 1.25
         # per cascade, as much as the mean maximum wait, so the bounds
-        # cannot agree and every count comes from the walk.
+        # cannot agree and every count comes from the walk.  The pass is
+        # too short to jump.
         t_grid = np.linspace(0.0, 10.0, 101)
         profile = SimpleNamespace(times_s=t_grid, flyby_duration_s=10.0)
-        counted, walked, walks = self.count_both(
+        counted, walked, walks, jumps = self.count_both(
             monkeypatch, profile, 5.0 * t_grid, n_leaves, 0.25, trials=50, seed=32
         )
         assert counted == walked
         assert walks > 40
+        assert jumps == 0
 
     def test_fine_slots_mix_both_paths(self, monkeypatch):
         # A convex hazard t^2 / 2 in slots of 1 ms: some counts are decided
         # by the bounds, the rest by the walk, and all agree.
         t_grid = np.linspace(0.0, 10.0, 101)
         profile = SimpleNamespace(times_s=t_grid, flyby_duration_s=10.0)
-        counted, walked, walks = self.count_both(
+        counted, walked, walks, _ = self.count_both(
             monkeypatch, profile, 0.5 * t_grid**2, 4, 1e-3, trials=200, seed=33
         )
         assert counted == walked
         assert 0 < walks < 200
+
+    @pytest.mark.parametrize("n_leaves", [2, 8])
+    def test_jump_past_the_pass_end_is_split_and_walked(self, monkeypatch, n_leaves):
+        # A negative margin jumps about 8 standard deviations of the count
+        # past the pass end, so every trial splits its jump and walks.
+        monkeypatch.setattr(mc_oracle, "_JUMP_Z", -8.0)
+        counted, walked, walks, jumps = self.count_both(
+            monkeypatch, *linear_pass(1e-5), n_leaves, 1e-5, trials=20, seed=34
+        )
+        assert counted == walked
+        assert walks == jumps == 20
+
+    @pytest.mark.parametrize("n_leaves", [2, 8])
+    def test_coarse_slots_walk_after_the_jump(self, monkeypatch, n_leaves):
+        # Hazard 200 t in slots of 0.01 s: the pass holds over a thousand
+        # mean maxima, so every trial jumps, and snapping adds up to 2 per
+        # cascade, so the bounds cannot agree.
+        counted, walked, walks, jumps = self.count_both(
+            monkeypatch, *linear_pass(0.01), n_leaves, 0.01, trials=20, seed=35
+        )
+        assert counted == walked
+        assert walks == jumps == 20
 
 
 def two_sample_z(a, b):
@@ -719,7 +791,8 @@ class TestAgainstPerLeafSampler:
         profile, hazard = chain_hazard(rep_cfg, agg)
         p_swap = Chain(rep_cfg).swap
         args = (profile, hazard, rep_cfg.n_links, rep_cfg.slot_s, p_swap)
-        new = [_time_resolved_trial(_block_rng(i, 701), *args) for i in range(trials)]
+        trial = _time_resolved_pass(*args)
+        new = [trial(_block_rng(i, 701)) for i in range(trials)]
         old = [reference_time_resolved_trial(_block_rng(i, 702), *args) for i in range(trials)]
         return new, old
 
@@ -737,6 +810,50 @@ class TestAgainstPerLeafSampler:
         done_old = [not np.isnan(t[0]) for _, t in old]
         assert 0.3 < np.mean(done_new) < 0.7
         assert abs(two_sample_z(done_new, done_old)) <= 4.0
+
+
+class TestJumpFallbacksAgainstPerLeafSampler:
+    """A trial that splits its jump and walks draws from the per-leaf
+    sampler's distribution too: after a jump past the pass end, and after a
+    jump the slot band cannot decide (seeds fixed before the first run)."""
+
+    @staticmethod
+    def pairs_z(profile, hazard, slot_s, trials):
+        args = (profile, hazard, 2, slot_s, 1.0)
+        trial = _time_resolved_pass(*args)
+        new = [trial(_block_rng(i, 703))[0] for i in range(trials)]
+        old = [reference_time_resolved_trial(_block_rng(i, 704), *args)[0] for i in range(trials)]
+        return two_sample_z(new, old)
+
+    def test_jump_past_the_pass_end(self, monkeypatch):
+        monkeypatch.setattr(mc_oracle, "_JUMP_Z", -8.0)
+        assert abs(self.pairs_z(*linear_pass(1e-5), 1e-5, trials=300)) <= 4.0
+
+    def test_walk_after_the_jump(self):
+        assert abs(self.pairs_z(*linear_pass(0.01), 0.01, trials=300)) <= 4.0
+
+
+class TestRenewalCount:
+    """At P_swap = 1 a trial's pairs count its cascades: a renewal count over
+    the pass hazard Lambda of one leaf, in steps of the largest of 2^n Exp(1)
+    waits, with mean mu = H_2^n and variance sigma^2 = sum_k<=2^n 1/k^2.  Its
+    mean is Lambda/mu + sigma^2/(2 mu^2) - 1/2 up to an exponentially small
+    remainder, and its variance sigma^2 Lambda/mu^3 up to a constant below
+    0.1 here (Cox, Renewal Theory, 1962).  Slot snapping moves the count by
+    less than 1e-4 at the baseline."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_count_mean_and_variance(self, baseline_cfg, baseline_agg, depth):
+        chain = dataclasses.replace(baseline_cfg, n_levels=depth)
+        profile, hazard = chain_hazard(chain, baseline_agg)
+        trial = _time_resolved_pass(profile, hazard, chain.n_links, chain.slot_s, 1.0)
+        counts = np.array([trial(rng)[0] for _, rng in zip(range(20_000), _streams(31))])
+        inv = 1.0 / np.arange(1, chain.n_links + 1)
+        mu, var, lam = inv.sum(), (inv**2).sum(), hazard[-1]
+        mean, variance = lam / mu + var / (2 * mu**2) - 0.5, var * lam / mu**3
+        n = counts.size
+        assert abs(counts.mean() - mean) / math.sqrt(counts.var(ddof=1) / n) <= 3.0
+        assert abs(counts.var(ddof=1) / variance - 1.0) / math.sqrt(2 / (n - 1)) <= 3.0
 
 
 class TestCompareReport:

@@ -22,7 +22,8 @@ commands whose records differ, each with the parts that differ
 exit codes that changed, and exits 1 if any command differs, 0 if none.
 
 The commands: ``flyby``, ``rates``, ``sensitivity``, both ``mc`` time
-models (each also with its report written to ``--output``) and
+models (each also with its report written to ``--output``, and the
+time-resolved one with per-trial dumps at depths 1-3) and
 ``caps-curve`` at and around the defaults; ``rates`` and a
 constant-p ``mc`` with the repeater section's gate efficiency and detector
 exponent changed; one sweep per row status (``ok``, ``no_visibility``,
@@ -114,6 +115,9 @@ def commands() -> list[list[str]]:
         ["mc", "--trials", "3000", "--seed", "7", "--set", "repeater.nesting_levels=3"],
         ["mc", "--trials", "6", "--seed", "7", "--set", "mc.time_model=time-resolved",
          "--dump-trials", DUMP],
+        # Time-resolved per-trial pairs at the other depths, 1 and 3.
+        *(["mc", "--trials", "6", "--seed", "7", "--set", "mc.time_model=time-resolved",
+           "--set", f"repeater.nesting_levels={n}", "--dump-trials", DUMP] for n in (1, 3)),
         # Reports written to a file, not stdout, by both time models.
         ["mc", "--trials", "2000", "--seed", "11", "--set", "repeater.nesting_levels=1",
          "--output", OUT],
