@@ -37,7 +37,7 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 import numpy as np
 
 from .config import ConfigError, Scenario, load_scenario, load_scenarios, sweepable_keys
-from .flyby import QuadratureError, build_profile, pass_aggregates
+from .flyby import DEFAULT_SAMPLES, QuadratureError, build_profile, pass_aggregates
 from .mc_oracle import compare_report, simulate_chain
 from .node import caps_success
 from .repeater import distance_sweep, evaluate_with_aggregates
@@ -108,7 +108,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser(
         "flyby", parents=[common], help="single-pass transmission/fidelity profile"
     )
-    p.add_argument("--samples", type=int, default=2001, help="CSV profile grid points")
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help="CSV profile grid points")
     p.set_defaults(func=_cmd_flyby, output_required=True)
 
     p = sub.add_parser(

@@ -258,31 +258,27 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return fractions, weights
 
 
-def _folded(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-point rule (n even) folded about the pass's midpoint: its n/2
-    fractions below 1/2, with their weights doubled.  A pass is symmetric
-    about closest approach (t -> T_FB - t leaves d, theta, eta and F_pair
-    unchanged) and leggauss returns mirror-symmetric nodes and weights, so
-    the folded rule gives the full rule's value up to the rounding of the
-    samples."""
-    fractions, weights = _gauss_legendre(n)
-    doubled = 2.0 * weights[: n // 2]
-    doubled.setflags(write=False)
-    return fractions[: n // 2], doubled
-
-
 @functools.cache
 def _rules(counts: tuple[int, ...]) -> tuple[np.ndarray, tuple]:
-    """The folded rules with these node counts, sampled in one profile: their
-    fractions, concatenated, and per rule the slice of the samples that are
-    its own and its weights.  Read-only, built once per ``counts``."""
-    rules = [_folded(n) for n in counts]
-    fractions = np.concatenate([f for f, _ in rules])
+    """The rules with these node counts (each even), folded about the pass's
+    midpoint and sampled in one profile: their fractions below 1/2,
+    concatenated, and per rule the slice of the samples that are its own and
+    its weights, doubled.  A pass is symmetric about closest approach (t ->
+    T_FB - t leaves d, theta, eta and F_pair unchanged) and leggauss returns
+    mirror-symmetric nodes and weights, so a folded rule gives the full
+    rule's value up to the rounding of the samples.  Read-only, built once
+    per ``counts``."""
+    halves, parts, start = [], [], 0
+    for n in counts:
+        fractions, weights = _gauss_legendre(n)
+        doubled = 2.0 * weights[: n // 2]
+        doubled.setflags(write=False)
+        halves.append(fractions[: n // 2])
+        parts.append((slice(start, start + n // 2), doubled))
+        start += n // 2
+    fractions = np.concatenate(halves)
     fractions.setflags(write=False)
-    ends = np.cumsum([w.size for _, w in rules]).tolist()
-    return fractions, tuple(
-        (slice(end - w.size, end), w) for end, (_, w) in zip(ends, rules)
-    )
+    return fractions, tuple(parts)
 
 
 def converged_aggregates(

@@ -84,9 +84,11 @@ _MAX_HERALDS_PER_TRIAL = 1e8
 _JUMP_Z = 8.0  # standard deviations a jump stays below the pass end: odds 1e-15 past it
 # Leaf times one simulate_chain run may draw: trials x 2^n, plus a block of
 # _BLOCK_TRIALS x 2^n in constant-p, which keeps of them only each trial's
-# gaps and first link time.  At most about 25 bytes each in runs above
-# 50 MB (tracemalloc, 4 to 4096 leaves), the cap keeps a run under about
-# 0.5 GB; the baseline draws 1e5 x 4.
+# gaps and first link time.  A run peaks at up to 34 bytes per leaf time in
+# time-resolved (33.3, 32.8, 30.7 and 28.4 at 2, 4, 8 and 256 to 8,192
+# leaves) and 20 in constant-p (20.0, 16.0, 14.0 and 11.3 at 2, 4, 8 and
+# 8,192; tracemalloc over runs of 4e5 to 1e7 leaf times), so the cap keeps
+# a run under about 0.68 GB; the baseline draws 1e5 x 4.
 _MAX_LEAF_TIMES = 2e7
 
 
@@ -365,17 +367,16 @@ def simulate_chain(
         )
         if not math.isclose(profile.flyby_duration_s, t_fb, rel_tol=1e-9):
             raise ValueError("profile and aggregates describe different passes")
-        q = np.clip(p_attempt / agg.p0 * profile.eta2_tr, 0.0, 1.0 - 1e-15)
-        rate = -np.log1p(-q) / slot_s
-        hazard = np.cumsum(np.diff(profile.times_s) * (rate[1:] + rate[:-1]) / 2.0)
-        hazard = np.concatenate(([0.0], hazard))
+        hazard = _herald_hazard(profile, p_attempt / agg.p0, slot_s)
         trial = _time_resolved_pass(profile, hazard, n_leaves, slot_s, p_swap)
         leaf_times = np.full((cfg.trials, n_leaves), math.nan)
         for i, rng in zip(range(cfg.trials), _streams(cfg.seed)):
             pairs_samples[i], leaf_times[i] = trial(rng)
         done = ~np.isnan(leaf_times[:, 0])
         link_time = leaf_times[done, 0]
-        completed, gaps = _merge_tree(leaf_times[done], f0, chain.gate, gamma_s)
+        if link_time.size < cfg.trials:  # copy only to drop truncated trials
+            leaf_times = leaf_times[done]
+        completed, gaps = _merge_tree(leaf_times, f0, chain.gate, gamma_s)
         fidelity_samples = np.full(cfg.trials, math.nan)
         fidelity_samples[done] = completed
     return ChainEstimates(
@@ -393,6 +394,15 @@ def simulate_chain(
         pairs_samples=pairs_samples,
         fidelity_samples=fidelity_samples,
     )
+
+
+def _herald_hazard(profile, scale: float, slot_s: float) -> np.ndarray:
+    """One leaf's cumulative herald hazard H(t) on the profile's grid, the trapezoid
+    integral of -log1p(-q) / slot_s for q = scale * eta_tr^2(t) clipped below 1."""
+    q = np.clip(scale * profile.eta2_tr, 0.0, 1.0 - 1e-15)
+    rate = -np.log1p(-q) / slot_s
+    hazard = np.cumsum(np.diff(profile.times_s) * (rate[1:] + rate[:-1]) / 2.0)
+    return np.concatenate(([0.0], hazard))
 
 
 def _time_resolved_pass(profile, hazard, n_leaves, slot_s, p_swap):

@@ -31,7 +31,6 @@ __all__ = [
     "Chain",
     "RepeaterConfig",
     "RepeaterResult",
-    "SweepRow",
     "distance_sweep",
     "evaluate",
     "evaluate_with_aggregates",
@@ -80,6 +79,11 @@ class RepeaterConfig:
 _MAX_LEVELS = 1023
 
 
+def _wait_factors(n_levels: int) -> list[float]:
+    """T_k / T0 = (1/2) (3/2)^(k-1) at swap levels k = 1..n (:meth:`Chain.evaluate`)."""
+    return [0.5 * 1.5 ** (k - 1) for k in range(1, n_levels + 1)]
+
+
 class Chain:
     """Each chain formula of one config at one depth (default: the config's).
     ``swap`` = ((2/3) * P_gate)^n is the probability that all 2^n - 1 swaps
@@ -105,7 +109,7 @@ class Chain:
         self.caps_fidelity = node.caps_fidelity
         self.gamma_s = node.spin_decoherence_rate_hz
         self.gate = node.rydberg_gate_fidelity * node.readout_fidelity**2
-        self.wait_factors = [0.5 * 1.5 ** (k - 1) for k in range(1, n_levels + 1)]
+        self.wait_factors = _wait_factors(n_levels)
 
     def rate_direct(self, p0: float) -> float:
         """Rate of the repeaterless reference: the same satellite sends both
@@ -181,20 +185,45 @@ def pairs_per_flyby(rate_hz: float, t_fb_s: float) -> float:
     return rate_hz * t_fb_s
 
 
-@dataclass(frozen=True)
-class RepeaterResult:
-    """Analytic end-to-end figures for one configuration and one pass."""
+class RepeaterResult(NamedTuple):
+    """Analytic end-to-end figures of one chain at one pass: an
+    :func:`evaluate`, or a distance sweep's row at one total distance and
+    depth.  ``status`` is ``ok`` or that of the :class:`NoResultError` that
+    stopped a row: ``no_visibility`` and ``zero_transmission`` leave its
+    ``aggregates`` None, ``zero_herald_rate`` its chain fields, the last
+    four.  Depth 0 is the direct-transmission reference: its rate is
+    :meth:`Chain.rate_direct`'s, and it has no chain fields after the pairs."""
 
-    rate_hz: float
-    pairs_per_flyby: float
-    fidelity_per_level: tuple[float, ...]
-    waiting_time_per_level: tuple[float, ...]
-    elementary_time_s: float
-    aggregates: FlybyAggregates
+    link_length_m: float
+    status: str
+    aggregates: FlybyAggregates | None = None
+    rate_hz: float | None = None
+    pairs_per_flyby: float | None = None
+    elementary_time_s: float | None = None
+    fidelity_per_level: list[float] | None = None
+
+    @property
+    def visible(self) -> bool:
+        return self.status != "no_visibility"
 
     @property
     def fidelity_final(self) -> float:
         return self.fidelity_per_level[-1]
+
+    @property
+    def waiting_time_per_level(self) -> list[float] | None:
+        """[T_1, ..., T_n] as :meth:`Chain.evaluate` gives them, computed
+        from T0 on each access, so a sweep row keeps one list, not two."""
+        if self.fidelity_per_level is None:
+            return None
+        t0, n = self.elementary_time_s, len(self.fidelity_per_level) - 1
+        return [factor * t0 for factor in _wait_factors(n)]
+
+
+def _chain_result(chain: Chain, link_length_m: float, agg: FlybyAggregates) -> RepeaterResult:
+    """The ``ok`` record of ``chain`` at the pass ``agg`` of this link length."""
+    rate_hz, pairs, t0, _, levels = chain.evaluate(agg)
+    return RepeaterResult(link_length_m, "ok", agg, rate_hz, pairs, t0, levels)
 
 
 def evaluate(cfg: RepeaterConfig) -> RepeaterResult:
@@ -210,41 +239,18 @@ def evaluate_with_aggregates(
     """Same as :func:`evaluate` but reusing precomputed pass averages (the
     aggregates depend only on geometry, channel, and source fidelity, so sweeps
     over nesting depth can share them)."""
-    rate_hz, pairs, t0, waits, levels = Chain(cfg).evaluate(agg)
-    return RepeaterResult(rate_hz, pairs, tuple(levels), tuple(waits), t0, agg)
-
-
-class SweepRow(NamedTuple):
-    """One total distance of a distance sweep at one nesting depth.
-    ``status`` is ``ok`` or that of the :class:`NoResultError` that stopped
-    the row: ``no_visibility`` and ``zero_transmission`` leave its
-    ``aggregates`` None, ``zero_herald_rate`` only its chain fields, the last
-    four.  Depth 0 is the direct-transmission reference: its rate is
-    :meth:`Chain.rate_direct`'s and, having no chain, it has no T0 and no
-    fidelity levels."""
-
-    link_length_m: float
-    status: str
-    aggregates: FlybyAggregates | None
-    rate_hz: float | None
-    pairs_per_flyby: float | None
-    elementary_time_s: float | None
-    fidelity_per_level: list[float] | None
-
-    @property
-    def visible(self) -> bool:
-        return self.status != "no_visibility"
+    return _chain_result(Chain(cfg), cfg.geometry.link_length_m, agg)
 
 
 def distance_sweep(
     cfgs: list[RepeaterConfig], l_totals_m: list[float], levels: list[int]
-) -> list[list[list[SweepRow]]]:
+) -> list[list[list[RepeaterResult]]]:
     """Evaluate the chains of a run's configs over a set of total ground
     distances.
 
     Each total distance is split into 2^n equal elementary links, for each
     nesting depth n in ``levels``; the result holds per config and per
-    depth, in that order, one :class:`SweepRow` per total distance.
+    depth, in that order, one :class:`RepeaterResult` per total distance.
     Everything but the link length is taken from the config; depth 0
     (direct transmission, no memories) stops at the pass aggregates.  A
     pass is defined by its link length, its :func:`~satrep.orbit.pass_shape`,
@@ -285,22 +291,21 @@ def distance_sweep(
     ]
 
 
-def _depth_rows(n: int, chain: Chain, links: list[float], passes: dict) -> list[SweepRow]:
+def _depth_rows(n: int, chain: Chain, links: list[float], passes: dict) -> list[RepeaterResult]:
     """The sweep rows of depth ``n`` over ``links``, whose passes ``passes``
     holds."""
     rows = []
     for link in links:
         agg = passes[link]
         if isinstance(agg, str):
-            rows.append(SweepRow(link, agg, None, None, None, None, None))
+            rows.append(RepeaterResult(link, agg))
         elif not n:
             rate_hz = chain.rate_direct(agg.p0)
             pairs = pairs_per_flyby(rate_hz, agg.flyby_duration_s)
-            rows.append(SweepRow(link, "ok", agg, rate_hz, pairs, None, None))
+            rows.append(RepeaterResult(link, "ok", agg, rate_hz, pairs))
         else:
             try:
-                rate_hz, pairs, t0, _, fidelities = chain.evaluate(agg)
-                rows.append(SweepRow(link, "ok", agg, rate_hz, pairs, t0, fidelities))
+                rows.append(_chain_result(chain, link, agg))
             except NoResultError as exc:
-                rows.append(SweepRow(link, exc.status, agg, None, None, None, None))
+                rows.append(RepeaterResult(link, exc.status, agg))
     return rows

@@ -313,9 +313,16 @@ def test_folded_rules_agree_with_full_rules(channel, baseline_cfg, monkeypatch):
         batch = batch_of(batch_geom, batch_params, 0.998, BATCH_LINKS)
         return [baseline, *grazing, *batch]
 
+    def full_rules(counts):
+        # Every node of each rule, with its own weight, in _rules' layout.
+        ends = np.cumsum(counts).tolist()
+        rules = [flyby._gauss_legendre(n) for n in counts]
+        return np.concatenate([f for f, _ in rules]), tuple(
+            (slice(end - n, end), w) for end, n, (_, w) in zip(ends, counts, rules)
+        )
+
     folded = everything()
-    monkeypatch.setattr(flyby, "_folded", flyby._gauss_legendre)
-    monkeypatch.setattr(flyby, "_rules", flyby._rules.__wrapped__)
+    monkeypatch.setattr(flyby, "_rules", full_rules)
     full = everything()
     assert full != folded  # the full rules ran, and moved some last bits
     for got, want in zip(folded, full):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -15,6 +16,7 @@ from satrep.mc_oracle import (
     McConfig,
     McEstimate,
     _block_rng,
+    _herald_hazard,
     _merge_tree,
     _split_maxima,
     _streams,
@@ -57,20 +59,11 @@ def bits(x):
     return np.float64(x).tobytes()
 
 
-def hazard_grid(profile, slot_s, p_scale):
-    """Cumulative herald hazard on the profile grid, as simulate_chain builds it."""
-    q = np.clip(p_scale * profile.eta2_tr, 0.0, 1.0 - 1e-15)
-    rate = -np.log1p(-q) / slot_s
-    return np.concatenate(
-        ([0.0], np.cumsum(np.diff(profile.times_s) * (rate[1:] + rate[:-1]) / 2.0))
-    )
-
-
 def chain_hazard(rep_cfg, agg):
     """The chain's pass profile and herald hazard, as simulate_chain builds them."""
     profile = build_profile(rep_cfg.geometry, rep_cfg.channel, rep_cfg.source.pair_fidelity)
     p_scale = Chain(rep_cfg).herald_probability(agg.p0) / agg.p0
-    return profile, hazard_grid(profile, rep_cfg.slot_s, p_scale)
+    return profile, _herald_hazard(profile, p_scale, rep_cfg.slot_s)
 
 
 def reference_event_times(rng, t_grid, hazard, slot_s, t_fb):
@@ -532,6 +525,27 @@ class TestTimeResolved:
         )
         assert short.pairs_samples.tobytes() == longer.pairs_samples[:5].tobytes()
         assert short.fidelity_samples.tobytes() == longer.fidelity_samples[:5].tobytes()
+
+    def test_leaf_times_peak_under_the_cap_comment_bound(self, baseline_cfg, baseline_agg):
+        # 512 trials of 1,024 leaves at a 100th of the baseline's herald
+        # hazard (one multiplexing channel), so a trial walks a few cascades
+        # and every first cascade completes.  The run peaks at about 28.5
+        # bytes per leaf time, under the 34 that _MAX_LEAF_TIMES' comment
+        # states; copying the leaf times of a run in which no trial was
+        # truncated costs 8 more.
+        source = dataclasses.replace(baseline_cfg.source, multiplexing_channels=1)
+        cheap = dataclasses.replace(baseline_cfg, source=source, n_levels=10)
+        trials = 512
+        tracemalloc.start()
+        try:
+            mc = simulate_chain(
+                McConfig(trials=trials, seed=3, time_model="time-resolved"), cheap, baseline_agg
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mc.completed_fraction == 1.0
+        assert peak < 34 * trials * cheap.n_links
 
     def test_truncated_trials_leave_nan_fidelity(self, baseline_cfg, baseline_agg):
         slow = half_completing_chain(baseline_cfg, baseline_agg)

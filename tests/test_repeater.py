@@ -327,10 +327,21 @@ class TestEvaluate:
 
     def test_result_consistency(self, baseline_cfg, baseline_agg):
         result = evaluate_with_aggregates(baseline_cfg, baseline_agg)
+        link = baseline_cfg.geometry.link_length_m
+        assert result[:3] == (link, "ok", baseline_agg) and result.visible
         assert result.pairs_per_flyby == result.rate_hz * baseline_agg.flyby_duration_s
         assert result.fidelity_final == result.fidelity_per_level[-1]
         assert len(result.waiting_time_per_level) == baseline_cfg.n_levels
         assert result.waiting_time_per_level[0] == 0.5 * result.elementary_time_s
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_waiting_times_are_the_chains(self, baseline_cfg, baseline_agg, n):
+        # Derived from T0 on access, bit for bit what Chain.evaluate computed.
+        cfg = dataclasses.replace(baseline_cfg, n_levels=n)
+        waits = evaluate_with_aggregates(cfg, baseline_agg).waiting_time_per_level
+        assert waits == Chain(cfg).evaluate(baseline_agg)[3] and type(waits) is list
+        (direct,) = distance_sweep([cfg], [2.0e6], [0])[0][0]
+        assert direct.status == "ok" and direct.waiting_time_per_level is None
 
     def test_detector_exponent_validation(self, baseline_cfg):
         with pytest.raises(ValueError):
@@ -553,8 +564,9 @@ class TestDistanceSweep:
                         result.rate_hz,
                         result.pairs_per_flyby,
                         result.elementary_time_s,
-                        list(result.fidelity_per_level),
+                        result.fidelity_per_level,
                     )
+                    assert row == result._replace(link_length_m=link)
                     assert len(entry[3]) == n + 1
         assert seen == {False: chain_statuses, True: direct_statuses}
 
