@@ -109,7 +109,7 @@ def _build_parser() -> _Parser:
         "flyby", parents=[common], help="single-pass transmission/fidelity profile"
     )
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help="CSV profile grid points")
-    p.set_defaults(func=_cmd_flyby, output_required=True)
+    p.set_defaults(func=_cmd_flyby)
 
     p = sub.add_parser(
         "rates", parents=[common], help="pairs and fidelity versus total distance"
@@ -178,8 +178,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "func", None) is None:
             parser.error("a subcommand is required")
-        if getattr(args, "output_required", False) and args.output is None:
-            parser.error(f"{args.command} requires --output")
         return args.func(args)
     except UsageError as exc:
         print(f"satrep: error: {exc}", file=sys.stderr)
@@ -303,6 +301,8 @@ def _parse_links(text: str) -> list[int]:
 
 
 def _cmd_flyby(args) -> int:
+    if args.output is None:
+        raise UsageError("flyby requires --output")
     scenario = _load(args)
     cfg = scenario.repeater
     if args.samples < 3:

@@ -113,16 +113,18 @@ class Scenario:
     """Fully resolved run configuration: the repeater chain and the Monte
     Carlo settings.
 
-    ``resolved`` holds the flat ``section.key -> value`` mapping after all
-    overlays, in schema order, for provenance headers on output files.
+    ``values`` holds every set ``(section, key)`` value after all overlays,
+    from which :meth:`flat_dict` builds the provenance of output files.
     """
 
     repeater: RepeaterConfig
     mc: McConfig
-    resolved: tuple[tuple[str, float | int | str], ...] = field(repr=False)
+    values: dict[tuple[str, str], float | int | str] = field(repr=False, hash=False)
 
     def flat_dict(self) -> dict[str, float | int | str]:
-        return dict(self.resolved)
+        """The flat ``section.key -> value`` mapping, in schema order."""
+        values = self.values
+        return {name: values[item] for item, name in _NAMES if item in values}
 
 
 def _suggest(name: str, candidates) -> str:
@@ -297,8 +299,7 @@ def _assemble(values: dict, base: Scenario | None = None, touched: str = "") -> 
         gate_efficiency=values[("repeater", "gate_efficiency")],
         detector_exponent=values[("repeater", "detector_exponent")],
     )
-    resolved = tuple([(name, values[item]) for item, name in _NAMES if item in values])
-    return Scenario(repeater=repeater, mc=mc, resolved=resolved)
+    return Scenario(repeater=repeater, mc=mc, values=values)
 
 
 def default_scenario() -> Scenario:

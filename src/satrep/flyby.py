@@ -22,10 +22,11 @@ mirror-symmetric nodes and weights, so each rule samples only its first
 half of the nodes, with doubled weights: 48 samples per pass for the 32/64
 pair, not 96.
 
-:func:`converged_aggregates` converges a batch of passes.  The visible
-ones, as :func:`~satrep.orbit.pass_timing` classifies them, are sampled
-together as (passes x nodes) arrays, each stage once per distinct value of
-its own inputs (see :func:`build_profile`), and each pass leaves the batch
+:func:`converged_aggregates` converges a batch of passes.  Its pass
+groups, the passes that share a geometry, a channel and a source fidelity,
+each get one profile per rule (see :func:`build_profile`): the group's
+visible passes, as :func:`~satrep.orbit.pass_timing` classifies them, are
+sampled together as (passes x nodes) arrays, and each pass leaves the batch
 at its own converged rule; a call of more than 1,024 passes samples them
 1,024 at a time.  Each pass mean is a row sum of that pass's own samples,
 so a pass has the same bits in any batch, and no mean goes through BLAS,
@@ -51,9 +52,7 @@ from .channel import (
     pair_fidelity,
     single_photon_transmission,
 )
-from .orbit import (
-    OrbitGeometry, PassTiming, pass_shape, pass_timing, slant_distance, zenith_angle,
-)
+from .orbit import OrbitGeometry, PassTiming, pass_timing, slant_distance, zenith_angle
 
 __all__ = [
     "FlybyAggregates",
@@ -131,28 +130,27 @@ class FlybyAggregates:
 
 
 def build_profile(
-    geom: OrbitGeometry | list[OrbitGeometry],
-    params: ChannelParams | list[ChannelParams],
-    source_fidelity: float | list[float],
+    geom: OrbitGeometry,
+    params: ChannelParams,
+    source_fidelity: float,
     n_samples: int = DEFAULT_SAMPLES,
     *,
     fractions: np.ndarray | None = None,
     timing: PassTiming | None = None,
 ) -> FlybyProfile:
-    """Sample d(t), theta(t), eta_tr(t), eta_tr^2(t) and F_pair(t) over a flyby.
+    """Sample d(t), theta(t), eta_tr(t), eta_tr^2(t) and F_pair(t) over a flyby
+    of the pass shape ``geom`` with channel ``params`` and source fidelity
+    ``source_fidelity``.
 
-    Without ``timing``, of the one pass ``geom`` with channel ``params`` and
-    source fidelity ``source_fidelity``: on ``n_samples`` (>= 3) uniform
-    points, or at t = fractions * T_FB for ``fractions`` in [0, 1], a
+    Without ``timing``, of the one pass ``geom``: on ``n_samples`` (>= 3)
+    uniform points, or at t = fractions * T_FB for ``fractions`` in [0, 1], a
     profile for quadrature only whose times keep their order.  A geometry
     with no joint-visibility window raises :class:`NoVisibilityError`.
 
-    With ``timing`` (column arrays from :func:`~satrep.orbit.pass_timing` of
-    a list), of a batch of visible passes at ``fractions``: ``geom``,
-    ``params`` and ``source_fidelity`` are lists of one entry per pass.
-    Each stage runs once per distinct value of its own inputs: the orbit per
-    pass shape (``geom`` but its link length), the transmission per channel,
-    the pair fidelity per (source fidelity, channel).
+    With ``timing``, the (passes, 1) columns of
+    :func:`~satrep.orbit.pass_timing` of ``geom`` at some link lengths, all
+    visible, of those passes at ``fractions``, as (passes, samples) arrays.
+    Every stage is elementwise, so each pass has the bits it has alone.
     """
     if fractions is None and n_samples < 3:
         raise ValueError(f"n_samples must be >= 3, got {n_samples}")
@@ -160,26 +158,17 @@ def build_profile(
         timing = pass_timing(geom)
         if not timing.visible:
             raise NoVisibilityError(geom)
-        geom, params, source_fidelity = [geom], [params], [source_fidelity]
     if fractions is None:
         times = np.linspace(0.0, timing.flyby_duration_s, n_samples)
     else:
         times = fractions * timing.flyby_duration_s
-    shapes = _distinct(geom, pass_shape)
-    slant = _each(
-        shapes,
-        lambda g, t0, cos_half, t: slant_distance(g, PassTiming(t0, cos_half), t),
-        timing.t0_s, timing.cos_half_angle, times,
-    )
-    zenith = _each(shapes, zenith_angle, slant)
-    channels = _distinct(params)
-    eta = _each(channels, single_photon_transmission, slant, zenith)
+    slant = slant_distance(geom, timing, times)
+    zenith = zenith_angle(geom, slant)
+    eta = single_photon_transmission(params, slant, zenith)
     # No pair fidelity where no photon arrives: NaN there, not an error, so
     # that one such pass does not stop a batch.
-    f_pair = _each(
-        _pairs(_distinct(source_fidelity), channels),
-        lambda pair, e: pair_fidelity(pair[0], mean_background_photons(pair[1]), e),
-        np.where(eta > 0.0, eta, np.nan),
+    f_pair = pair_fidelity(
+        source_fidelity, mean_background_photons(params), np.where(eta > 0.0, eta, np.nan)
     )
     return FlybyProfile(
         times_s=times,
@@ -190,57 +179,6 @@ def build_profile(
         f_pair=f_pair,
         flyby_duration_s=timing.flyby_duration_s,
     )
-
-
-def _distinct(values: list, key=None) -> tuple[list, np.ndarray | None]:
-    """The distinct values of ``values`` (one per pass) in order of first
-    appearance, and per pass the index of its own, None when one value
-    serves every pass.  Values compare by ``key`` (default: themselves),
-    which runs once per object; one value is not compared."""
-    if len(values) == 1:
-        return values, None
-    distinct: list = []
-    labels, by_id, by_key = [], {}, {}
-    for value in values:
-        label = by_id.get(id(value))
-        if label is None:
-            label = by_key.setdefault(value if key is None else key(value), len(distinct))
-            if label == len(distinct):
-                distinct.append(value)
-            by_id[id(value)] = label
-        labels.append(label)
-    return distinct, None if len(distinct) == 1 else np.array(labels)
-
-
-def _pairs(first, second) -> tuple[list, np.ndarray | None]:
-    """The :func:`_distinct` result of the passes' (first, second) value
-    pairs, from the two :func:`_distinct` results."""
-    (values_a, labels_a), (values_b, labels_b) = first, second
-    if labels_a is None and labels_b is None:
-        return [(values_a[0], values_b[0])], None
-    codes = (0 if labels_a is None else labels_a) * len(values_b) + (
-        0 if labels_b is None else labels_b
-    )
-    used, labels = np.unique(codes, return_inverse=True)
-    pairs = [divmod(code, len(values_b)) for code in used.tolist()]
-    return [(values_a[a], values_b[b]) for a, b in pairs], labels
-
-
-def _each(distinct, fn, *arrays):
-    """``fn(value, *rows)`` once per value of a :func:`_distinct` result, with
-    the rows (axis 0) of ``arrays`` that are its passes', the results put
-    together in pass order."""
-    values, labels = distinct
-    if labels is None:
-        return fn(values[0], *arrays)
-    out = None
-    for label, value in enumerate(values):
-        rows = np.flatnonzero(labels == label)
-        part = fn(value, *(a[rows] for a in arrays))
-        if out is None:
-            out = np.empty(labels.shape + part.shape[1:])
-        out[rows] = part
-    return out
 
 
 @functools.cache
@@ -292,13 +230,16 @@ def converged_aggregates(
 
     Pass i is the pass shape of ``geometries[i]`` at ``link_lengths_m[i]``
     (not the geometry's own link length), with channel ``params[i]`` and
-    source fidelity ``source_fidelities[i]``.  Returns per pass its
+    source fidelity ``source_fidelities[i]``.  The passes that share a
+    geometry object, a channel object and a source fidelity are one pass
+    group: its timing is computed once, and each rule samples its passes
+    still converging in one profile.  Returns per pass its
     :class:`FlybyAggregates`, with the bits it has alone, or its status:
     ``no_visibility``, or ``zero_transmission`` when the transmission is 0
     at a node or the two-photon transmission averages to 0.  Any other error
-    stops the whole batch, among them :class:`QuadratureError` for a pass
-    still unconverged past the last rule, naming its link length and giving
-    its (nodes, P0, F_pair_avg) history.
+    stops the whole batch, among them :class:`QuadratureError` for the first
+    pass still unconverged past the last rule, naming its link length and
+    giving its (nodes, P0, F_pair_avg) history.
     """
     if len(link_lengths_m) > _BATCH_PASSES:
         results = []
@@ -309,30 +250,47 @@ def converged_aggregates(
                 link_lengths_m[part],
             )
         return results
-    timing = pass_timing(geometries, link_lengths_m)
-    durations = timing.flyby_duration_s[:, 0].tolist()
+    # The batch indices of each pass group, in order of first appearance.
+    members: dict[tuple, list[int]] = {}
+    for i, key in enumerate(zip(map(id, geometries), map(id, params), source_fidelities)):
+        members.setdefault(key, []).append(i)
     results: list = ["no_visibility"] * len(link_lengths_m)
-    # The passes still converging and, per rule so far, their P0 and
-    # F_pair_avg as a (2, passes, rules) history.
-    rows = [i for i, t_fb in enumerate(durations) if t_fb > 0.0]
+    durations = {}
+    # Per group with passes still converging: its profile's inputs, the
+    # timing of those passes and their indices in the batch.
+    groups = []
+    for indices in members.values():
+        first = indices[0]
+        timing = pass_timing(geometries[first], [link_lengths_m[i] for i in indices])
+        t_fb = timing.flyby_duration_s[:, 0].tolist()
+        durations.update(zip(indices, t_fb))
+        visible = [k for k, duration in enumerate(t_fb) if duration > 0.0]
+        if visible:
+            inputs = (geometries[first], params[first], source_fidelities[first])
+            groups.append((inputs, *_subset(timing, indices, visible)))
+    # The passes still converging, group by group, and per rule so far their
+    # P0 and F_pair_avg as a (2, passes, rules) history.
+    rows = [i for *_, indices in groups for i in indices]
     history = None
     nodes = GAUSS_NODES
     for counts in (nodes[:2], *((n,) for n in nodes[2:])):
         if not rows:
             break
         fractions, rules = _rules(counts)
-        profile = build_profile(
-            *([batch[i] for i in rows] for batch in (geometries, params, source_fidelities)),
-            fractions=fractions,
-            timing=timing if len(rows) == len(durations)
-            else PassTiming(timing.t0_s[rows], timing.cos_half_angle[rows]),
-        )
-        eta2 = profile.eta2_tr
+        profiles = [
+            build_profile(*inputs, fractions=fractions, timing=timing)
+            for inputs, timing, _ in groups
+        ]
+        if len(profiles) == 1:
+            eta2, f_pair = profiles[0].eta2_tr, profiles[0].f_pair
+        else:
+            eta2 = np.concatenate([profile.eta2_tr for profile in profiles])
+            f_pair = np.concatenate([profile.f_pair for profile in profiles])
         # Each row sum is one pass's mean (the weights sum to 1) over its own
         # samples alone: P0, then the weighted F_pair mean, divided by P0.
         # 0/0 (eta^2 underflowing on every node) gives NaN, as a node with
         # eta = 0 does.
-        both = np.concatenate((eta2, profile.f_pair * eta2))
+        both = np.concatenate((eta2, f_pair * eta2))
         means = np.empty((both.shape[0], len(rules)))
         for j, (part, weights) in enumerate(rules):
             means[:, j] = np.add.reduce(both[:, part] * weights, axis=1)
@@ -357,15 +315,33 @@ def converged_aggregates(
             else:
                 pending.append(k)
         rows = [rows[k] for k in pending]
-        history = history[:, pending] if rows else history
+        if rows:
+            history, still = history[:, pending], set(rows)
+            groups = [
+                (inputs, *_subset(timing, indices, own)) for inputs, timing, indices in groups
+                if (own := [k for k, i in enumerate(indices) if i in still])
+            ]
     if rows:
-        trail = list(zip(nodes, history[0, 0].tolist(), history[1, 0].tolist()))
+        k = rows.index(min(rows))
+        trail = list(zip(nodes, history[0, k].tolist(), history[1, k].tolist()))
         raise QuadratureError(
             f"flyby aggregates did not converge to {CONVERGENCE_RTOL} within {nodes[-1]} "
-            f"Gauss-Legendre nodes at link length {link_lengths_m[rows[0]]} m; "
+            f"Gauss-Legendre nodes at link length {link_lengths_m[rows[k]]} m; "
             f"history (nodes, P0, F_pair_avg): {trail}"
         )
     return results
+
+
+def _subset(timing: PassTiming, indices: list[int], own: list[int]):
+    """The timing and batch indices of the passes at positions ``own`` of a
+    group's ``timing`` and ``indices``; the group's own when that is all of
+    them."""
+    if len(own) == len(indices):
+        return timing, indices
+    return (
+        PassTiming(timing.t0_s[own], timing.cos_half_angle[own]),
+        [indices[k] for k in own],
+    )
 
 
 def pass_aggregates(

@@ -638,7 +638,8 @@ def compare_report(analytic: RepeaterResult, mc: ChainEstimates) -> McReport:
     Raises ValueError when the analytic result and the MC run describe
     different chains (depth or pass duration mismatch).
     """
-    if len(analytic.waiting_time_per_level) != mc.n_levels:
+    waits = analytic.waiting_time_per_level
+    if len(waits) != mc.n_levels:
         raise ValueError("analytic result and MC run have different depths")
     if not math.isclose(
         analytic.aggregates.flyby_duration_s, mc.t_fb_s, rel_tol=1e-9
@@ -654,8 +655,6 @@ def compare_report(analytic: RepeaterResult, mc: ChainEstimates) -> McReport:
         ),
         ("elementary_time_s", analytic.elementary_time_s, mc.link_time, None),
     ]
-    for level, (rule, gap) in enumerate(
-        zip(analytic.waiting_time_per_level, mc.gap_by_level), start=1
-    ):
+    for level, (rule, gap) in enumerate(zip(waits, mc.gap_by_level), start=1):
         rows.append((f"waiting_gap_level_{level}", rule, gap, GAP_RTOL))
     return McReport(tuple(_entry(*row) for row in rows), mc)

@@ -9,8 +9,8 @@ the satellite is simultaneously visible from both stations (zenith angle below
 instant the satellite enters visibility, ``t = t0`` the closest approach.
 
 All functions are pure and accept numpy arrays in the time/distance arguments;
-:func:`pass_timing` also takes a list of geometries and one link length per
-geometry, and its :class:`PassTiming` of column arrays batches those passes.
+:func:`pass_timing` also takes a list of link lengths, and its
+:class:`PassTiming` of column arrays batches one pass shape's passes at them.
 """
 
 from __future__ import annotations
@@ -131,27 +131,29 @@ def angular_speed(geom: OrbitGeometry) -> float:
     return omega
 
 
-def _timings(geom: OrbitGeometry, links) -> tuple[list[float], list[float]]:
-    """t0 (see :class:`PassTiming`) and cos(L0 / 2 R_E) of ``geom``'s pass
-    shape at each link length of ``links``, in ``math`` arithmetic.  The
-    shape's own terms are computed once, when a link first needs them, so a
-    link has the bits, and raises the errors, it has alone.
+def pass_timing(geom: OrbitGeometry, link_lengths_m: list[float] | None = None) -> PassTiming:
+    """The pass's t0 (hence T_FB) and cos(L0 / 2 R_E); given ``link_lengths_m``,
+    those of ``geom``'s pass shape at each of them (not the geometry's own),
+    as (passes, 1) columns.  Each link is computed in ``math`` arithmetic,
+    and the shape's own terms once, when a link first needs them, so a link
+    has the bits, and raises the errors, it has alone.
 
     Closed form: the satellite sits at zenith angle ``theta_max`` (from each
     station) when the central angle from the stations' midpoint equals the value
     whose cosine appears below; dividing by the angular speed gives the time from
     closest approach back to the visibility edge.
     """
-    r_e = geom.earth_radius_m
+    r_e, r_o = geom.earth_radius_m, geom.orbit_radius_m
+    half_circle, diameter = math.pi * r_e, 2.0 * r_e
     numer = omega = None
     t0s, cosines = [], []
-    for link_m in links:
+    for link_m in [geom.link_length_m] if link_lengths_m is None else link_lengths_m:
         if link_m < 0:
             raise ValueError(f"link length must be >= 0, got {link_m}")
-        cos_half = math.cos(link_m / (2.0 * r_e))
+        cos_half = math.cos(link_m / diameter)
         cosines.append(cos_half)
         t0s.append(0.0)
-        if link_m >= math.pi * r_e:
+        if link_m >= half_circle:
             # Stations half a great circle apart or more: never jointly visible.
             # The cosine below turns positive again past 3 pi R_E.
             continue
@@ -166,7 +168,7 @@ def _timings(geom: OrbitGeometry, links) -> tuple[list[float], list[float]]:
                 raise ValueError(
                     f"pass geometry overflows double precision (Earth radius {r_e:.3g} m)"
                 ) from exc
-        denom = geom.orbit_radius_m * cos_half
+        denom = r_o * cos_half
         if denom <= 0.0:
             continue  # L0 within rounding of pi R_E
         arg = numer / denom
@@ -175,31 +177,8 @@ def _timings(geom: OrbitGeometry, links) -> tuple[list[float], list[float]]:
         if omega is None:
             omega = angular_speed(geom)
         t0s[-1] = math.acos(arg) / omega
-    return t0s, cosines
-
-
-def pass_timing(
-    geom: OrbitGeometry | list[OrbitGeometry], link_lengths_m: list[float] | None = None
-) -> PassTiming:
-    """The pass's t0 (hence T_FB) and cos(L0 / 2 R_E); given a list of
-    geometries and ``link_lengths_m``, one per geometry, those of each
-    geometry's pass shape at its link length (not the geometry's own), as
-    (passes, 1) columns with the bits each pass has alone."""
     if link_lengths_m is None:
-        (t0,), (cos_half,) = _timings(geom, [geom.link_length_m])
-        return PassTiming(t0, cos_half)
-    # Runs of passes that share one geometry object share its terms.
-    runs: list[tuple[OrbitGeometry, list[float]]] = []
-    for g, link in zip(geom, link_lengths_m):
-        if runs and runs[-1][0] is g:
-            runs[-1][1].append(link)
-        else:
-            runs.append((g, [link]))
-    t0s, cosines = [], []
-    for g, links in runs:
-        t0, cos_half = _timings(g, links)
-        t0s += t0
-        cosines += cos_half
+        return PassTiming(t0s[0], cosines[0])
     columns = np.array([t0s, cosines]).T
     return PassTiming(columns[:, :1], columns[:, 1:])
 

@@ -49,7 +49,7 @@ class TestDefaults:
 
     def test_resolved_mapping_is_complete_and_ordered(self):
         s = default_scenario()
-        keys = [k for k, _ in s.resolved]
+        keys = list(s.flat_dict())
         assert keys[0] == "orbit.altitude_m"
         assert "node.internal_cooperativity" not in keys  # unset optional
         assert len(keys) == len(set(keys))

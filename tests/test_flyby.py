@@ -389,6 +389,47 @@ def test_pass_bits_do_not_depend_on_batch(passes, channel):
             assert got == pass_aggregates(single, channels[i], fidelities[i])
 
 
+def test_interleaved_groups_sample_once_per_group_per_rule(channel, monkeypatch):
+    # Passes [a, b, a, b] of two pass groups that share a grazing geometry
+    # and a channel but not the source fidelity.  Each rule calls every stage
+    # once per group with passes still converging, on all of that group's:
+    # the 2,000 and 1,000 km passes converge at 64 nodes, the 300 km one at
+    # 128 and the 100 km one at 256.  Each pass gets the result it has alone.
+    geom = OrbitGeometry(
+        altitude_m=2.0e5, link_length_m=1.0, max_zenith_rad=math.radians(89.9)
+    )
+    params = dataclasses.replace(channel, zenith_transmittance=0.5, beam_waist_m=0.005)
+    fidelities, links = [0.998, 0.95, 0.998, 0.95], [2.0e6, 1.0e5, 3.0e5, 1.0e6]
+    batch = [geom] * 4, [params] * 4, fidelities, links
+    alone = [converged_aggregates([geom], [params], [f], [link]) for f, link in zip(*batch[2:])]
+    calls = []
+    for name in ("slant_distance", "single_photon_transmission", "pair_fidelity"):
+        original = getattr(flyby, name)
+
+        def counted(first, *args, _name=name, _original=original):
+            calls.append((_name, first, args[-1].shape))
+            return _original(first, *args)
+
+        monkeypatch.setattr(flyby, name, counted)
+    got = converged_aggregates(*batch)
+    assert [[result] for result in got] == alone
+    assert all(isinstance(result, FlybyAggregates) for result in got)
+    expected = []
+    for fidelity, shape in [(0.998, (2, 48)), (0.95, (2, 48)), (0.998, (1, 64)),
+                            (0.95, (1, 64)), (0.95, (1, 128))]:
+        expected += [
+            ("slant_distance", geom, shape),
+            ("single_photon_transmission", params, shape),
+            ("pair_fidelity", fidelity, shape),
+        ]
+    assert calls == expected
+    # Unconverged within 64 nodes, the 300 km pass of the first group and
+    # the 100 km pass of the second: the error names the first in the batch.
+    monkeypatch.setattr(flyby, "GAUSS_NODES", (32, 64))
+    with pytest.raises(QuadratureError, match=r"at link length 100000\.0 m;"):
+        converged_aggregates(*batch)
+
+
 def test_large_batches_converge_in_bounded_parts(channel, monkeypatch):
     # Past _BATCH_PASSES passes a batch is converged in parts of that size,
     # which, since a pass's bits do not depend on its batch, changes nothing.

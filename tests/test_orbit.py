@@ -74,14 +74,14 @@ class TestHalfFlybyTime:
 
     def test_batch_columns_hold_each_pass_bits(self):
         links = [2.0e6, 1.0e7, 8.0e7]
-        batch = pass_timing([geom()] * len(links), links)
+        batch = pass_timing(geom(), links)
         assert batch.t0_s.shape == batch.cos_half_angle.shape == (3, 1)
         for row, l0 in enumerate(links):
             alone = pass_timing(geom(l0=l0))
             assert batch.t0_s[row, 0] == alone.t0_s
             assert batch.cos_half_angle[row, 0] == alone.cos_half_angle
         with pytest.raises(ValueError, match="link length must be >= 0"):
-            pass_timing([geom()] * 2, [2.0e6, -1.0])
+            pass_timing(geom(), [2.0e6, -1.0])
 
     def test_lower_altitude_means_shorter_window(self):
         assert pass_timing(geom(h=5.0e5, l0=2.0e6)).t0_s < pass_timing(

@@ -438,18 +438,18 @@ class TestDistanceSweep:
     @pytest.mark.parametrize(
         "key, values, orbit_calls, channel_calls, pair_calls",
         [
-            ("orbit.altitude_m", ("1.2e6", "1.5e6", "1.8e6"), 3, 1, 1),
-            ("channel.beam_waist_m", ("0.04", "0.05", "0.06"), 1, 3, 3),
-            ("source.pair_fidelity", ("0.95", "0.97", "0.998"), 1, 1, 3),
+            ("orbit.altitude_m", ("1.2e6", "1.5e6", "1.8e6"), 3, 3, 3),
+            ("channel.beam_waist_m", ("0.04", "0.05", "0.06"), 3, 3, 3),
+            ("source.pair_fidelity", ("0.95", "0.97", "0.998"), 3, 3, 3),
             ("node.caps_fidelity", ("0.95", "0.97", "0.99"), 1, 1, 1),
         ],
     )
-    def test_each_stage_runs_once_per_distinct_input(
+    def test_each_stage_runs_once_per_pass_group(
         self, key, values, orbit_calls, channel_calls, pair_calls, monkeypatch
     ):
         # One quadrature batch per run, whose passes all converge at 64
-        # nodes: the orbit runs once per pass shape, the transmission once
-        # per channel and the pair fidelity once per (source, channel).
+        # nodes: each stage runs once per pass group (geometry, channel and
+        # source fidelity), and configs that differ in a node key share one.
         calls = {"slant_distance": 0, "single_photon_transmission": 0, "pair_fidelity": 0}
         for name in calls:
             original = getattr(flyby, name)
